@@ -95,6 +95,76 @@ func TestQueryAllocsAllLayouts(t *testing.T) {
 	}
 }
 
+// TestQueryAllocsTwigs holds the kernel to the shape of query the benchmark
+// serves: branching twigs over identical siblings with value predicates,
+// one through a `*` step, on an XMark-like corpus — where order enumeration
+// and the sibling-cover stack do real work, unlike the path patterns above.
+// The bounds are the counts measured when the heap and flat layouts still
+// had a kernel each; now that they share one, they must also be equal.
+func TestQueryAllocsTwigs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector perturbs sync.Pool reuse; allocation counts are asserted in non-race runs")
+	}
+	_, inner, err := datagen.XMark(datagen.XMarkOptions{IdenticalSiblings: true, Seed: 42}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]*Document, len(inner))
+	for i, d := range inner {
+		docs[i] = &Document{id: d.ID, root: d.Root}
+	}
+	mono, err := Build(docs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := Build(docs, Config{Layout: LayoutFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := Build(docs, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := BuildDynamic(docs, Config{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twigs := []struct {
+		q                      string
+		mono, sharded, dynamic float64
+	}{
+		{"/site/regions/namerica/item[incategory[text='category2']][incategory[text='category61']]", 101, 194, 102},
+		{"/site/people/person/*[interest[text='category1']][interest[text='category7']]", 109, 212, 110},
+	}
+	for _, tw := range twigs {
+		measure := func(name string, query queryFn, max float64) float64 {
+			ids, err := query(tw.q) // warm pools across all shards
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) == 0 {
+				t.Fatalf("%s %s: no answers; the twig no longer exercises a terminal match", name, tw.q)
+			}
+			got := testing.AllocsPerRun(50, func() {
+				if _, err := query(tw.q); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s %s: %.1f allocs/op", name, tw.q, got)
+			if got > max {
+				t.Errorf("%s %s: %.1f allocs/op, want <= %.0f", name, tw.q, got, max)
+			}
+			return got
+		}
+		heap := measure("monolithic", mono.Query, tw.mono)
+		if fl := measure("flat", flat.Query, tw.mono); fl != heap {
+			t.Errorf("%s: flat %.1f allocs/op, monolithic %.1f: one kernel must cost the same on both", tw.q, fl, heap)
+		}
+		measure("sharded", sharded.Query, tw.sharded)
+		measure("dynamic", dyn.Query, tw.dynamic)
+	}
+}
+
 // TestQueryAllocsTraced re-measures every layout with a context-borne
 // telemetry trace, the way the server runs each request. The per-op cost
 // adds a pooled trace fetch, one context value, and the kernel-counter
@@ -237,19 +307,28 @@ func TestQueryAllocsNoCorpusScaling(t *testing.T) {
 		t.Skip("race detector perturbs sync.Pool reuse; allocation counts are asserted in non-race runs")
 	}
 	measure := func(n int) float64 {
-		ix, err := Build(allocDocs(t, n), Config{})
+		ix, err := Build(allocDocs(t, n), Config{KeepDocuments: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		const q = "//n2"
-		if _, err := ix.Query(q); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(50, func() {
-			if _, err := ix.Query(q); err != nil {
+		allocs := func(query queryFn, q string) float64 {
+			if _, err := query(q); err != nil {
 				t.Fatal(err)
 			}
-		})
+			return testing.AllocsPerRun(50, func() {
+				if _, err := query(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		// A verified query adds per-candidate work only: the id → document
+		// lookup is built once per index, so with no candidates to check it
+		// costs exactly what the plain query costs, whatever the corpus.
+		const none = "/n0/absent"
+		if plain, verified := allocs(ix.Query, none), allocs(ix.QueryVerified, none); verified != plain {
+			t.Errorf("%d docs: verified query with no candidates: %.1f allocs/op, plain %.1f", n, verified, plain)
+		}
+		return allocs(ix.Query, "//n2")
 	}
 	small, big := measure(100), measure(800)
 	t.Logf("100 docs: %.1f allocs/op; 800 docs: %.1f allocs/op", small, big)

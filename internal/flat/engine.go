@@ -8,102 +8,19 @@ import (
 	"path/filepath"
 
 	"xseq/internal/engine"
-	"xseq/internal/index"
 	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
-	"xseq/internal/sequence"
-	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
 
 var _ engine.Engine = (*Index)(nil)
 
-// QueryWithContext answers a tree-pattern query over the mapped snapshot —
-// the same instantiate → enumerate orders → Algorithm 1 pipeline as the
-// heap engines, with identical results. The returned slice is freshly
-// allocated (the engine ownership contract); all transient state lives in
-// the pooled scratch.
+// QueryWithContext answers a tree-pattern query over the mapped snapshot
+// through the shared kernel — the same pipeline, results and counters as
+// the heap engines; see match.Engine.Query.
 func (ix *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo engine.QueryOptions) ([]int32, error) {
-	var docs []*xmltree.Document
-	if qo.Verify {
-		var err error
-		docs, err = ix.loadDocs()
-		if err != nil {
-			return nil, err
-		}
-		if docs == nil {
-			return nil, fmt.Errorf("flat: Verify requires a snapshot built with KeepDocuments")
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scr := getScratch(ix.meta.MaxDocID)
-	defer putScratch(scr)
-	// Context-borne traces observe the kernel counters through the pooled
-	// scratch, exactly as the heap kernel does (see internal/index).
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		if qo.Stats == nil {
-			scr.tstats = engine.QueryStats{}
-			qo.Stats = &scr.tstats
-		}
-		st := qo.Stats
-		defer func() {
-			tr.AddKernel(st.Instances, st.Orders, st.LinkProbes, st.EntriesScanned, st.CoverChecks, st.CoverRejections)
-		}()
-	}
-	insts := pat.InstantiateScratch(ix.enc, ix.ci, ix.meta.InstantiationLimit, &scr.inst)
-	res := resultSet{scr: scr, ids: scr.ids[:0], limit: qo.MaxResults, stats: qo.Stats, ctx: ctx}
-	enumLimit := ix.meta.OrderEnumerationLimit
-	if enumLimit <= 0 {
-		enumLimit = index.DefaultOrderEnumerationLimit
-	}
-	if qo.Stats != nil {
-		qo.Stats.Instances = len(insts)
-	}
-	for _, inst := range insts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.full() {
-			break
-		}
-		orders := sequence.EnumerateInstanceOrders(inst.Paths, inst.Parent, ix.prio, enumLimit)
-		if qo.Stats != nil {
-			qo.Stats.Orders += len(orders)
-		}
-		for _, q := range orders {
-			if res.full() {
-				break
-			}
-			ix.search(q, qo.Naive, &res)
-		}
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	out := res.take()
-	if qo.Stats != nil {
-		qo.Stats.Results = len(out)
-	}
-	if qo.Verify {
-		byID := make(map[int32]*xmltree.Document, len(docs))
-		for _, d := range docs {
-			byID[d.ID] = d
-		}
-		var kept []int32
-		for _, id := range out {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if d := byID[id]; d != nil && pat.MatchesTree(d.Root) {
-				kept = append(kept, id)
-			}
-		}
-		out = kept
-	}
-	return out, nil
+	return ix.eng.Query(ctx, pat, qo)
 }
 
 // NumDocuments reports the corpus size.
@@ -130,7 +47,7 @@ func (ix *Index) Shards() []engine.ShardStat { return nil }
 // when the snapshot was built without KeepDocuments, or if the DOCS
 // section is undecodable — Verify queries surface that error instead).
 func (ix *Index) Documents() []*xmltree.Document {
-	docs, _ := ix.loadDocs()
+	docs, _ := ix.LoadDocuments()
 	return docs
 }
 

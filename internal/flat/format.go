@@ -146,19 +146,3 @@ func putUvarint(b []byte, v uint64) []byte {
 
 // align8 rounds n up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// align4 rounds n up to the next multiple of 4.
-func align4(n int) int { return (n + 3) &^ 3 }
-
-// bitsetLen is the byte length of an n-entry bitset, 4-byte aligned.
-func bitsetLen(n int) int { return align4((n + 7) / 8) }
-
-// bitsetGet reads bit i of b.
-func bitsetGet(b []byte, i int32) bool {
-	return b[i>>3]&(1<<uint(i&7)) != 0
-}
-
-// bitsetSet sets bit i of b.
-func bitsetSet(b []byte, i int) {
-	b[i>>3] |= 1 << uint(i&7)
-}

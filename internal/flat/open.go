@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"xseq/internal/index"
+	"xseq/internal/match"
 	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
@@ -57,10 +58,14 @@ type Index struct {
 
 	sections map[uint32]section
 
-	linkViews []linkView
-	numLinks  int
+	// links holds one view per PathID onto the mapped LINKS section (empty
+	// for paths without a link); Off is the pres column's file offset, for
+	// page accounting.
+	links    []match.Link
+	numLinks int
 
 	ends endsView
+	eng  match.Engine // the query kernel over links and ends
 
 	docsOnce sync.Once
 	docs     []*xmltree.Document
@@ -81,19 +86,6 @@ type Index struct {
 type section struct {
 	crc      uint32
 	off, len uint64
-}
-
-// linkView locates one path's link inside the mapped bytes. pres and maxs
-// are 4*n bytes each; anc and embeds are nil for links without cover
-// metadata (every entry then has anc = -1, embeds = false). fileOff is the
-// pres array's offset in the file, for page accounting.
-type linkView struct {
-	n       int32
-	pres    []byte
-	maxs    []byte
-	anc     []byte
-	embeds  []byte
-	fileOff uint64
 }
 
 // endsView locates the end-node table. dir is the block directory
@@ -292,6 +284,16 @@ func (ix *Index) init(opts Options) error {
 			return err
 		}
 	}
+	ix.eng = match.Engine{
+		Layout:                ix,
+		Enc:                   ix.enc,
+		ChildIdx:              ix.ci,
+		Prio:                  ix.prio,
+		InstantiationLimit:    ix.meta.InstantiationLimit,
+		OrderEnumerationLimit: ix.meta.OrderEnumerationLimit,
+		MaxDocID:              ix.meta.MaxDocID,
+		MaxSerial:             ix.meta.MaxSerial,
+	}
 	return nil
 }
 
@@ -306,7 +308,7 @@ func (ix *Index) initLinks() error {
 	}
 	arena := ix.sectionBytes(secLinks)
 	arenaFileOff := ix.sections[secLinks].off
-	ix.linkViews = make([]linkView, numPaths)
+	ix.links = make([]match.Link, numPaths)
 	for p := 0; p < numPaths; p++ {
 		row := dir[p*linkDirEntryLen:]
 		n := le.Uint32(row)
@@ -318,23 +320,12 @@ func (ix *Index) initLinks() error {
 		if n > uint32(1)<<30 {
 			return corrupt("link %d has implausible length %d", p, n)
 		}
-		need := uint64(8 * n) // pres + maxs
 		hasCover := flags&linkHasCover != 0
-		if hasCover {
-			need += uint64(4*n) + uint64(bitsetLen(int(n)))
-		}
+		need := uint64(match.LinkBytes(int(n), hasCover))
 		if off > uint64(len(arena)) || off+need > uint64(len(arena)) {
 			return corrupt("link %d extent [%d, %d) outside links section", p, off, off+need)
 		}
-		v := linkView{n: int32(n), fileOff: arenaFileOff + off}
-		b := arena[off:]
-		v.pres, b = b[:4*n], b[4*n:]
-		v.maxs, b = b[:4*n], b[4*n:]
-		if hasCover {
-			v.anc, b = b[:4*n], b[4*n:]
-			v.embeds = b[:bitsetLen(int(n))]
-		}
-		ix.linkViews[p] = v
+		ix.links[p] = match.NewLink(arena[off:], int32(n), hasCover, arenaFileOff+off)
 		ix.numLinks++
 	}
 	return nil
@@ -411,8 +402,8 @@ func (ix *Index) VerifyChecksums() error {
 	return nil
 }
 
-// loadDocs decodes the retained corpus on first use.
-func (ix *Index) loadDocs() ([]*xmltree.Document, error) {
+// LoadDocuments decodes the retained corpus on first use (match.Layout).
+func (ix *Index) LoadDocuments() ([]*xmltree.Document, error) {
 	ix.docsOnce.Do(func() {
 		if !ix.meta.KeptDocs {
 			return

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"xseq/internal/index"
+	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 )
@@ -202,10 +203,10 @@ func buildLinks(ex *index.Export) (dir, arena []byte, err error) {
 			for _, v := range l.Anc {
 				arena = le.AppendUint32(arena, uint32(v))
 			}
-			bs := make([]byte, bitsetLen(n))
+			bs := make([]byte, match.BitsetLen(n))
 			for i, e := range l.Embeds {
 				if e {
-					bitsetSet(bs, i)
+					match.BitsetSet(bs, i)
 				}
 			}
 			arena = append(arena, bs...)

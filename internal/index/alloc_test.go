@@ -25,7 +25,7 @@ func allocCorpus(t testing.TB, n int, seed int64) (*Index, []*xmltree.Document) 
 	for i := 0; i < n; i++ {
 		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
 	}
-	return buildCS(t, docs, Options{}), docs
+	return buildCS(t, docs, Options{KeepDocuments: true}), docs
 }
 
 func TestQueryAllocsSteadyState(t *testing.T) {
@@ -42,15 +42,20 @@ func TestQueryAllocsSteadyState(t *testing.T) {
 	// order enumeration, whose allocations are a pattern×schema-sized
 	// constant (bounded by InstantiationLimit), never O(corpus) — the
 	// looser bound plus the 4x-corpus comparison pins that down.
+	// The verified row has no candidates to check, so it prices Verify
+	// itself: the id → document lookup is built once per index, and the
+	// query must stay inside the concrete-pattern bound on both corpora.
 	patterns := []struct {
 		q   string
+		qo  QueryOptions
 		max float64
 	}{
-		{"/R[A][B]", 32},
-		{"//A", 160},
-		{"//B[C]", 160},
-		{"/R/*", 160},
-		{"//C[text='A']", 160},
+		{"/R[A][B]", QueryOptions{}, 32},
+		{"//A", QueryOptions{}, 160},
+		{"//B[C]", QueryOptions{}, 160},
+		{"/R/*", QueryOptions{}, 160},
+		{"//C[text='A']", QueryOptions{}, 160},
+		{"/R/absent", QueryOptions{Verify: true}, 2},
 	}
 	for _, p := range patterns {
 		pat := query.MustParse(p.q)
@@ -59,11 +64,11 @@ func TestQueryAllocsSteadyState(t *testing.T) {
 			name string
 			ix   *Index
 		}{{"100docs", ix}, {"400docs", ixBig}} {
-			if _, err := c.ix.Query(pat); err != nil { // warm the scratch pool
+			if _, err := c.ix.QueryWith(pat, p.qo); err != nil { // warm the scratch pool
 				t.Fatal(err)
 			}
 			got := testing.AllocsPerRun(100, func() {
-				if _, err := c.ix.Query(pat); err != nil {
+				if _, err := c.ix.QueryWith(pat, p.qo); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -19,26 +19,26 @@ import (
 //   - the flattened doc-id list is sorted by pre with consistent offsets
 //     and ids within [0, maxDocID].
 func (ix *Index) CheckInvariants() error {
-	for p, link := range ix.links {
+	for p, l := range ix.links {
 		name := ix.enc.PathString(p)
-		for i, e := range link {
-			if e.pre < 1 || e.max > ix.maxSerial || e.pre > e.max {
+		for i := int32(0); i < l.Len(); i++ {
+			pre, max, anc := l.Pre(i), l.Max(i), l.Anc(i)
+			if pre < 1 || max > ix.maxSerial || pre > max {
 				return fmt.Errorf("index: link %s entry %d has invalid interval [%d,%d] (max serial %d)",
-					name, i, e.pre, e.max, ix.maxSerial)
+					name, i, pre, max, ix.maxSerial)
 			}
-			if i > 0 && link[i-1].pre >= e.pre {
+			if i > 0 && l.Pre(i-1) >= pre {
 				return fmt.Errorf("index: link %s not strictly sorted at %d", name, i)
 			}
-			if e.anc >= 0 {
-				if int(e.anc) >= i {
-					return fmt.Errorf("index: link %s entry %d anc %d not earlier", name, i, e.anc)
+			if anc >= 0 {
+				if anc >= i {
+					return fmt.Errorf("index: link %s entry %d anc %d not earlier", name, i, anc)
 				}
-				a := link[e.anc]
-				if !(a.pre < e.pre && a.max >= e.max) {
-					return fmt.Errorf("index: link %s entry %d not contained by anc %d", name, i, e.anc)
+				if !(l.Pre(anc) < pre && l.Max(anc) >= max) {
+					return fmt.Errorf("index: link %s entry %d not contained by anc %d", name, i, anc)
 				}
-				if !a.embeds {
-					return fmt.Errorf("index: link %s entry %d anc %d lacks embeds mark", name, i, e.anc)
+				if !l.Embeds(anc) {
+					return fmt.Errorf("index: link %s entry %d anc %d lacks embeds mark", name, i, anc)
 				}
 			}
 		}

@@ -5,8 +5,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"xseq/internal/match"
 	"xseq/internal/xmltree"
 )
+
+// forgeLink rewrites l in place with its columns passed through mut — how
+// these tests damage the column view.
+func forgeLink(l *match.Link, mut func(pre, max, anc []int32, embeds []bool)) {
+	pre, max, anc, embeds := linkColumns(l)
+	mut(pre, max, anc, embeds)
+	*l = match.NewLink(make([]byte, match.LinkBytes(len(pre), false)), l.Len(), false, 0)
+	fillLink(l, pre, max, anc, embeds)
+}
 
 func TestCheckInvariantsHealthy(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -44,27 +54,33 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		mut  func(ix *Index)
 	}{
 		{"inverted interval", func(ix *Index) {
-			for p, link := range ix.links {
-				link[0].max = link[0].pre - 1
-				ix.links[p] = link
+			for _, l := range ix.links {
+				forgeLink(l, func(pre, max, _ []int32, _ []bool) { max[0] = pre[0] - 1 })
 				return
 			}
 		}},
 		{"unsorted link", func(ix *Index) {
-			for p, link := range ix.links {
-				if len(link) >= 2 {
-					link[0].pre = link[1].pre
-					ix.links[p] = link
+			for _, l := range ix.links {
+				if l.Len() >= 2 {
+					forgeLink(l, func(pre, _, _ []int32, _ []bool) { pre[0] = pre[1] })
 					return
 				}
 			}
 		}},
 		{"forward anc", func(ix *Index) {
-			for p, link := range ix.links {
-				link[0].anc = int32(len(link))
-				ix.links[p] = link
+			for _, l := range ix.links {
+				forgeLink(l, func(_, _, anc []int32, _ []bool) { anc[0] = l.Len() })
 				return
 			}
+		}},
+		{"anc without embeds mark", func(ix *Index) {
+			for _, l := range ix.links {
+				if l.HasCover() {
+					forgeLink(l, func(_, _, _ []int32, embeds []bool) { clear(embeds) })
+					return
+				}
+			}
+			t.Fatal("corpus has no link with covers")
 		}},
 		{"end offsets broken", func(ix *Index) {
 			if len(ix.ends.offs) > 0 {

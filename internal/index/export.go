@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
@@ -86,31 +87,43 @@ func (ix *Index) Export() (*Export, error) {
 	for path := range prob.RepeatPaths() {
 		ex.Repeat = append(ex.Repeat, path)
 	}
-	for path, link := range ix.links {
-		if len(link) == 0 {
+	for path, l := range ix.links {
+		if l.Len() == 0 {
 			continue
 		}
-		el := ExportLink{
-			Path: path,
-			Pre:  make([]int32, len(link)),
-			Max:  make([]int32, len(link)),
-		}
-		for i, e := range link {
-			el.Pre[i], el.Max[i] = e.pre, e.max
-			if e.anc != -1 || e.embeds {
-				el.HasCover = true
-			}
-		}
-		if el.HasCover {
-			el.Anc = make([]int32, len(link))
-			el.Embeds = make([]bool, len(link))
-			for i, e := range link {
-				el.Anc[i], el.Embeds[i] = e.anc, e.embeds
-			}
+		el := ExportLink{Path: path, HasCover: l.HasCover()}
+		el.Pre, el.Max, el.Anc, el.Embeds = linkColumns(l)
+		if !el.HasCover {
+			el.Anc, el.Embeds = nil, nil
 		}
 		ex.Links = append(ex.Links, el)
 	}
 	slices.SortFunc(ex.Links, func(a, b ExportLink) int { return int(a.Path) - int(b.Path) })
 	slices.Sort(ex.Repeat)
 	return ex, nil
+}
+
+// linkColumns decodes a link into the plain column form Save persists and
+// Export hands to other layouts.
+func linkColumns(l *match.Link) (pre, max, anc []int32, embeds []bool) {
+	n := l.Len()
+	pre, max, anc, embeds = make([]int32, n), make([]int32, n), make([]int32, n), make([]bool, n)
+	for k := int32(0); k < n; k++ {
+		pre[k], max[k], anc[k], embeds[k] = l.Pre(k), l.Max(k), l.Anc(k), l.Embeds(k)
+	}
+	return
+}
+
+// fillLink is the inverse of linkColumns: it stores the columns, each
+// l.Len() long, into l.
+func fillLink(l *match.Link, pre, max, anc []int32, embeds []bool) {
+	for k := int32(0); k < l.Len(); k++ {
+		l.Set(k, pre[k], max[k])
+		if anc[k] != -1 {
+			l.SetAnc(k, anc[k])
+		}
+		if embeds[k] {
+			l.SetEmbeds(k)
+		}
+	}
 }

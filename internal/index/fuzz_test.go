@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -100,5 +101,26 @@ func TestLoadV1Compat(t *testing.T) {
 		if !sameIDs(got, want) {
 			t.Fatalf("query %s: v1 %v, v2 %v", q, got, want)
 		}
+	}
+}
+
+// TestLoadRejectsDuplicateLink: a decodable stream naming one path's link
+// twice (with different lengths, which would index past the shorter one) is
+// corrupt, not a panic.
+func TestLoadRejectsDuplicateLink(t *testing.T) {
+	data := savedStream(t)
+	var p persistedIndex
+	if err := gob.NewDecoder(bytes.NewReader(data[16 : len(data)-4])).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	p.Version = 1
+	p.Links = append(p.Links, persistedLink{Path: p.Links[0].Path})
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Load(&v1); !errors.As(err, &ce) {
+		t.Fatalf("Load = %v, want *CorruptError", err)
 	}
 }

@@ -8,13 +8,9 @@
 //     labels of all trie nodes with that path encoding, in ascending n⊢
 //     order, binary searchable (Figures 8/9).
 //
-// Queries are tree patterns; wildcards are instantiated against the path
-// table, instances are sequenced with the same strategy priority as the
-// data, identical-path sibling groups are enumerated (the false-dismissal
-// remedy), and Algorithm 1 walks the links range-by-range. The
-// sibling-cover test (Definition 4 / Theorem 3) rejects candidates whose
-// constraint relations would break, eliminating false alarms with no joins
-// and no per-document post-processing.
+// Queries run in internal/match, the one implementation of Algorithm 1 and
+// its driver; this package builds, persists and validates the structure and
+// hands the kernel its links (in match.Link column form) and doc-id lists.
 package index
 
 import (
@@ -24,10 +20,10 @@ import (
 	"sort"
 
 	"xseq/internal/engine"
+	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/sequence"
-	"xseq/internal/telemetry"
 	"xseq/internal/trie"
 	"xseq/internal/xmltree"
 )
@@ -47,27 +43,11 @@ type Options struct {
 	// (<= 0: query.DefaultInstantiationLimit).
 	InstantiationLimit int
 	// OrderEnumerationLimit caps identical-sibling order enumeration per
-	// instance (<= 0: DefaultOrderEnumerationLimit).
+	// instance (<= 0: match.DefaultOrderEnumerationLimit).
 	OrderEnumerationLimit int
 	// KeepDocuments retains the corpus for the verified query modes and
 	// baselines that post-process candidates.
 	KeepDocuments bool
-}
-
-// DefaultOrderEnumerationLimit caps the number of identical-sibling
-// orderings tried per query instance.
-const DefaultOrderEnumerationLimit = 64
-
-// linkEntry is one element of a path link: an interval label plus the
-// sibling-cover metadata. anc is the index (within the same link) of the
-// entry's nearest same-path strict ancestor in the trie, or -1. embeds
-// reports whether a later entry of the link names this entry as its anc —
-// i.e. whether this trie node "embeds identical siblings" in the sense of
-// Algorithm 1.
-type linkEntry struct {
-	pre, max int32
-	anc      int32
-	embeds   bool
 }
 
 // endList flattens doc-id lists: ends[i] holds the pre label of an end node
@@ -85,7 +65,7 @@ type Index struct {
 	strategy  sequence.Strategy
 	prio      sequence.Prioritizer // nil if strategy has no priority
 	tr        *trie.Trie
-	links     map[pathenc.PathID][]linkEntry
+	links     map[pathenc.PathID]*match.Link
 	ends      endList
 	ci        *pathenc.ChildIndex
 	opts      Options
@@ -94,7 +74,8 @@ type Index struct {
 	maxSerial int32
 	docs      []*xmltree.Document // only when KeepDocuments
 
-	pg *pagedLayout // nil unless AttachPager was called
+	eng match.Engine // the query kernel over this index's links and ends
+	pg  *pagedLayout // nil unless AttachPager was called
 }
 
 // Build sequences and indexes the corpus. Document IDs must be unique and
@@ -174,32 +155,46 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 // lists.
 func (ix *Index) freeze() {
 	ix.tr.Freeze()
-	ix.links = make(map[pathenc.PathID][]linkEntry)
+	// Size every link first, so their label columns come out of one arena.
+	counts := map[pathenc.PathID]int32{}
+	for n := trie.NodeID(1); int(n) <= ix.tr.NumNodes(); n++ {
+		counts[ix.tr.Path(n)]++
+	}
+	ix.links = allocLinks(counts)
 	// One pre-order pass; per-path stacks of open link-entry indices give
 	// each entry its nearest same-path ancestor. The walk is pre-order, so
-	// link entries are appended in ascending pre order automatically.
+	// link entries are filled in ascending pre order automatically.
 	type open struct {
 		entry int32 // index within the link
 		max   int32 // subtree end, for popping
 	}
-	stacks := map[pathenc.PathID][]open{}
+	type filling struct {
+		l    *match.Link
+		next int32 // entries filled so far
+		open []open
+	}
+	slab := make([]filling, 0, len(ix.links))
+	fills := make(map[pathenc.PathID]*filling, len(ix.links))
+	for p, l := range ix.links {
+		slab = append(slab, filling{l: l})
+		fills[p] = &slab[len(slab)-1]
+	}
 	ix.tr.WalkPreOrder(func(n trie.NodeID, _ int) bool {
-		p := ix.tr.Path(n)
+		f := fills[ix.tr.Path(n)]
 		pre, max := ix.tr.Pre(n), ix.tr.Max(n)
-		st := stacks[p]
+		f.l.Set(f.next, pre, max)
 		// Pop entries whose subtree has ended.
+		st := f.open
 		for len(st) > 0 && st[len(st)-1].max < pre {
 			st = st[:len(st)-1]
 		}
-		link := ix.links[p]
-		e := linkEntry{pre: pre, max: max, anc: -1}
 		if len(st) > 0 {
-			e.anc = st[len(st)-1].entry
-			link[e.anc].embeds = true
+			anc := st[len(st)-1].entry
+			f.l.SetAnc(f.next, anc)
+			f.l.SetEmbeds(anc)
 		}
-		idx := int32(len(link))
-		ix.links[p] = append(link, e)
-		stacks[p] = append(st, open{entry: idx, max: max})
+		f.open = append(st, open{entry: f.next, max: max})
+		f.next++
 		return true
 	})
 	// Flatten doc-id lists sorted by pre.
@@ -229,6 +224,39 @@ func (ix *Index) freeze() {
 	}
 	ix.ci = ix.enc.BuildChildIndex()
 	ix.maxSerial = int32(ix.tr.NumNodes())
+	ix.initEngine()
+}
+
+// allocLinks carves one zeroed link per path, of the given entry count, out
+// of a single arena.
+func allocLinks(counts map[pathenc.PathID]int32) map[pathenc.PathID]*match.Link {
+	total := 0
+	for _, n := range counts {
+		total += match.LinkBytes(int(n), false)
+	}
+	arena := make([]byte, total)
+	views := make([]match.Link, 0, len(counts))
+	links := make(map[pathenc.PathID]*match.Link, len(counts))
+	for p, n := range counts {
+		views = append(views, match.NewLink(arena, n, false, 0))
+		arena = arena[match.LinkBytes(int(n), false):]
+		links[p] = &views[len(views)-1]
+	}
+	return links
+}
+
+// initEngine points the query kernel at the finished index.
+func (ix *Index) initEngine() {
+	ix.eng = match.Engine{
+		Layout:                ix,
+		Enc:                   ix.enc,
+		ChildIdx:              ix.ci,
+		Prio:                  ix.prio,
+		InstantiationLimit:    ix.opts.InstantiationLimit,
+		OrderEnumerationLimit: ix.opts.OrderEnumerationLimit,
+		MaxDocID:              ix.maxDocID,
+		MaxSerial:             ix.maxSerial,
+	}
 }
 
 // Encoder returns the index's designator/path table.
@@ -248,7 +276,7 @@ func (ix *Index) NumNodes() int { return int(ix.maxSerial) }
 func (ix *Index) NumLinks() int { return len(ix.links) }
 
 // LinkLength reports the number of labels in the link of path p.
-func (ix *Index) LinkLength(p pathenc.PathID) int { return len(ix.links[p]) }
+func (ix *Index) LinkLength(p pathenc.PathID) int { return int(ix.links[p].Len()) }
 
 // EstimatedDiskBytes applies the paper's sizing formula for the final
 // disk-based index: 4n + cN bytes with n the number of indexed records, N
@@ -274,26 +302,27 @@ func (ix *Index) MaxSerial() int32 { return ix.maxSerial }
 
 // LinkEntries returns the (pre, max) interval labels of path p's link in
 // ascending pre order. Baseline engines (ViST-style branch matching) build
-// on this; the slice must not be modified.
+// on this.
 func (ix *Index) LinkEntries(p pathenc.PathID) []Interval {
-	link := ix.links[p]
-	out := make([]Interval, len(link))
-	for i, e := range link {
-		ix.touchLinkSlot(p, i)
-		out[i] = Interval{Pre: e.pre, Max: e.max}
-	}
-	return out
+	return ix.scanLink(ix.links[p], 0, ix.maxSerial)
 }
 
 // LinkEntriesInRange returns the link entries of p with pre ∈ [lo, hi],
 // binary searching the link (charging page touches when paged).
 func (ix *Index) LinkEntriesInRange(p pathenc.PathID, lo, hi int32) []Interval {
-	link := ix.links[p]
-	start := ix.searchLink(p, link, lo, nil)
+	l := ix.links[p]
+	return ix.scanLink(l, l.LowerBound(lo, ix.Pager()), hi)
+}
+
+// scanLink returns l's entries from index k on while pre <= hi.
+func (ix *Index) scanLink(l *match.Link, k, hi int32) []Interval {
+	pg := ix.Pager()
 	var out []Interval
-	for idx := start; idx < len(link) && link[idx].pre <= hi; idx++ {
-		ix.touchLinkSlot(p, idx)
-		out = append(out, Interval{Pre: link[idx].pre, Max: link[idx].max})
+	for ; k < l.Len() && l.Pre(k) <= hi; k++ {
+		if pg != nil {
+			pg.TouchLink(l, k)
+		}
+		out = append(out, Interval{Pre: l.Pre(k), Max: l.Max(k)})
 	}
 	return out
 }
@@ -301,7 +330,8 @@ func (ix *Index) LinkEntriesInRange(p pathenc.PathID, lo, hi int32) []Interval {
 // DocsInPreRange returns (appending to out) the ids of documents whose
 // sequences end at a node with pre ∈ [lo, hi].
 func (ix *Index) DocsInPreRange(lo, hi int32, out []int32) []int32 {
-	return ix.collectDocs(lo, hi, out)
+	out, _ = ix.CollectDocs(lo, hi, out)
+	return out
 }
 
 // Interval is a trie node's (n⊢, n⊣) label pair.
@@ -309,17 +339,23 @@ type Interval struct {
 	Pre, Max int32
 }
 
-// collectDocs appends the document ids of all end nodes with pre ∈ [lo,hi]
-// — "output the document id lists of node v and all nodes under v".
-func (ix *Index) collectDocs(lo, hi int32, out []int32) []int32 {
+// CollectDocs appends the document ids of all end nodes with pre ∈ [lo,hi]
+// (match.Layout); heap lists cannot fail.
+func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
 	i := sort.Search(len(ix.ends.pres), func(k int) bool { return ix.ends.pres[k] >= lo })
 	for ; i < len(ix.ends.pres) && ix.ends.pres[i] <= hi; i++ {
 		off, n := ix.ends.offs[i], ix.ends.lens[i]
 		ix.touchDocRange(off, n)
 		out = append(out, ix.ends.ids[off:off+n]...)
 	}
-	return out
+	return out, nil
 }
+
+// Link resolves a path to its link, nil when it has none (match.Layout).
+func (ix *Index) Link(p pathenc.PathID) *match.Link { return ix.links[p] }
+
+// LoadDocuments returns the retained corpus (match.Layout).
+func (ix *Index) LoadDocuments() ([]*xmltree.Document, error) { return ix.docs, nil }
 
 // QueryOptions tweaks one query execution. The definition lives in
 // internal/engine (the engine-agnostic query contract); the alias keeps
@@ -360,171 +396,11 @@ func (ix *Index) QueryContext(ctx context.Context, pat *query.Pattern) ([]int32,
 	return ix.QueryWithContext(ctx, pat, QueryOptions{})
 }
 
-// QueryWithContext is QueryWith honouring ctx: cancellation is polled
-// before each instance and, inside the match loops, every
-// cancelCheckStride link-entry candidates, so even a runaway wildcard
-// query over a large corpus aborts promptly. On cancellation the ctx error
-// is returned and any partial result is discarded.
+// QueryWithContext is QueryWith honouring ctx; see match.Engine.Query for
+// the pipeline and the cancellation contract.
 func (ix *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo QueryOptions) ([]int32, error) {
 	if ix.prio == nil {
 		return nil, fmt.Errorf("index: strategy %q has no priority; constraint matching requires a prioritized strategy such as g_best", ix.strategy.Name())
 	}
-	if qo.Verify && ix.docs == nil {
-		return nil, fmt.Errorf("index: Verify requires Options.KeepDocuments")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	scr := getScratch(ix.maxDocID)
-	defer putScratch(scr)
-	// A context-borne trace observes the kernel counters without the caller
-	// asking for stats: route them through the pooled scratch (so tracing
-	// stays off the allocation budget) and merge into the trace on the way
-	// out. When the caller did pass Stats the same numbers serve both.
-	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		if qo.Stats == nil {
-			scr.tstats = QueryStats{}
-			qo.Stats = &scr.tstats
-		}
-		st := qo.Stats
-		defer func() {
-			tr.AddKernel(st.Instances, st.Orders, st.LinkProbes, st.EntriesScanned, st.CoverChecks, st.CoverRejections)
-		}()
-	}
-	insts := pat.InstantiateScratch(ix.enc, ix.ci, ix.opts.InstantiationLimit, &scr.inst)
-	res := resultSet{scr: scr, ids: scr.ids[:0], limit: qo.MaxResults, stats: qo.Stats, ctx: ctx}
-	enumLimit := ix.opts.OrderEnumerationLimit
-	if enumLimit <= 0 {
-		enumLimit = DefaultOrderEnumerationLimit
-	}
-	if qo.Stats != nil {
-		qo.Stats.Instances = len(insts)
-	}
-	for _, inst := range insts {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if res.full() {
-			break
-		}
-		orders := sequence.EnumerateInstanceOrders(inst.Paths, inst.Parent, ix.prio, enumLimit)
-		if qo.Stats != nil {
-			qo.Stats.Orders += len(orders)
-		}
-		for _, q := range orders {
-			if res.full() {
-				break
-			}
-			ix.search(q, qo.Naive, &res)
-		}
-	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	out := res.take()
-	if qo.Stats != nil {
-		qo.Stats.Results = len(out)
-	}
-	if qo.Verify {
-		var err error
-		out, err = ix.verifyCandidates(ctx, pat, out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// verifyCandidates filters candidate ids by the ground-truth matcher,
-// polling ctx between documents (tree-pattern embedding can be slow on
-// pathological records).
-func (ix *Index) verifyCandidates(ctx context.Context, pat *query.Pattern, cand []int32) ([]int32, error) {
-	byID := make(map[int32]*xmltree.Document, len(ix.docs))
-	for _, d := range ix.docs {
-		byID[d.ID] = d
-	}
-	var out []int32
-	for _, id := range cand {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if d := byID[id]; d != nil && pat.MatchesTree(d.Root) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// cancelCheckStride is how many link-entry candidates the match loops visit
-// between context polls — small enough for prompt aborts, large enough that
-// the poll is invisible in query profiles.
-const cancelCheckStride = 256
-
-// resultSet deduplicates doc ids against the scratch's epoch-stamped array;
-// an optional cap stops the search early (MaxResults), and a context aborts
-// it (cancelled). ids borrows the scratch's accumulation buffer — take
-// copies the final answer out and hands the grown buffer back, so nothing
-// pooled escapes into the return value.
-type resultSet struct {
-	scr   *queryScratch
-	ids   []int32
-	limit int // 0: unlimited
-	stats *QueryStats
-
-	ctx       context.Context // nil: never cancelled
-	err       error           // ctx error once observed
-	countdown int             // candidates until the next ctx poll
-}
-
-// cancelled polls the context every cancelCheckStride calls; once the
-// context is done it latches err and keeps returning true, which also makes
-// full() true so every search loop unwinds.
-func (r *resultSet) cancelled() bool {
-	if r.err != nil {
-		return true
-	}
-	if r.ctx == nil {
-		return false
-	}
-	r.countdown--
-	if r.countdown > 0 {
-		return false
-	}
-	r.countdown = cancelCheckStride
-	if err := r.ctx.Err(); err != nil {
-		r.err = err
-		return true
-	}
-	return false
-}
-
-func (r *resultSet) full() bool {
-	return r.err != nil || (r.limit > 0 && len(r.ids) >= r.limit)
-}
-
-func (r *resultSet) addAll(ids []int32) {
-	stamp, epoch := r.scr.stamp, r.scr.epoch
-	for _, id := range ids {
-		if r.full() {
-			return
-		}
-		if stamp[id] != epoch {
-			stamp[id] = epoch
-			r.ids = append(r.ids, id)
-		}
-	}
-}
-
-// take sorts the accumulated ids, copies them into a fresh caller-owned
-// slice, and returns the accumulation buffer to the scratch for reuse. A
-// query with no matches returns nil, as before.
-func (r *resultSet) take() []int32 {
-	slices.Sort(r.ids)
-	var out []int32
-	if len(r.ids) > 0 {
-		out = make([]int32, len(r.ids))
-		copy(out, r.ids)
-	}
-	r.scr.ids = r.ids[:0]
-	return out
+	return ix.eng.Query(ctx, pat, qo)
 }

@@ -291,26 +291,31 @@ func TestLinkInvariants(t *testing.T) {
 		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
-	for p, link := range ix.links {
-		for i := range link {
-			if i > 0 && link[i-1].pre >= link[i].pre {
+	covers := 0
+	for p, l := range ix.links {
+		for i := int32(0); i < l.Len(); i++ {
+			if i > 0 && l.Pre(i-1) >= l.Pre(i) {
 				t.Fatalf("link %s not sorted", ix.enc.PathString(p))
 			}
-			if link[i].pre > link[i].max {
+			if l.Pre(i) > l.Max(i) {
 				t.Fatalf("link %s entry %d inverted interval", ix.enc.PathString(p), i)
 			}
-			if a := link[i].anc; a >= 0 {
-				if a >= int32(i) {
+			if a := l.Anc(i); a >= 0 {
+				covers++
+				if a >= i {
 					t.Fatalf("anc points forward")
 				}
-				if !(link[a].pre < link[i].pre && link[a].max >= link[i].max) {
+				if !(l.Pre(a) < l.Pre(i) && l.Max(a) >= l.Max(i)) {
 					t.Fatalf("anc does not contain entry")
 				}
-				if !link[a].embeds {
+				if !l.Embeds(a) {
 					t.Fatalf("ancestor not marked embeds")
 				}
 			}
 		}
+	}
+	if covers == 0 {
+		t.Fatal("corpus exercised no cover metadata")
 	}
 }
 

@@ -3,6 +3,7 @@ package index
 import (
 	"sort"
 
+	"xseq/internal/match"
 	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 )
@@ -12,16 +13,19 @@ import (
 // probe and doc-list read then charges the attached buffer pool, so queries
 // report the paper's "# disk accesses" / "# of pages" metrics.
 
-// linkEntryBytes is the serialized size of one link entry: pre, max, anc
-// (3×int32) plus flags, padded to 16 bytes.
+// linkEntryBytes is the size of one link entry in the simulated layout: pre,
+// max, anc (3×int32) plus flags, padded to 16 bytes. (The columns in memory
+// are narrower; the simulation keeps the row layout the paper's page counts
+// in EXPERIMENTS.md were taken on.)
 const linkEntryBytes = 16
 
 // docIDBytes is the serialized size of one document id.
 const docIDBytes = 4
 
+// pagedLayout is the simulated file. Each link's first page is kept in its
+// match.Link.Off.
 type pagedLayout struct {
 	pool  *pager.Pool
-	links map[pathenc.PathID]pager.Region
 	docs  pager.Region
 	alloc *pager.Allocator
 }
@@ -32,25 +36,26 @@ type pagedLayout struct {
 // own region. Returns the total number of pages of the layout.
 func (ix *Index) AttachPager(pool *pager.Pool) (int64, error) {
 	alloc := pager.NewAllocator(pager.PageSize)
-	pg := &pagedLayout{pool: pool, links: make(map[pathenc.PathID]pager.Region), alloc: alloc}
+	pg := &pagedLayout{pool: pool, alloc: alloc}
 
 	paths := make([]pathenc.PathID, 0, len(ix.links))
 	for p := range ix.links {
 		paths = append(paths, p)
 	}
 	sort.Slice(paths, func(i, j int) bool {
-		li, lj := len(ix.links[paths[i]]), len(ix.links[paths[j]])
+		li, lj := ix.links[paths[i]].Len(), ix.links[paths[j]].Len()
 		if li != lj {
 			return li > lj
 		}
 		return paths[i] < paths[j]
 	})
 	for _, p := range paths {
-		r, err := alloc.Alloc(len(ix.links[p]), linkEntryBytes)
+		l := ix.links[p]
+		r, err := alloc.Alloc(int(l.Len()), linkEntryBytes)
 		if err != nil {
 			return 0, err
 		}
-		pg.links[p] = r
+		l.Off = uint64(r.Start)
 	}
 	r, err := alloc.Alloc(len(ix.ends.ids), docIDBytes)
 	if err != nil {
@@ -94,13 +99,17 @@ func (ix *Index) PagedBytes() int64 {
 	return ix.pg.alloc.TotalBytes()
 }
 
-func (ix *Index) touchLinkSlot(p pathenc.PathID, slot int) {
+// Pager returns the accounting hook, nil when detached (match.Layout).
+func (ix *Index) Pager() match.Pager {
 	if ix.pg == nil {
-		return
+		return nil
 	}
-	if r, ok := ix.pg.links[p]; ok {
-		ix.pg.pool.Touch(r.PageOf(slot))
-	}
+	return ix.pg
+}
+
+// TouchLink charges the page holding slot k of l.
+func (pg *pagedLayout) TouchLink(l *match.Link, k int32) {
+	pg.pool.Touch(pager.PageID(l.Off) + pager.PageID(k/(pager.PageSize/linkEntryBytes)))
 }
 
 func (ix *Index) touchDocRange(off, n int32) {

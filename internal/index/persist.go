@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
@@ -51,23 +52,9 @@ const maxPersistPayload = int64(1) << 36 // 64 GiB
 
 // CorruptError reports that a Save stream failed validation: truncated,
 // bit-flipped, checksum mismatch, undecodable, or structurally
-// inconsistent. Use errors.As to detect it.
-type CorruptError struct {
-	// Reason is a short human-readable diagnosis ("truncated stream",
-	// "checksum mismatch", ...).
-	Reason string
-	// Err is the underlying decode error, if any.
-	Err error
-}
-
-func (e *CorruptError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("index: corrupt stream: %s: %v", e.Reason, e.Err)
-	}
-	return fmt.Sprintf("index: corrupt stream: %s", e.Reason)
-}
-
-func (e *CorruptError) Unwrap() error { return e.Err }
+// inconsistent. Use errors.As to detect it. The definition lives with the
+// match kernel, which reports corrupt mapped data the same way.
+type CorruptError = match.CorruptError
 
 type persistedLink struct {
 	Path   pathenc.PathID
@@ -133,17 +120,9 @@ func (ix *Index) Save(w io.Writer) error {
 	for path := range prob.RepeatPaths() {
 		p.Repeat = append(p.Repeat, path)
 	}
-	for path, link := range ix.links {
-		pl := persistedLink{
-			Path:   path,
-			Pre:    make([]int32, len(link)),
-			Max:    make([]int32, len(link)),
-			Anc:    make([]int32, len(link)),
-			Embeds: make([]bool, len(link)),
-		}
-		for i, e := range link {
-			pl.Pre[i], pl.Max[i], pl.Anc[i], pl.Embeds[i] = e.pre, e.max, e.anc, e.embeds
-		}
+	for path, l := range ix.links {
+		pl := persistedLink{Path: path}
+		pl.Pre, pl.Max, pl.Anc, pl.Embeds = linkColumns(l)
 		p.Links = append(p.Links, pl)
 	}
 	var payload bytes.Buffer
@@ -314,7 +293,6 @@ func reconstruct(p *persistedIndex) (*Index, error) {
 		enc:       enc,
 		strategy:  strategy,
 		prio:      strategy,
-		links:     make(map[pathenc.PathID][]linkEntry, len(p.Links)),
 		numDocs:   p.NumDocs,
 		maxDocID:  p.MaxDocID,
 		maxSerial: p.MaxSerial,
@@ -328,18 +306,23 @@ func reconstruct(p *persistedIndex) (*Index, error) {
 		},
 	}
 	ix.ends = endList{pres: p.EndPres, offs: p.EndOffs, lens: p.EndLens, ids: p.EndIDs}
+	counts := make(map[pathenc.PathID]int32, len(p.Links))
 	for _, pl := range p.Links {
 		n := len(pl.Pre)
 		if len(pl.Max) != n || len(pl.Anc) != n || len(pl.Embeds) != n {
 			return nil, &CorruptError{Reason: fmt.Sprintf("link %d has ragged arrays", pl.Path)}
 		}
-		link := make([]linkEntry, n)
-		for i := range link {
-			link[i] = linkEntry{pre: pl.Pre[i], max: pl.Max[i], anc: pl.Anc[i], embeds: pl.Embeds[i]}
+		if _, dup := counts[pl.Path]; dup {
+			return nil, &CorruptError{Reason: fmt.Sprintf("link %d appears twice", pl.Path)}
 		}
-		ix.links[pl.Path] = link
+		counts[pl.Path] = int32(n)
+	}
+	ix.links = allocLinks(counts)
+	for _, pl := range p.Links {
+		fillLink(ix.links[pl.Path], pl.Pre, pl.Max, pl.Anc, pl.Embeds)
 	}
 	ix.ci = enc.BuildChildIndex()
+	ix.initEngine()
 	if err := ix.CheckInvariants(); err != nil {
 		return nil, &CorruptError{Reason: "invariant violation", Err: err}
 	}

@@ -1,0 +1,114 @@
+package match
+
+import "encoding/binary"
+
+// le is the byte order of every label column.
+var le = binary.LittleEndian
+
+// Link is one path's horizontal link (Figures 8/9) in column form: the
+// interval labels of every trie node with that path, ascending by pre, as
+// little-endian int32 columns, plus the sibling-cover metadata. anc[k] is
+// the index (within the same link) of entry k's nearest same-path strict
+// ancestor in the trie, or -1; embeds bit k reports whether a later entry
+// names k as its anc — whether the trie node "embeds identical siblings" in
+// the sense of Algorithm 1. Links in which no entry has either (the normal
+// case on repetitive markup) carry no anc or embeds column at all.
+//
+// The columns are one contiguous block — pres, maxs, then (with cover) anc
+// and the embeds bitset — which is the layout of an XSEQFLAT LINKS entry,
+// so the flat layout hands the kernel views onto its mapped file and the
+// heap layout fills the same block in memory (Set, SetAnc). Entry indexes
+// in [0, Len()) are in bounds by construction; what the columns hold is the
+// layout's to validate — the kernel only assumes anc chains can be forged.
+type Link struct {
+	cols  []byte // 8*n bytes, or 12*n + BitsetLen(n) with cover
+	n     int32
+	cover bool
+
+	// Off is the layout's page-accounting base for slot 0; only the
+	// layout's Pager interprets it.
+	Off uint64
+}
+
+// LinkBytes is the size of an n-entry link's column block.
+func LinkBytes(n int, cover bool) int {
+	if !cover {
+		return 8 * n
+	}
+	return 12*n + BitsetLen(n)
+}
+
+// NewLink views an n-entry link over its column block, which must hold
+// LinkBytes(n, cover) bytes.
+func NewLink(cols []byte, n int32, cover bool, off uint64) Link {
+	return Link{cols: cols[:LinkBytes(int(n), cover)], n: n, cover: cover, Off: off}
+}
+
+// Len is the entry count; a nil link is empty.
+func (l *Link) Len() int32 {
+	if l == nil {
+		return 0
+	}
+	return l.n
+}
+
+// Pre and Max read entry k's interval label.
+func (l *Link) Pre(k int32) int32 { return int32(le.Uint32(l.cols[4*k:])) }
+func (l *Link) Max(k int32) int32 { return int32(le.Uint32(l.cols[4*(l.n+k):])) }
+
+// Anc reads entry k's cover ancestor, -1 for cover-elided links.
+func (l *Link) Anc(k int32) int32 {
+	if !l.cover {
+		return -1
+	}
+	return int32(le.Uint32(l.cols[4*(2*l.n+k):]))
+}
+
+// Embeds reads entry k's embeds bit, false for cover-elided links.
+func (l *Link) Embeds(k int32) bool {
+	return l.cover && l.cols[12*l.n+k>>3]&(1<<uint(k&7)) != 0
+}
+
+// HasCover reports whether the link stores anc and embeds columns.
+func (l *Link) HasCover() bool { return l.cover }
+
+// BitsetLen is the byte length of an n-entry embeds bitset, 4-byte aligned.
+func BitsetLen(n int) int { return ((n+7)/8 + 3) &^ 3 }
+
+// BitsetSet sets bit i of b.
+func BitsetSet(b []byte, i int) { b[i>>3] |= 1 << uint(i&7) }
+
+// Set, SetAnc and SetEmbeds fill in a link under construction, which must
+// view writable memory (a heap layout's; a mapped snapshot is read-only).
+// A link starts without cover columns; the first SetAnc or SetEmbeds moves
+// it to a block of its own that has them, every anc -1.
+
+// Set stores entry k's interval label.
+func (l *Link) Set(k, pre, max int32) {
+	le.PutUint32(l.cols[4*k:], uint32(pre))
+	le.PutUint32(l.cols[4*(l.n+k):], uint32(max))
+}
+
+// SetAnc stores entry k's cover ancestor.
+func (l *Link) SetAnc(k, anc int32) {
+	l.withCover()
+	le.PutUint32(l.cols[4*(2*l.n+k):], uint32(anc))
+}
+
+// SetEmbeds marks entry k as embedding identical siblings.
+func (l *Link) SetEmbeds(k int32) {
+	l.withCover()
+	BitsetSet(l.cols[12*l.n:], int(k))
+}
+
+func (l *Link) withCover() {
+	if l.cover {
+		return
+	}
+	cols := make([]byte, LinkBytes(int(l.n), true))
+	copy(cols, l.cols)
+	for i := 8 * l.n; i < 12*l.n; i++ {
+		cols[i] = 0xff
+	}
+	l.cols, l.cover = cols, true
+}

@@ -1,0 +1,319 @@
+// Package match is the one implementation of the paper's query procedure
+// (Section 4.2, Algorithm 1, with the sibling-cover test of Theorem 3) and
+// of the driver around it: wildcard instantiation, identical-sibling order
+// enumeration, result deduplication, cancellation, work counters and the
+// verified mode. Every storage layout — the heap index (internal/index) and
+// the mapped file (internal/flat) — answers queries by handing an Engine
+// its links in the column form of Link; what differs between them sits
+// behind Layout and is reached once per recursion level or per terminal
+// match, never per probe.
+package match
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"sync"
+
+	"xseq/internal/engine"
+	"xseq/internal/pathenc"
+	"xseq/internal/query"
+	"xseq/internal/sequence"
+	"xseq/internal/telemetry"
+	"xseq/internal/xmltree"
+)
+
+// DefaultOrderEnumerationLimit caps the number of identical-sibling
+// orderings tried per query instance.
+const DefaultOrderEnumerationLimit = 64
+
+// Layout is what a storage layout supplies to the kernel.
+type Layout interface {
+	// Link resolves a path to its link; nil or empty when the path has none.
+	Link(p pathenc.PathID) *Link
+	// CollectDocs appends the document ids of all end nodes with
+	// pre ∈ [lo, hi] — "output the document id lists of node v and all
+	// nodes under v". Every id is within [0, Engine.MaxDocID].
+	CollectDocs(lo, hi int32, out []int32) ([]int32, error)
+	// LoadDocuments returns the retained corpus for verified queries, nil
+	// when the index was built without KeepDocuments.
+	LoadDocuments() ([]*xmltree.Document, error)
+	// Pager returns the page-accounting hook, nil when accounting is off.
+	Pager() Pager
+}
+
+// Pager is charged for every link slot the kernel reads while page
+// accounting is on.
+type Pager interface {
+	TouchLink(l *Link, k int32)
+}
+
+// CorruptError reports index data that failed validation: a snapshot stream
+// that is truncated, bit-flipped, undecodable or structurally inconsistent,
+// or mapped bytes a query found to be so. Use errors.As to detect it.
+type CorruptError struct {
+	// Reason is a short human-readable diagnosis ("truncated stream",
+	// "checksum mismatch", ...).
+	Reason string
+	// Err is the underlying decode error, if any.
+	Err error
+}
+
+func (e *CorruptError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("index: corrupt stream: %s: %v", e.Reason, e.Err)
+	}
+	return fmt.Sprintf("index: corrupt stream: %s", e.Reason)
+}
+
+func (e *CorruptError) Unwrap() error { return e.Err }
+
+// Engine answers tree-pattern queries over one layout. The exported fields
+// are set once, before the first query; an Engine must not be copied after
+// that.
+type Engine struct {
+	Layout   Layout
+	Enc      *pathenc.Encoder
+	ChildIdx *pathenc.ChildIndex
+	Prio     sequence.Prioritizer
+	// InstantiationLimit and OrderEnumerationLimit shape queries as in
+	// index.Options (<= 0: the package defaults).
+	InstantiationLimit    int
+	OrderEnumerationLimit int
+	// MaxDocID bounds the ids CollectDocs yields; MaxSerial is the root's n⊣.
+	MaxDocID, MaxSerial int32
+
+	docsOnce sync.Once
+	byID     map[int32]*xmltree.Document // nil without a retained corpus
+	docsErr  error
+}
+
+// docLookup builds the id → document table for verified queries on first
+// use, so a verified query costs O(candidates), not O(corpus).
+func (e *Engine) docLookup() (map[int32]*xmltree.Document, error) {
+	e.docsOnce.Do(func() {
+		docs, err := e.Layout.LoadDocuments()
+		if err != nil || docs == nil {
+			e.docsErr = err
+			return
+		}
+		e.byID = make(map[int32]*xmltree.Document, len(docs))
+		for _, d := range docs {
+			e.byID[d.ID] = d
+		}
+	})
+	return e.byID, e.docsErr
+}
+
+// Query answers pat, returning matching document ids in ascending order in
+// a freshly allocated slice (the engine ownership contract; all transient
+// state lives in the pooled scratch). Wildcards are instantiated against
+// the path table, each instance is sequenced with the data's priority,
+// identical-path sibling groups are enumerated (the false-dismissal
+// remedy), and Algorithm 1 walks the links range by range. Cancellation is
+// polled before each instance and, inside the match loops, every
+// cancelCheckStride link-entry candidates, so even a runaway wildcard query
+// over a large corpus aborts promptly; on cancellation the ctx error is
+// returned and any partial result is discarded.
+func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryOptions) ([]int32, error) {
+	var byID map[int32]*xmltree.Document
+	if qo.Verify {
+		var err error
+		if byID, err = e.docLookup(); err != nil {
+			return nil, err
+		}
+		if byID == nil {
+			return nil, fmt.Errorf("match: Verify requires an index built with KeepDocuments")
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	scr := getScratch(e.MaxDocID)
+	defer putScratch(scr)
+	// A context-borne trace observes the kernel counters without the caller
+	// asking for stats: route them through the pooled scratch (so tracing
+	// stays off the allocation budget) and merge into the trace on the way
+	// out. When the caller did pass Stats the same numbers serve both.
+	if tr := telemetry.TraceFrom(ctx); tr != nil {
+		if qo.Stats == nil {
+			scr.tstats = engine.QueryStats{}
+			qo.Stats = &scr.tstats
+		}
+		st := qo.Stats
+		defer func() {
+			tr.AddKernel(st.Instances, st.Orders, st.LinkProbes, st.EntriesScanned, st.CoverChecks, st.CoverRejections)
+		}()
+	}
+	insts := pat.InstantiateScratch(e.Enc, e.ChildIdx, e.InstantiationLimit, &scr.inst)
+	res := resultSet{scr: scr, ids: scr.ids[:0], limit: qo.MaxResults, stats: qo.Stats, pager: e.Layout.Pager(), ctx: ctx}
+	enumLimit := e.OrderEnumerationLimit
+	if enumLimit <= 0 {
+		enumLimit = DefaultOrderEnumerationLimit
+	}
+	if qo.Stats != nil {
+		qo.Stats.Instances = len(insts)
+	}
+	for _, inst := range insts {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if res.full() {
+			break
+		}
+		orders := sequence.EnumerateInstanceOrders(inst.Paths, inst.Parent, e.Prio, enumLimit)
+		if qo.Stats != nil {
+			qo.Stats.Orders += len(orders)
+		}
+		for _, q := range orders {
+			if res.full() {
+				break
+			}
+			e.search(q, qo.Naive, &res)
+		}
+	}
+	if res.err != nil {
+		return nil, res.err
+	}
+	out := res.take()
+	if qo.Stats != nil {
+		qo.Stats.Results = len(out)
+	}
+	if !qo.Verify {
+		return out, nil
+	}
+	// Filter the candidates by the ground-truth matcher, polling ctx between
+	// documents (tree-pattern embedding can be slow on pathological records).
+	var kept []int32
+	for _, id := range out {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if d := byID[id]; d != nil && pat.MatchesTree(d.Root) {
+			kept = append(kept, id)
+		}
+	}
+	return kept, nil
+}
+
+// queryScratch is the reusable per-query working set: the sibling-cover ins
+// stack, the epoch-stamped doc-id dedup array, the terminal-range doc-id
+// buffer, the result accumulation buffer and the wildcard-instantiation
+// scratch, so a steady-state query on a warm index performs a small fixed
+// number of allocations regardless of corpus size or candidate count. Zero
+// value ready.
+//
+// The dedup array is epoch-stamped instead of cleared: stamp[id] == epoch
+// means "id already in this query's result". Opening a new query bumps the
+// epoch, which invalidates every stamp in O(1); the array is only zeroed
+// when the uint32 epoch wraps (once per ~4 billion queries through a given
+// scratch).
+//
+// Ownership rule (the engine/qcache boundary contract): everything inside a
+// scratch is borrowed and returns to the pool when the query finishes, so
+// no pooled buffer may escape into a query's return value. The result set
+// copies its ids into a fresh slice before the scratch is released; see
+// resultSet.take.
+type queryScratch struct {
+	ins    []insEntry
+	stamp  []uint32 // doc-id dedup: stamp[id] == epoch means seen
+	epoch  uint32
+	docBuf []int32
+	ids    []int32
+	inst   query.Scratch
+	tstats engine.QueryStats // kernel counters for a context-borne trace
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// getScratch fetches a scratch whose stamp array covers doc ids in
+// [0, maxID] and opens a fresh dedup epoch.
+func getScratch(maxID int32) *queryScratch {
+	s := scratchPool.Get().(*queryScratch)
+	if n := int(maxID) + 1; len(s.stamp) < n {
+		s.stamp = make([]uint32, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: every stale stamp is ambiguous, clear once
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	return s
+}
+
+// putScratch returns s to the pool. Buffer capacities are kept (that is the
+// point); lengths are irrelevant because every user reslices to [:0].
+func putScratch(s *queryScratch) { scratchPool.Put(s) }
+
+// cancelCheckStride is how many link-entry candidates the match loops visit
+// between context polls — small enough for prompt aborts, large enough that
+// the poll is invisible in query profiles.
+const cancelCheckStride = 256
+
+// resultSet deduplicates doc ids against the scratch's epoch-stamped array;
+// an optional cap stops the search early (MaxResults), and a context aborts
+// it (cancelled). err latches the context's error or a layout's corruption
+// error; either makes full() true so every search loop unwinds. ids borrows
+// the scratch's accumulation buffer — take copies the final answer out and
+// hands the grown buffer back, so nothing pooled escapes into the return
+// value.
+type resultSet struct {
+	scr   *queryScratch
+	ids   []int32
+	limit int // 0: unlimited
+	stats *engine.QueryStats
+	pager Pager // nil: page accounting off
+
+	ctx       context.Context
+	err       error
+	countdown int // candidates until the next ctx poll
+}
+
+// cancelled polls the context every cancelCheckStride calls.
+func (r *resultSet) cancelled() bool {
+	if r.err != nil {
+		return true
+	}
+	r.countdown--
+	if r.countdown > 0 {
+		return false
+	}
+	r.countdown = cancelCheckStride
+	if err := r.ctx.Err(); err != nil {
+		r.err = err
+		return true
+	}
+	return false
+}
+
+func (r *resultSet) full() bool {
+	return r.err != nil || (r.limit > 0 && len(r.ids) >= r.limit)
+}
+
+func (r *resultSet) addAll(ids []int32) {
+	stamp, epoch := r.scr.stamp, r.scr.epoch
+	for _, id := range ids {
+		if r.full() {
+			return
+		}
+		if stamp[id] != epoch {
+			stamp[id] = epoch
+			r.ids = append(r.ids, id)
+		}
+	}
+}
+
+// take sorts the accumulated ids, copies them into a fresh caller-owned
+// slice, and returns the accumulation buffer to the scratch for reuse. A
+// query with no matches returns nil.
+func (r *resultSet) take() []int32 {
+	slices.Sort(r.ids)
+	var out []int32
+	if len(r.ids) > 0 {
+		out = make([]int32, len(r.ids))
+		copy(out, r.ids)
+	}
+	r.scr.ids = r.ids[:0]
+	return out
+}

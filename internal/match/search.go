@@ -1,8 +1,10 @@
-package index
+package match
 
 import (
+	"fmt"
 	"sort"
 
+	"xseq/internal/engine"
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
 )
@@ -36,8 +38,9 @@ import (
 // insEntry records a matched entry that embeds identical siblings (or
 // shadows an older recorded entry of the same path).
 type insEntry struct {
+	link *Link
 	path pathenc.PathID
-	link int32 // entry index within links[path]
+	idx  int32 // entry index within link
 }
 
 func insHasPath(ins []insEntry, p pathenc.PathID) bool {
@@ -49,87 +52,114 @@ func insHasPath(ins []insEntry, p pathenc.PathID) bool {
 	return false
 }
 
-// search runs one query sequence through the index, accumulating document
+// search runs one query sequence through the links, accumulating document
 // ids of every terminal range into res. All transient state — the ins
 // stack and the terminal doc-id buffer — lives in the pooled scratch, so
-// the steady-state inner loop allocates nothing.
-func (ix *Index) search(q sequence.Sequence, naive bool, res *resultSet) {
+// the steady-state inner loop allocates nothing. A layout error (corrupt
+// mapped data) latches into res.err and unwinds every level.
+func (e *Engine) search(q sequence.Sequence, naive bool, res *resultSet) {
 	if len(q) == 0 {
 		return
 	}
-	stats := res.stats
+	stats, pg := res.stats, res.pager
 	scr := res.scr
 	ins := scr.ins[:0]
 	var rec func(i int, lo, hi int32)
 	rec = func(i int, lo, hi int32) {
 		p := q[i]
-		link := ix.links[p]
-		if len(link) == 0 {
+		l := e.Layout.Link(p)
+		if l.Len() == 0 {
 			return
 		}
 		// Binary search the first entry with pre >= lo (Figure 9's
 		// "perform binary search in I to find nodes ∈ [vs, vm]").
-		start := ix.searchLink(p, link, lo, stats)
-		for idx := start; idx < len(link) && link[idx].pre <= hi && !res.full(); idx++ {
+		start := searchLink(l, lo, stats, pg)
+		for idx := start; idx < l.n && !res.full(); idx++ {
+			pre := l.Pre(idx)
+			if pre > hi {
+				break
+			}
 			if res.cancelled() {
 				return
 			}
-			ix.touchLinkSlot(p, idx)
+			if pg != nil {
+				pg.TouchLink(l, idx)
+			}
 			if stats != nil {
 				stats.EntriesScanned++
 			}
-			e := link[idx]
-			if !naive && ix.siblingCovered(p, e, ins, stats) {
+			if !naive && e.siblingCovered(p, pre, ins, res) {
+				if res.err != nil {
+					return
+				}
 				continue
 			}
+			max := l.Max(idx)
 			if i == len(q)-1 {
 				// "output the document id lists of node v and all nodes
 				// under v".
-				scr.docBuf = ix.collectDocs(e.pre, e.max, scr.docBuf[:0])
+				var err error
+				if scr.docBuf, err = e.Layout.CollectDocs(pre, max, scr.docBuf[:0]); err != nil {
+					res.err = err
+					return
+				}
 				res.addAll(scr.docBuf)
 				continue
 			}
 			saved := len(ins)
-			if !naive && (e.embeds || insHasPath(ins, p)) {
+			if !naive && (l.Embeds(idx) || insHasPath(ins, p)) {
 				// Record entries that embed identical siblings (they
 				// constrain later candidates), and any match whose path is
 				// already recorded — the newer match shadows the older one,
 				// because an f2 query sequence resolves later forward
 				// prefixes to the most recent occurrence.
-				ins = append(ins, insEntry{path: p, link: int32(idx)})
+				ins = append(ins, insEntry{path: p, link: l, idx: idx})
 			}
-			rec(i+1, e.pre+1, e.max)
+			rec(i+1, pre+1, max)
 			ins = ins[:saved]
 		}
 	}
-	rec(0, 1, ix.maxSerial)
+	rec(0, 1, e.MaxSerial)
 	scr.ins = ins[:0] // hand the (possibly grown) stack back for reuse
 }
 
-// searchLink binary searches link for the first entry with pre >= lo,
-// charging one page touch per probe when paged.
-func (ix *Index) searchLink(p pathenc.PathID, link []linkEntry, lo int32, stats *QueryStats) int {
-	return sort.Search(len(link), func(k int) bool {
-		ix.touchLinkSlot(p, k)
+// searchLink binary searches l for the first entry with pre >= lo, charging
+// one page touch per probe when paged.
+func searchLink(l *Link, lo int32, stats *engine.QueryStats, pg Pager) int32 {
+	return int32(sort.Search(int(l.n), func(k int) bool {
+		if pg != nil {
+			pg.TouchLink(l, int32(k))
+		}
 		if stats != nil {
 			stats.LinkProbes++
 		}
-		return link[k].pre >= lo
-	})
+		return l.Pre(int32(k)) >= lo
+	}))
 }
 
-// siblingCovered reports whether candidate entry e (a match for the current
-// query element) violates the constraint relative to any recorded ins
-// entry: for each recorded (path px, entry x) where px is a strict prefix
-// of the candidate's path, the innermost same-px strict ancestor of e must
-// be x itself; if a *different* same-px entry lies between them, the
-// candidate's forward prefix would resolve there and the match would not be
-// a constraint match.
-func (ix *Index) siblingCovered(p pathenc.PathID, e linkEntry, ins []insEntry, stats *QueryStats) bool {
+// LowerBound is searchLink for callers outside the kernel (the baselines
+// that scan a link range themselves).
+func (l *Link) LowerBound(lo int32, pg Pager) int32 {
+	if l.Len() == 0 {
+		return 0
+	}
+	return searchLink(l, lo, nil, pg)
+}
+
+// siblingCovered reports whether a candidate entry with label pre (a match
+// for the current query element, of path p) violates the constraint
+// relative to any recorded ins entry: for each recorded (path px, entry x)
+// where px is a strict prefix of the candidate's path, the innermost
+// same-px strict ancestor of the candidate must be x itself; if a
+// *different* same-px entry lies between them, the candidate's forward
+// prefix would resolve there and the match would not be a constraint match.
+// A corrupt anc chain latches res.err.
+func (e *Engine) siblingCovered(p pathenc.PathID, pre int32, ins []insEntry, res *resultSet) bool {
+	stats := res.stats
 	for k := len(ins) - 1; k >= 0; k-- {
 		x := ins[k]
 		// Later entries shadow earlier ones per path (most recent wins):
-		// a reverse scan over the entries already visited replaces the
+		// a reverse scan over the entries already visited replaces a
 		// per-candidate seen-map — ins is a small stack (bounded by query
 		// depth), so the quadratic shadow check is cheaper than one map
 		// allocation, let alone one per candidate.
@@ -143,13 +173,18 @@ func (ix *Index) siblingCovered(p pathenc.PathID, e linkEntry, ins []insEntry, s
 		if shadowed {
 			continue
 		}
-		if !ix.enc.IsStrictPrefix(x.path, p) {
+		if !e.Enc.IsStrictPrefix(x.path, p) {
 			continue
 		}
 		if stats != nil {
 			stats.CoverChecks++
 		}
-		if ix.innermostAncestor(x.path, e.pre, stats) != x.link {
+		anc, err := innermostAncestor(x.link, pre, stats, res.pager)
+		if err != nil {
+			res.err = err
+			return true
+		}
+		if anc != x.idx {
 			if stats != nil {
 				stats.CoverRejections++
 			}
@@ -159,27 +194,28 @@ func (ix *Index) siblingCovered(p pathenc.PathID, e linkEntry, ins []insEntry, s
 	return false
 }
 
-// innermostAncestor returns the index, within links[px], of the innermost
-// entry that strictly contains serial pre (an entry with entry.pre < pre
-// and entry.max >= pre), or -1. It binary searches the predecessor by pre
-// and follows anc pointers until containment — every same-path ancestor of
-// a serial is an ancestor of its link predecessor, so the anc chain visits
-// them all.
-func (ix *Index) innermostAncestor(px pathenc.PathID, pre int32, stats *QueryStats) int32 {
-	link := ix.links[px]
-	idx := sort.Search(len(link), func(k int) bool {
-		ix.touchLinkSlot(px, k)
-		if stats != nil {
-			stats.LinkProbes++
-		}
-		return link[k].pre >= pre
-	}) - 1
+// innermostAncestor returns the index, within l, of the innermost entry
+// that strictly contains serial pre (an entry with entry.pre < pre and
+// entry.max >= pre), or -1. It binary searches the predecessor by pre and
+// follows anc pointers until containment — every same-path ancestor of a
+// serial is an ancestor of its link predecessor, so the anc chain visits
+// them all. The chain may be raw mapped data, so each hop must strictly
+// decrease: a forged pointer (cycle or out of range) is corruption, not an
+// infinite loop.
+func innermostAncestor(l *Link, pre int32, stats *engine.QueryStats, pg Pager) (int32, error) {
+	idx := searchLink(l, pre, stats, pg) - 1
 	for idx >= 0 {
-		ix.touchLinkSlot(px, int(idx))
-		if link[idx].max >= pre {
-			return int32(idx)
+		if pg != nil {
+			pg.TouchLink(l, idx)
 		}
-		idx = int(link[idx].anc)
+		if l.Max(idx) >= pre {
+			return idx, nil
+		}
+		next := l.Anc(idx)
+		if next >= idx {
+			return 0, &CorruptError{Reason: fmt.Sprintf("link anc chain does not decrease (%d -> %d)", idx, next)}
+		}
+		idx = next
 	}
-	return -1
+	return -1, nil
 }
