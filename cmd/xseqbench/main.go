@@ -6,19 +6,12 @@
 //
 //	xseqbench [-exp all|fig14a,table7,...] [-scale 0.02] [-seed 42]
 //	          [-queries 50] [-pool 256] [-list]
-//	xseqbench -json - [-dataset xmark] [-records 1000] [-shards 4] [-workers 4]
 //	xseqbench -replay query.log -url http://127.0.0.1:8080 [-rate 200] [-json -]
 //	xseqbench -genlog query.log [-genlog-queries 500] [-skew 1.2]
 //
 // Scale 1.0 reproduces paper-sized datasets (millions of records; takes a
 // long time and a lot of memory); the default keeps each experiment in
 // seconds while preserving the reported shapes.
-//
-// -json switches to the sharded-scaling benchmark: one corpus is built
-// monolithically and sharded (-shards partitions on -workers build
-// workers, both defaulting to GOMAXPROCS), random queries are timed on the
-// sharded index and equivalence-checked against the monolithic one, and a
-// single JSON object is written to the named file ("-" = stdout).
 //
 // -replay drives a recorded query log (plain pattern lines or xseqd
 // -trace-log JSON lines) against a live xseqd at -rate queries/sec
@@ -27,12 +20,13 @@
 // percentiles, succeeded/failed/shed counts — to -json ("-" or empty =
 // stdout). -genlog writes a synthetic query log instead: patterns
 // extracted from a -dataset/-records corpus, sampled with Zipf skew
-// -skew (hot queries repeat, like production traffic).
+// -skew (hot queries repeat, like production traffic). The regression-gated
+// benchmark of the served system is benchmark/ (sh benchmark/run.sh).
 //
 // Exit codes: 0 success, 1 data/experiment error or unreachable replay
-// server, 2 usage (including an unreadable or malformed -replay log),
-// 3 timeout (-timeout elapsed before the run finished), 4 corrupt index
-// snapshot.
+// server, 2 usage (including an unreadable or malformed -replay log, and
+// -json without -replay), 3 timeout (-timeout elapsed before the run
+// finished), 4 corrupt index snapshot.
 package main
 
 import (
@@ -89,26 +83,22 @@ func main() {
 		out     = flag.String("out", "", "also write the output to this file")
 		timeout = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 
-		jsonOut = flag.String("json", "", "run the sharded-scaling benchmark and write its JSON result to this file ('-' = stdout)")
-		dataset = flag.String("dataset", "xmark", "corpus for -json: xmark, dblp, or a synth name like L3F5A25I0P40")
-		records = flag.Int("records", 1000, "corpus size for -json")
-		shards  = flag.Int("shards", 0, "shard count for -json (0 = GOMAXPROCS)")
-		workers = flag.Int("workers", 0, "concurrent shard builds for -json (0 = GOMAXPROCS)")
-		qcache  = flag.Int("query-cache", 0, "result-cache entries for the -json cached-vs-uncached pass (0 = default 1024)")
-
 		replay     = flag.String("replay", "", "replay this query log against a live xseqd (see -url, -rate, -loops)")
 		replayURL  = flag.String("url", "http://127.0.0.1:8080", "base URL of the xseqd to replay against")
 		rate       = flag.Float64("rate", 0, "target replay rate in queries/sec (0 = unpaced)")
 		replayConc = flag.Int("replay-concurrency", 8, "concurrent replay workers")
 		loops      = flag.Int("loops", 1, "times to replay the whole log")
+		jsonOut    = flag.String("json", "", "write the -replay summary to this file ('-' or empty = stdout)")
 		genlog     = flag.String("genlog", "", "write a synthetic query log to this file ('-' = stdout) and exit")
 		genQueries = flag.Int("genlog-queries", 100, "query lines to write with -genlog")
+		dataset    = flag.String("dataset", "xmark", "corpus for -genlog: xmark, dblp, or a synth name like L3F5A25I0P40")
+		records    = flag.Int("records", 1000, "corpus size for -genlog")
 		skew       = flag.Float64("skew", 1.2, "zipf exponent for -genlog pattern sampling (<= 1 = uniform)")
 	)
 	flag.Parse()
 
-	if *shards < 0 || *workers < 0 || *qcache < 0 {
-		fmt.Fprintln(os.Stderr, "xseqbench: -shards, -workers, and -query-cache must be >= 0")
+	if *jsonOut != "" && *replay == "" {
+		fmt.Fprintln(os.Stderr, "xseqbench: -json is the -replay summary sink; it needs -replay")
 		os.Exit(exitUsage)
 	}
 	if *rate < 0 || *replayConc < 0 || *loops < 0 || *genQueries < 0 {
@@ -179,52 +169,6 @@ func main() {
 			os.Stdout.Write(blob)
 		} else if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "xseqbench: %v\n", err)
-			os.Exit(exitData)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		res, err := bench.ShardScale(bench.ScaleConfig{
-			Dataset:      *dataset,
-			Records:      *records,
-			Shards:       *shards,
-			Workers:      *workers,
-			Queries:      *queries,
-			CacheEntries: *qcache,
-			Seed:         *seed,
-			Context:      ctx,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xseqbench: %v\n", err)
-			os.Exit(exitCode(err))
-		}
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "xseqbench: %v\n", err)
-			os.Exit(exitData)
-		}
-		blob = append(blob, '\n')
-		if *jsonOut == "-" {
-			os.Stdout.Write(blob)
-		} else if err := os.WriteFile(*jsonOut, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "xseqbench: %v\n", err)
-			os.Exit(exitData)
-		}
-		if !res.Equivalent {
-			fmt.Fprintln(os.Stderr, "xseqbench: sharded results diverged from monolithic")
-			os.Exit(exitData)
-		}
-		if !res.CacheEquivalent {
-			fmt.Fprintln(os.Stderr, "xseqbench: cached results diverged from uncached")
-			os.Exit(exitData)
-		}
-		if !res.FlatEquivalent {
-			fmt.Fprintln(os.Stderr, "xseqbench: flat results diverged from monolithic")
-			os.Exit(exitData)
-		}
-		if !res.TunedEquivalent {
-			fmt.Fprintln(os.Stderr, "xseqbench: tuned (weighted) results diverged from untuned")
 			os.Exit(exitData)
 		}
 		return

@@ -129,22 +129,25 @@ func (ix *Index) Close() error {
 // resident-vs-mapped pair the paper's page-oriented cost model is about.
 type FlatStats struct {
 	// MappedBytes is the snapshot file size (the whole mapped image).
-	MappedBytes int64
+	MappedBytes int64 `json:"mapped_bytes"`
 	// Pages is MappedBytes in 4 KiB pages.
-	Pages int64
+	Pages int64 `json:"pages"`
 	// Mmapped reports whether the snapshot is memory-mapped (false: read
 	// into the heap, the ReadAt fallback).
-	Mmapped bool
+	Mmapped bool `json:"mmapped"`
 	// PagerAttached reports whether page-level accounting is running
-	// (EnablePagedIO). The fields below are zero without it.
-	PagerAttached bool
+	// (EnablePagedIO). The fields below are zero without it. xseqd always
+	// attaches the pager, so /stats does not carry it.
+	PagerAttached bool `json:"-"`
 	// ResidentPages and ResidentBytes count the distinct pages queries
 	// have touched since the pager attached (bounded by the pool size).
-	ResidentPages int64
-	ResidentBytes int64
+	ResidentPages int64 `json:"resident_pages"`
+	ResidentBytes int64 `json:"resident_bytes"`
 	// Reads, Hits, and DiskAccesses are the buffer-pool counters;
 	// DiskAccesses (misses) is the paper's metric.
-	Reads, Hits, DiskAccesses int64
+	Reads        int64 `json:"reads"`
+	Hits         int64 `json:"hits"`
+	DiskAccesses int64 `json:"disk_accesses"`
 }
 
 // flatStats assembles FlatStats for a flat engine, nil otherwise.

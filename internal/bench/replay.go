@@ -23,7 +23,9 @@ import (
 	"sync"
 	"time"
 
+	"xseq/internal/datagen"
 	"xseq/internal/query"
+	"xseq/internal/xmltree"
 )
 
 // ErrBadLog reports an unreadable, malformed, or empty query log. The CLI
@@ -298,6 +300,22 @@ func replayQuery(ctx context.Context, client *http.Client, base, q string) (code
 	return resp.StatusCode, body.Count, nil
 }
 
+// percentileNS reads the p-th percentile from a sorted latency slice
+// (nearest-rank).
+func percentileNS(sorted []int64, p int) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := (p*len(sorted) + 99) / 100
+	if i < 1 {
+		i = 1
+	}
+	if i > len(sorted) {
+		i = len(sorted)
+	}
+	return sorted[i-1]
+}
+
 func distinctQueries(qs []string) int {
 	seen := make(map[string]bool, len(qs))
 	for _, q := range qs {
@@ -322,6 +340,26 @@ type LogGenConfig struct {
 	Skew float64
 	// Seed fixes corpus generation and sampling (0: 42).
 	Seed int64
+}
+
+// scaleCorpus generates the named corpus.
+func scaleCorpus(name string, n int, seed int64) ([]*xmltree.Document, error) {
+	switch name {
+	case "", "xmark":
+		_, docs, err := datagen.XMark(datagen.XMarkOptions{Seed: seed}, n)
+		return docs, err
+	case "dblp":
+		_, docs, err := datagen.DBLP(datagen.DBLPOptions{Seed: seed}, n)
+		return docs, err
+	default:
+		p, err := datagen.ParseSynthName(name)
+		if err != nil {
+			return nil, err
+		}
+		p.Seed = seed
+		_, docs, err := datagen.Synth(p, n)
+		return docs, err
+	}
 }
 
 // GenerateQueryLog writes a synthetic query log: a pool of distinct

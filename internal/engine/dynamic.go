@@ -548,11 +548,6 @@ func (d *Dynamic) Save(w io.Writer) error {
 	return fmt.Errorf("engine: dynamic index snapshot: %w", ErrUnsupported)
 }
 
-// SaveFile is unsupported; see Save.
-func (d *Dynamic) SaveFile(path string) error {
-	return fmt.Errorf("engine: dynamic index snapshot: %w", ErrUnsupported)
-}
-
 // Generation identifies the currently served corpus state; it bumps before
 // every insert and compaction so generation-keyed caches invalidate.
 func (d *Dynamic) Generation() uint64 { return d.gen.Load() }

@@ -113,7 +113,7 @@ func TestDynamicSaveUnsupported(t *testing.T) {
 	if err := d.Save(nil); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("Save = %v, want ErrUnsupported", err)
 	}
-	if err := d.SaveFile("/nonexistent/x"); !errors.Is(err, engine.ErrUnsupported) {
+	if err := engine.SaveFile(t.TempDir()+"/x", d.Save); !errors.Is(err, engine.ErrUnsupported) {
 		t.Fatalf("SaveFile = %v, want ErrUnsupported", err)
 	}
 }

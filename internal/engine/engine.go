@@ -150,8 +150,6 @@ type Engine interface {
 	// Save serializes the engine so Load can reconstruct it; engines whose
 	// layout cannot snapshot return an error wrapping ErrUnsupported.
 	Save(w io.Writer) error
-	// SaveFile is Save to a file, crash-safely (temp + fsync + rename).
-	SaveFile(path string) error
 
 	// Generation identifies the engine's current snapshot of the corpus:
 	// immutable engines report a constant, mutable engines bump it before

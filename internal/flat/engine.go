@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"xseq/internal/engine"
 	"xseq/internal/pager"
@@ -60,36 +58,9 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile is Save to a file, crash-safely (temp + fsync + rename).
-func (ix *Index) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("flat: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = ix.Save(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("flat: save %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("flat: save %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("flat: save %s: rename: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+// SaveFile is Save to a file, crash-safely (engine.SaveFile).
+func (ix *Index) SaveFile(path string) error {
+	return engine.SaveFile(path, ix.Save)
 }
 
 // Generation identifies the snapshot; flat snapshots are immutable.

@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 
+	"xseq/internal/engine"
 	"xseq/internal/index"
 	"xseq/internal/match"
 	"xseq/internal/pathenc"
@@ -86,38 +85,10 @@ func Write(w io.Writer, ex *index.Export) error {
 	return nil
 }
 
-// WriteFile is Write to a file, crash-safely: temp file in the same
-// directory, fsync, atomic rename (a previous file at path survives a
-// failure intact).
-func WriteFile(path string, ex *index.Export) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("flat: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = Write(tmp, ex); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("flat: save %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("flat: save %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("flat: save %s: rename: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+// WriteFile is Write to a file, crash-safely (engine.SaveFile: a previous
+// file at path survives a failure intact).
+func WriteFile(path string, ex *index.Export) error {
+	return engine.SaveFile(path, func(w io.Writer) error { return Write(w, ex) })
 }
 
 type rawSection struct {

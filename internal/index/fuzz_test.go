@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"xseq/internal/query"
@@ -63,44 +66,30 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// TestLoadV1Compat re-encodes a current payload as a legacy v1 stream (bare
-// gob, no header or checksum) and checks Load still accepts it and answers
-// queries identically.
-func TestLoadV1Compat(t *testing.T) {
-	data := savedStream(t)
-	// Strip the v2 framing: magic+length header (16 bytes) and CRC trailer
-	// (4 bytes) leave the bare gob payload.
-	payload := data[16 : len(data)-4]
+// decodePayload strips the framing of a Save stream — magic+length header
+// (16 bytes) and CRC trailer (4 bytes) — and decodes the gob payload.
+func decodePayload(t *testing.T, data []byte) persistedIndex {
+	t.Helper()
 	var p persistedIndex
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[16 : len(data)-4])).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestLoadV1Compat: the v1 format (a bare gob payload, no magic, length or
+// checksum) is no longer loadable — nothing has written it since the v2
+// framing was introduced. Such a stream is corrupt input, not a panic.
+func TestLoadV1Compat(t *testing.T) {
+	p := decodePayload(t, savedStream(t))
 	p.Version = 1
 	var v1 bytes.Buffer
 	if err := gob.NewEncoder(&v1).Encode(&p); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Load(&v1)
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	current, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"//A", "/R[A][B]", "//L[text='boston']"} {
-		pat := query.MustParse(q)
-		want, err := current.Query(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := legacy.Query(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(got, want) {
-			t.Fatalf("query %s: v1 %v, v2 %v", q, got, want)
-		}
+	var ce *CorruptError
+	if _, err := Load(&v1); !errors.As(err, &ce) || ce.Reason != "not an index stream" {
+		t.Fatalf("Load(bare gob) = %v, want *CorruptError (not an index stream)", err)
 	}
 }
 
@@ -108,19 +97,19 @@ func TestLoadV1Compat(t *testing.T) {
 // twice (with different lengths, which would index past the shorter one) is
 // corrupt, not a panic.
 func TestLoadRejectsDuplicateLink(t *testing.T) {
-	data := savedStream(t)
-	var p persistedIndex
-	if err := gob.NewDecoder(bytes.NewReader(data[16 : len(data)-4])).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	p.Version = 1
+	p := decodePayload(t, savedStream(t))
 	p.Links = append(p.Links, persistedLink{Path: p.Links[0].Path})
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&p); err != nil {
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
 		t.Fatal(err)
 	}
+	// Reframe so the damage sits behind a valid length and checksum.
+	stream := append([]byte(nil), persistMagic[:]...)
+	stream = binary.BigEndian.AppendUint64(stream, uint64(payload.Len()))
+	stream = append(stream, payload.Bytes()...)
+	stream = binary.BigEndian.AppendUint32(stream, crc32.ChecksumIEEE(payload.Bytes()))
 	var ce *CorruptError
-	if _, err := Load(&v1); !errors.As(err, &ce) {
-		t.Fatalf("Load = %v, want *CorruptError", err)
+	if _, err := Load(bytes.NewReader(stream)); !errors.As(err, &ce) || !strings.HasSuffix(ce.Reason, "appears twice") {
+		t.Fatalf("Load = %v, want *CorruptError (link appears twice)", err)
 	}
 }

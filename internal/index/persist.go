@@ -8,8 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"xseq/internal/engine"
 	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
@@ -32,17 +32,14 @@ import (
 //	16      n     payload: gob(persistedIndex)
 //	16+n    4     CRC-32 (IEEE) of the payload, big-endian uint32
 //
-// Truncation is caught by the length field, bit flips by the checksum, and
-// both are reported as *CorruptError. Load still accepts v1 streams (bare
-// gob, no header or checksum) for backward compatibility; v1 corruption is
-// detected by gob decoding plus the structural invariant check and reported
-// as *CorruptError too.
+// Truncation is caught by the length field, bit flips by the checksum, a
+// stream that does not open with the magic is not an index at all, and all
+// three are reported as *CorruptError.
 
 // persistVersion is the format version Save writes.
 const persistVersion = 2
 
-// persistMagic opens every v2 stream. v1 streams are bare gob: they begin
-// with a varint-encoded type definition, never with this byte sequence.
+// persistMagic opens every stream Save writes.
 var persistMagic = [8]byte{'X', 'S', 'E', 'Q', 'I', 'D', 'X', '2'}
 
 // maxPersistPayload caps how large a stream Load will buffer (a sanity
@@ -147,40 +144,10 @@ func (ix *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the index to path crash-safely: the stream goes to a
-// temporary file in the same directory, is fsynced, and is atomically
-// renamed over path, so a crash or failure mid-save can never leave a torn
-// or half-written index at path (any previous file there survives intact).
-func (ix *Index) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("index: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = ix.Save(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("index: save %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("index: save %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("index: save %s: rename: %w", path, err)
-	}
-	// Best-effort directory sync so the rename itself is durable.
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+// SaveFile is Save to a file through engine.SaveFile, the one crash-safe
+// snapshot writer: a failure mid-save leaves any previous file intact.
+func (ix *Index) SaveFile(path string) error {
+	return engine.SaveFile(path, ix.Save)
 }
 
 // LoadFile reconstructs an index from a file written by SaveFile (or any
@@ -198,22 +165,19 @@ func LoadFile(path string) (*Index, error) {
 	return ix, nil
 }
 
-// Load reconstructs a query-ready index from a Save stream. It accepts
-// both the current v2 format and legacy v1 (bare gob) streams; any
-// corruption — truncation, bit flips, checksum mismatch, or structural
-// inconsistency — is reported as a *CorruptError.
+// Load reconstructs a query-ready index from a Save stream. Any
+// corruption — a stream that does not open with the format's magic,
+// truncation, bit flips, checksum mismatch, or structural inconsistency —
+// is reported as a *CorruptError.
 func Load(r io.Reader) (*Index, error) {
-	var hdr [16]byte
-	n, err := io.ReadFull(r, hdr[:8])
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+	var magic [8]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return nil, &CorruptError{Reason: "unreadable stream", Err: err}
 	}
-	if n == 8 && bytes.Equal(hdr[:8], persistMagic[:]) {
-		return loadV2(r)
+	if magic != persistMagic {
+		return nil, &CorruptError{Reason: "not an index stream"}
 	}
-	// Not a v2 header: replay the consumed bytes and try the legacy bare-gob
-	// format.
-	return loadV1(io.MultiReader(bytes.NewReader(hdr[:n]), r))
+	return loadV2(r)
 }
 
 // loadV2 reads the remainder of a v2 stream after the magic bytes.
@@ -250,18 +214,6 @@ func loadV2(r io.Reader) (*Index, error) {
 	}
 	if p.Version != persistVersion {
 		return nil, &CorruptError{Reason: fmt.Sprintf("v2 stream carries payload version %d, want %d", p.Version, persistVersion)}
-	}
-	return reconstruct(&p)
-}
-
-// loadV1 decodes a legacy bare-gob stream.
-func loadV1(r io.Reader) (*Index, error) {
-	var p persistedIndex
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return nil, &CorruptError{Reason: "not a recognizable index stream", Err: err}
-	}
-	if p.Version != 1 {
-		return nil, &CorruptError{Reason: fmt.Sprintf("unsupported format version %d", p.Version)}
 	}
 	return reconstruct(&p)
 }

@@ -214,7 +214,6 @@ func (c *Cache) EstimatedDiskBytes() int64      { return c.inner.EstimatedDiskBy
 func (c *Cache) Shards() []engine.ShardStat     { return c.inner.Shards() }
 func (c *Cache) Documents() []*xmltree.Document { return c.inner.Documents() }
 func (c *Cache) Save(w io.Writer) error         { return c.inner.Save(w) }
-func (c *Cache) SaveFile(path string) error     { return c.inner.SaveFile(path) }
 func (c *Cache) Generation() uint64             { return c.inner.Generation() }
 
 var _ engine.Engine = (*Cache)(nil)

@@ -31,11 +31,15 @@ func newCheckpointingPrimary(t *testing.T, dir string, every int, mutate func(*C
 	})
 }
 
+// waitForCheckpoint waits until a checkpoint covering atLeast is published
+// (snapshot described, counters bumped) — the state /stats, /snapshot and a
+// re-seeding follower read. The WAL's BaseSeq moves earlier, at rotation,
+// so it is not the thing to wait on.
 func waitForCheckpoint(t *testing.T, srv *Server, atLeast uint64) {
 	t.Helper()
 	waitUntil(t, 10*time.Second, "automatic checkpoint", func() bool {
-		st := srv.dyn.WALStats()
-		return st != nil && st.BaseSeq >= atLeast
+		m := srv.ckpt.currentMeta()
+		return m != nil && m.seq >= atLeast
 	})
 }
 
@@ -306,8 +310,10 @@ func TestReseedSurvivesCorruptDownloads(t *testing.T) {
 	}
 
 	// Third attempt is clean: the follower converges to the new primary.
+	// AppliedSeq moves at the engine swap, before the replicator records
+	// the reseed: wait for the record the assertion below reads.
 	waitUntil(t, 15*time.Second, "post-chaos convergence", func() bool {
-		return fsrv.dyn.AppliedSeq() == p2src.dyn.AppliedSeq()
+		return fsrv.repl.status().Reseeds >= 1 && fsrv.dyn.AppliedSeq() == p2src.dyn.AppliedSeq()
 	})
 	st := fsrv.repl.status()
 	if st.ReseedAttempts < 3 || st.Reseeds != 1 || st.LastReseedError != "" {
@@ -360,7 +366,7 @@ func TestReseedSurvivesPrimaryDeathMidStream(t *testing.T) {
 	// Primary comes back; the retry completes the seed.
 	fp.cur.Store(psrv)
 	waitUntil(t, 15*time.Second, "post-death convergence", func() bool {
-		return fsrv.dyn.AppliedSeq() == 9
+		return fsrv.repl.status().Reseeds >= 1 && fsrv.dyn.AppliedSeq() == 9
 	})
 	if st := fsrv.repl.status(); st.Reseeds != 1 {
 		t.Fatalf("reseeds after recovery = %+v", st)
@@ -405,7 +411,7 @@ func TestReseedRacesRotation(t *testing.T) {
 		}
 	})
 	waitUntil(t, 15*time.Second, "racing convergence", func() bool {
-		return fsrv.dyn.AppliedSeq() == psrv.dyn.AppliedSeq()
+		return fsrv.repl.status().Reseeds >= 1 && fsrv.dyn.AppliedSeq() == psrv.dyn.AppliedSeq()
 	})
 	if st := fsrv.repl.status(); st.Reseeds < 1 || st.LastReseedError != "" {
 		t.Fatalf("racing reseed status = %+v", st)

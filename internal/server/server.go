@@ -619,6 +619,14 @@ func (s *Server) indexStats() xseq.Stats {
 	return s.swap.Current().Stats()
 }
 
+// walStats reports the write-ahead log's condition, nil without a log.
+func (s *Server) walStats() *xseq.WALStats {
+	if s.dyn == nil {
+		return nil
+	}
+	return s.dyn.WALStats()
+}
+
 // mode names the serving mode for stats and health bodies.
 func (s *Server) mode() string {
 	switch {
@@ -642,16 +650,16 @@ type statsResponse struct {
 		EstimatedDiskBytes int64 `json:"estimated_disk_bytes"`
 		// Shards is 0 when the snapshot is monolithic; PerShard then stays
 		// empty.
-		Shards   int         `json:"shards"`
-		PerShard []shardStat `json:"per_shard,omitempty"`
+		Shards   int               `json:"shards"`
+		PerShard []xseq.ShardStats `json:"per_shard,omitempty"`
 	} `json:"index"`
 	// Flat is present when the serving snapshot uses the flat layout: the
 	// real storage figures — how much of the mapped file queries have
 	// actually touched, and the page-level disk-access count.
-	Flat *flatStat `json:"flat,omitempty"`
+	Flat *xseq.FlatStats `json:"flat,omitempty"`
 	// QueryCache is present only when the server runs with
 	// Config.QueryCacheEntries > 0.
-	QueryCache *queryCacheStat `json:"query_cache,omitempty"`
+	QueryCache *xseq.QueryCacheStats `json:"query_cache,omitempty"`
 	Admission  struct {
 		MaxConcurrent int   `json:"max_concurrent"`
 		MaxQueue      int   `json:"max_queue"`
@@ -665,7 +673,7 @@ type statsResponse struct {
 	// Ingest is present in primary and follower modes.
 	Ingest *ingestStat `json:"ingest,omitempty"`
 	// Durability is present whenever the index runs over a write-ahead log.
-	Durability *durabilityStat `json:"durability,omitempty"`
+	Durability *xseq.WALStats `json:"durability,omitempty"`
 	// Checkpoint is present when the automatic checkpoint policy is armed.
 	Checkpoint *checkpointStat `json:"checkpoint,omitempty"`
 	// Replication is present in follower mode.
@@ -699,22 +707,6 @@ type ingestStat struct {
 	LastCompactionError string `json:"last_compaction_error,omitempty"`
 }
 
-// durabilityStat is the /stats write-ahead-log section.
-type durabilityStat struct {
-	Path                 string `json:"path"`
-	SizeBytes            int64  `json:"size_bytes"`
-	Entries              int    `json:"entries"`
-	BaseSeq              uint64 `json:"base_seq"`
-	LastSeq              uint64 `json:"last_seq"`
-	SyncedSeq            uint64 `json:"synced_seq"`
-	Appends              int64  `json:"appends"`
-	Syncs                int64  `json:"syncs"`
-	Rotations            int64  `json:"rotations"`
-	ReplayedEntries      int    `json:"replayed_entries"`
-	ReplayTruncatedBytes int64  `json:"replay_truncated_bytes"`
-	LastError            string `json:"last_error,omitempty"`
-}
-
 // ingestStat collects the dynamic index's insert/compaction condition, nil
 // in static mode.
 func (s *Server) ingestStat() *ingestStat {
@@ -733,65 +725,12 @@ func (s *Server) ingestStat() *ingestStat {
 	}
 }
 
-// durabilityStat converts the WAL's counters, nil without a log.
-func (s *Server) durabilityStat() *durabilityStat {
-	if s.dyn == nil {
-		return nil
-	}
-	st := s.dyn.WALStats()
-	if st == nil {
-		return nil
-	}
-	return &durabilityStat{
-		Path:                 st.Path,
-		SizeBytes:            st.SizeBytes,
-		Entries:              st.Entries,
-		BaseSeq:              st.BaseSeq,
-		LastSeq:              st.LastSeq,
-		SyncedSeq:            st.SyncedSeq,
-		Appends:              st.Appends,
-		Syncs:                st.Syncs,
-		Rotations:            st.Rotations,
-		ReplayedEntries:      st.ReplayedEntries,
-		ReplayTruncatedBytes: st.ReplayTruncatedBytes,
-		LastError:            st.LastError,
-	}
-}
-
 // replicationStat snapshots the follower's state, nil otherwise.
 func (s *Server) replicationStat() *replicationStatus {
 	if s.repl == nil {
 		return nil
 	}
 	return s.repl.status()
-}
-
-// shardStat is one shard's slice of the /stats index section.
-type shardStat struct {
-	Documents  int `json:"documents"`
-	IndexNodes int `json:"index_nodes"`
-	Links      int `json:"links"`
-}
-
-// flatStat is the /stats flat-layout section.
-type flatStat struct {
-	MappedBytes   int64 `json:"mapped_bytes"`
-	Pages         int64 `json:"pages"`
-	Mmapped       bool  `json:"mmapped"`
-	ResidentPages int64 `json:"resident_pages"`
-	ResidentBytes int64 `json:"resident_bytes"`
-	Reads         int64 `json:"reads"`
-	Hits          int64 `json:"hits"`
-	DiskAccesses  int64 `json:"disk_accesses"`
-}
-
-// queryCacheStat is the /stats query-cache section.
-type queryCacheStat struct {
-	Capacity  int   `json:"capacity"`
-	Entries   int   `json:"entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
 }
 
 // checkShards enforces Config.ExpectShards against a loaded snapshot.
@@ -883,34 +822,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Index.Links = st.Links
 	resp.Index.EstimatedDiskBytes = st.EstimatedDiskBytes
 	resp.Index.Shards = st.Shards
-	for _, ps := range st.PerShard {
-		resp.Index.PerShard = append(resp.Index.PerShard, shardStat{
-			Documents:  ps.Documents,
-			IndexNodes: ps.IndexNodes,
-			Links:      ps.Links,
-		})
-	}
-	if fs := st.Flat; fs != nil {
-		resp.Flat = &flatStat{
-			MappedBytes:   fs.MappedBytes,
-			Pages:         fs.Pages,
-			Mmapped:       fs.Mmapped,
-			ResidentPages: fs.ResidentPages,
-			ResidentBytes: fs.ResidentBytes,
-			Reads:         fs.Reads,
-			Hits:          fs.Hits,
-			DiskAccesses:  fs.DiskAccesses,
-		}
-	}
-	if qc := st.QueryCache; qc != nil {
-		resp.QueryCache = &queryCacheStat{
-			Capacity:  qc.Capacity,
-			Entries:   qc.Entries,
-			Hits:      qc.Hits,
-			Misses:    qc.Misses,
-			Evictions: qc.Evictions,
-		}
-	}
+	resp.Index.PerShard = st.PerShard
+	resp.Flat = st.Flat
+	resp.QueryCache = st.QueryCache
 	resp.Admission.MaxConcurrent = s.cfg.MaxConcurrent
 	resp.Admission.MaxQueue = s.cfg.MaxQueue
 	resp.Admission.Active = s.gate.active.Load()
@@ -922,7 +836,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Snapshot = &snap
 	}
 	resp.Ingest = s.ingestStat()
-	resp.Durability = s.durabilityStat()
+	resp.Durability = s.walStats()
 	if s.ckpt != nil {
 		resp.Checkpoint = s.ckpt.stat()
 	}

@@ -109,7 +109,7 @@ func (s *Server) collect(e *telemetry.Emit) {
 		e.Counter("xseq_flat_reads_total", "", "Buffer-pool page reads.", fs.Reads)
 		e.Counter("xseq_flat_disk_accesses_total", "", "Buffer-pool misses (the paper's disk-access metric).", fs.DiskAccesses)
 	}
-	if d := s.durabilityStat(); d != nil {
+	if d := s.walStats(); d != nil {
 		e.Counter("xseq_wal_appends_total", "", "Entries appended to the write-ahead log.", d.Appends)
 		e.Counter("xseq_wal_syncs_total", "", "WAL fsync batches.", d.Syncs)
 		e.Counter("xseq_wal_rotations_total", "", "WAL rotations against a checkpoint.", d.Rotations)

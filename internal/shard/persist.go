@@ -9,8 +9,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"xseq/internal/engine"
 	"xseq/internal/index"
 )
 
@@ -140,38 +140,10 @@ func (s *Index) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the sharded snapshot to path crash-safely — temporary
-// file in the same directory, fsync, atomic rename — exactly like the
-// monolithic SaveFile, so a crash mid-save never leaves a torn snapshot.
-func (s *Index) SaveFile(path string) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("shard: save %s: %w", path, err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err = s.Save(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("shard: save %s: sync: %w", path, err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("shard: save %s: close: %w", path, err)
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("shard: save %s: rename: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+// SaveFile is Save to a file through engine.SaveFile, the one crash-safe
+// snapshot writer, exactly like the monolithic SaveFile.
+func (s *Index) SaveFile(path string) error {
+	return engine.SaveFile(path, s.Save)
 }
 
 // readManifest consumes and validates the header and manifest (everything

@@ -268,9 +268,20 @@ type Config struct {
 // behind a single engine value, optionally wrapped in a query result cache;
 // the query API is identical either way.
 type Index struct {
-	eng  engine.Engine // single dispatch point (may be a *qcache.Cache)
+	queryable
 	sch  *schema.Schema
 	pool *pager.Pool
+}
+
+// newIndex wraps a loaded or built engine in the facade type.
+func newIndex(eng engine.Engine) *Index { return &Index{queryable: queryable{eng: eng}} }
+
+// queryable is the part Index and DynamicIndex share: the one engine value
+// each dispatches through, the query entry points over it, and Stats. Both
+// types embed it, so each method below is declared once and belongs to the
+// exported method set of both.
+type queryable struct {
+	eng engine.Engine // single dispatch point (may be a *qcache.Cache)
 }
 
 // Build infers a schema from the corpus (probabilities by sampling, as in
@@ -409,57 +420,59 @@ func (ix *Index) EnableQueryCache(entries int) {
 }
 
 // baseEngine unwraps the result cache, if one is installed.
-func (ix *Index) baseEngine() engine.Engine {
-	if c, ok := ix.eng.(*qcache.Cache); ok {
+func (x *queryable) baseEngine() engine.Engine {
+	if c, ok := x.eng.(*qcache.Cache); ok {
 		return c.Inner()
 	}
-	return ix.eng
+	return x.eng
+}
+
+// run parses q and answers it under ctx with the given options.
+func (x *queryable) run(ctx context.Context, q string, qo engine.QueryOptions) (ids []int32, err error) {
+	defer guard(&err)
+	pat, err := query.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return x.eng.QueryWithContext(ctx, pat, qo)
 }
 
 // Query answers an XPath-subset query (child and descendant steps,
 // wildcards, branching predicates, value tests), returning matching
-// document ids in ascending order. Value semantics are designator-level:
-// two values in the same hash bucket are indistinguishable; use
-// QueryVerified for exact matching. It is QueryContext with
-// context.Background().
-func (ix *Index) Query(q string) ([]int32, error) {
-	return ix.QueryContext(context.Background(), q)
+// document ids in ascending order; a DynamicIndex answers over main +
+// delta. Value semantics are designator-level: two values in the same hash
+// bucket are indistinguishable; use QueryVerified for exact matching. It is
+// QueryContext with context.Background().
+func (x *queryable) Query(q string) ([]int32, error) {
+	return x.QueryContext(context.Background(), q)
 }
 
 // QueryContext is Query honouring ctx: a cancelled or expired context
-// aborts the match loops promptly (checked every few hundred candidate
-// entries), returning the context's error — the escape hatch for runaway
-// wildcard queries over large corpora.
-func (ix *Index) QueryContext(ctx context.Context, q string) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return ix.eng.QueryWithContext(ctx, pat, engine.QueryOptions{})
+// aborts the match loops (and a DynamicIndex's lazy delta rebuild)
+// promptly (checked every few hundred candidate entries), returning the
+// context's error — the escape hatch for runaway wildcard queries over
+// large corpora.
+func (x *queryable) QueryContext(ctx context.Context, q string) ([]int32, error) {
+	return x.run(ctx, q, engine.QueryOptions{})
 }
 
 // QueryVerified is Query with exact value semantics: every candidate is
 // checked against its stored document. Requires Config.KeepDocuments.
-func (ix *Index) QueryVerified(q string) ([]int32, error) {
-	return ix.QueryVerifiedContext(context.Background(), q)
+func (x *queryable) QueryVerified(q string) ([]int32, error) {
+	return x.QueryVerifiedContext(context.Background(), q)
 }
 
 // QueryVerifiedContext is QueryVerified honouring ctx.
-func (ix *Index) QueryVerifiedContext(ctx context.Context, q string) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return ix.eng.QueryWithContext(ctx, pat, engine.QueryOptions{Verify: true})
+func (x *queryable) QueryVerifiedContext(ctx context.Context, q string) ([]int32, error) {
+	return x.run(ctx, q, engine.QueryOptions{Verify: true})
 }
 
 // QueryLimit is Query that stops after max distinct documents (max <= 0:
-// unlimited). Useful for existence tests and first-page results. It is
-// QueryLimitContext with context.Background().
-func (ix *Index) QueryLimit(q string, max int) ([]int32, error) {
-	return ix.QueryLimitContext(context.Background(), q, max)
+// unlimited), counting across main + delta on a DynamicIndex. Useful for
+// existence tests and first-page results. It is QueryLimitContext with
+// context.Background().
+func (x *queryable) QueryLimit(q string, max int) ([]int32, error) {
+	return x.QueryLimitContext(context.Background(), q, max)
 }
 
 // QueryLimitContext is QueryLimit honouring ctx: the deadline/cancellation
@@ -467,13 +480,8 @@ func (ix *Index) QueryLimit(q string, max int) ([]int32, error) {
 // a serving layer uses for first-page queries under a request deadline. On
 // a sharded index the fan-out cancels the remaining shards as soon as max
 // hits have accumulated across shards.
-func (ix *Index) QueryLimitContext(ctx context.Context, q string, max int) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return ix.eng.QueryWithContext(ctx, pat, engine.QueryOptions{MaxResults: max})
+func (x *queryable) QueryLimitContext(ctx context.Context, q string, max int) ([]int32, error) {
+	return x.run(ctx, q, engine.QueryOptions{MaxResults: max})
 }
 
 // Explain reports the work a query performed.
@@ -503,14 +511,9 @@ func (ix *Index) QueryExplain(q string) ([]int32, Explain, error) {
 // QueryExplainContext is QueryExplain honouring ctx. Explain queries always
 // execute (never served from the result cache): the point is to measure the
 // work.
-func (ix *Index) QueryExplainContext(ctx context.Context, q string) (_ []int32, _ Explain, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, Explain{}, err
-	}
+func (ix *Index) QueryExplainContext(ctx context.Context, q string) ([]int32, Explain, error) {
 	var st engine.QueryStats
-	ids, err := ix.eng.QueryWithContext(ctx, pat, engine.QueryOptions{Stats: &st})
+	ids, err := ix.run(ctx, q, engine.QueryOptions{Stats: &st})
 	if err != nil {
 		return nil, Explain{}, err
 	}
@@ -550,29 +553,31 @@ type Stats struct {
 	Flat *FlatStats
 }
 
-// ShardStats is one shard's slice of a sharded index's Stats.
+// ShardStats is one shard's slice of a sharded index's Stats. The JSON
+// tags on this and the other stats records are the xseqd /stats wire
+// format: the server encodes these types directly.
 type ShardStats struct {
 	// Documents is the shard's partition size.
-	Documents int
+	Documents int `json:"documents"`
 	// IndexNodes is the shard's trie node count.
-	IndexNodes int
+	IndexNodes int `json:"index_nodes"`
 	// Links is the shard's distinct path count.
-	Links int
+	Links int `json:"links"`
 }
 
 // QueryCacheStats reports the query result cache's counters.
 type QueryCacheStats struct {
 	// Capacity is the configured entry bound.
-	Capacity int
+	Capacity int `json:"capacity"`
 	// Entries is the current number of cached results.
-	Entries int
+	Entries int `json:"entries"`
 	// Hits counts queries served from the cache.
-	Hits int64
+	Hits int64 `json:"hits"`
 	// Misses counts queries that executed (including uncacheable variants:
 	// explain and limited queries always execute).
-	Misses int64
+	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped for capacity or staleness.
-	Evictions int64
+	Evictions int64 `json:"evictions"`
 }
 
 // cacheStats converts a qcache snapshot, nil when eng carries no cache.
@@ -581,27 +586,22 @@ func cacheStats(eng engine.Engine) *QueryCacheStats {
 	if !ok {
 		return nil
 	}
-	s := c.Stats()
-	return &QueryCacheStats{
-		Capacity:  s.Capacity,
-		Entries:   s.Entries,
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Evictions: s.Evictions,
-	}
+	s := QueryCacheStats(c.Stats())
+	return &s
 }
 
-// Stats returns index statistics.
-func (ix *Index) Stats() Stats {
+// Stats returns index statistics. On a DynamicIndex the corpus includes
+// buffered documents; node and link counts cover the compacted main index.
+func (x *queryable) Stats() Stats {
 	st := Stats{
-		Documents:          ix.eng.NumDocuments(),
-		IndexNodes:         ix.eng.NumNodes(),
-		Links:              ix.eng.NumLinks(),
-		EstimatedDiskBytes: ix.eng.EstimatedDiskBytes(),
-		QueryCache:         cacheStats(ix.eng),
-		Flat:               flatStats(ix.baseEngine()),
+		Documents:          x.eng.NumDocuments(),
+		IndexNodes:         x.eng.NumNodes(),
+		Links:              x.eng.NumLinks(),
+		EstimatedDiskBytes: x.eng.EstimatedDiskBytes(),
+		QueryCache:         cacheStats(x.eng),
+		Flat:               flatStats(x.baseEngine()),
 	}
-	if per := ix.eng.Shards(); per != nil {
+	if per := x.eng.Shards(); per != nil {
 		st.Shards = len(per)
 		st.PerShard = make([]ShardStats, len(per))
 		for i, s := range per {
@@ -757,16 +757,16 @@ func (ix *Index) SaveFile(path string) (err error) {
 	if err := ix.persistable(); err != nil {
 		return err
 	}
-	return ix.eng.SaveFile(path)
+	return engine.SaveFile(path, ix.eng.Save)
 }
 
 // Load reconstructs an index written by Save, sniffing the stream's magic
-// bytes to accept monolithic (current v2, checksummed, and legacy v1) and
-// sharded streams alike. The loaded index answers queries identically to
-// the original; it is immutable. Corruption — truncation, bit flips,
-// checksum or invariant failures, a damaged shard — is reported as a
-// *CorruptError, never a panic or a silently wrong index; for sharded
-// streams the error names the damaged shard.
+// bytes to accept monolithic, sharded and flat streams alike. The loaded
+// index answers queries identically to the original; it is immutable.
+// Corruption — an unknown magic, truncation, bit flips, checksum or
+// invariant failures, a damaged shard — is reported as a *CorruptError,
+// never a panic or a silently wrong index; for sharded streams the error
+// names the damaged shard.
 func Load(r io.Reader) (_ *Index, err error) {
 	defer guard(&err)
 	var hdr [8]byte
@@ -780,20 +780,20 @@ func Load(r io.Reader) (_ *Index, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Index{eng: sh}, nil
+		return newIndex(sh), nil
 	}
 	if flat.IsFlatHeader(hdr[:n]) {
 		f, err := flat.Open(replay, flat.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &Index{eng: f}, nil
+		return newIndex(f), nil
 	}
 	inner, err := index.Load(replay)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: inner}, nil
+	return newIndex(inner), nil
 }
 
 // LoadFile is Load from a file written by SaveFile (or any Save stream on
@@ -814,19 +814,19 @@ func LoadFile(path string) (_ *Index, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Index{eng: sh}, nil
+		return newIndex(sh), nil
 	case snapFlat:
 		f, err := flat.OpenFile(path, flat.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &Index{eng: f}, nil
+		return newIndex(f), nil
 	}
 	inner, err := index.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{eng: inner}, nil
+	return newIndex(inner), nil
 }
 
 type snapKind int
@@ -921,10 +921,10 @@ func (s *Swapper) SwapFromFile(path string) (*Index, error) {
 // automatically once it reaches the compaction threshold). Safe for
 // concurrent use.
 type DynamicIndex struct {
-	d      *engine.Dynamic
-	eng    engine.Engine // d, possibly wrapped in a result cache
-	w      *wal.WAL      // nil without Config.WALPath
-	replay wal.ReplayStats
+	queryable // eng is d, possibly wrapped in a result cache
+	d         *engine.Dynamic
+	w         *wal.WAL // nil without Config.WALPath
+	replay    wal.ReplayStats
 	// weights is the adaptive-resequencing vector the builder closure reads
 	// at build time: once Resequence installs it, every rebuild — the
 	// forced one, lazy delta builds, and future compactions — sequences
@@ -1033,23 +1033,6 @@ func (d *DynamicIndex) InsertContext(ctx context.Context, doc *Document) (err er
 	return d.d.InsertContext(ctx, &xmltree.Document{ID: doc.id, Root: doc.root})
 }
 
-// Query answers an XPath-subset query over main + delta. It is
-// QueryContext with context.Background().
-func (d *DynamicIndex) Query(q string) ([]int32, error) {
-	return d.QueryContext(context.Background(), q)
-}
-
-// QueryContext is Query honouring ctx in both the lazy delta rebuild and
-// the match loops.
-func (d *DynamicIndex) QueryContext(ctx context.Context, q string) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return d.eng.QueryWithContext(ctx, pat, engine.QueryOptions{})
-}
-
 // Compact folds buffered documents into the main index. On failure the
 // index keeps serving its pre-compaction state and the error is a
 // *CompactionError; see CompactContext.
@@ -1094,59 +1077,6 @@ func (d *DynamicIndex) NumDocuments() int { return d.d.NumDocuments() }
 // PendingDocuments reports how many documents await compaction.
 func (d *DynamicIndex) PendingDocuments() int { return d.d.PendingDocuments() }
 
-// QueryVerified is Query with exact value semantics over main + delta:
-// every candidate is checked against its stored document. Requires
-// Config.KeepDocuments.
-func (d *DynamicIndex) QueryVerified(q string) ([]int32, error) {
-	return d.QueryVerifiedContext(context.Background(), q)
-}
-
-// QueryVerifiedContext is QueryVerified honouring ctx.
-func (d *DynamicIndex) QueryVerifiedContext(ctx context.Context, q string) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return d.eng.QueryWithContext(ctx, pat, engine.QueryOptions{Verify: true})
-}
-
-// QueryLimit is Query that stops after max distinct documents (max <= 0:
-// unlimited), counting across main + delta.
-func (d *DynamicIndex) QueryLimit(q string, max int) ([]int32, error) {
-	return d.QueryLimitContext(context.Background(), q, max)
-}
-
-// QueryLimitContext is QueryLimit honouring ctx.
-func (d *DynamicIndex) QueryLimitContext(ctx context.Context, q string, max int) (ids []int32, err error) {
-	defer guard(&err)
-	pat, err := query.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return d.eng.QueryWithContext(ctx, pat, engine.QueryOptions{MaxResults: max})
-}
-
-// Stats returns index statistics (the corpus includes buffered documents;
-// node and link counts cover the compacted main index).
-func (d *DynamicIndex) Stats() Stats {
-	st := Stats{
-		Documents:          d.eng.NumDocuments(),
-		IndexNodes:         d.eng.NumNodes(),
-		Links:              d.eng.NumLinks(),
-		EstimatedDiskBytes: d.eng.EstimatedDiskBytes(),
-		QueryCache:         cacheStats(d.eng),
-	}
-	if per := d.eng.Shards(); per != nil {
-		st.Shards = len(per)
-		st.PerShard = make([]ShardStats, len(per))
-		for i, s := range per {
-			st.PerShard[i] = ShardStats{Documents: s.Documents, IndexNodes: s.Nodes, Links: s.Links}
-		}
-	}
-	return st
-}
-
 // CacheStats reports the query result cache's counters, nil when built
 // without Config.QueryCacheEntries.
 func (d *DynamicIndex) CacheStats() *QueryCacheStats { return cacheStats(d.eng) }
@@ -1161,26 +1091,30 @@ func (d *DynamicIndex) AppliedSeq() uint64 { return d.d.AppliedSeq() }
 // built without Config.WALPath.
 type WALStats struct {
 	// Path is the log file.
-	Path string
+	Path string `json:"path"`
 	// SizeBytes is the log's current size.
-	SizeBytes int64
+	SizeBytes int64 `json:"size_bytes"`
 	// Entries is the number of entries currently in the log.
-	Entries int
+	Entries int `json:"entries"`
 	// BaseSeq is the checkpoint base: entries at or below it were rotated
 	// into a snapshot. LastSeq is the append head; SyncedSeq the durable
 	// (fsynced) watermark.
-	BaseSeq, LastSeq, SyncedSeq uint64
+	BaseSeq   uint64 `json:"base_seq"`
+	LastSeq   uint64 `json:"last_seq"`
+	SyncedSeq uint64 `json:"synced_seq"`
 	// Appends, Syncs, Rotations count log operations since startup.
-	Appends, Syncs, Rotations int64
+	Appends   int64 `json:"appends"`
+	Syncs     int64 `json:"syncs"`
+	Rotations int64 `json:"rotations"`
 	// ReplayedEntries and ReplayTruncatedBytes describe startup recovery:
 	// how many entries the log restored, and how long a torn tail it
 	// truncated (0 for a clean shutdown).
-	ReplayedEntries      int
-	ReplayTruncatedBytes int64
+	ReplayedEntries      int   `json:"replayed_entries"`
+	ReplayTruncatedBytes int64 `json:"replay_truncated_bytes"`
 	// LastError is the sticky fsync failure, "" while the log is healthy.
 	// A log with a LastError acknowledges nothing: inserts fail until the
 	// process (and its disk) recovers.
-	LastError string
+	LastError string `json:"last_error,omitempty"`
 }
 
 // WALStats returns the log's condition, nil without a WAL.
@@ -1328,7 +1262,7 @@ func (d *DynamicIndex) CheckpointAt(ctx context.Context, path string) (seq uint6
 	if main == nil {
 		return 0, fmt.Errorf("xseq: checkpoint of an empty index")
 	}
-	if err := main.SaveFile(path); err != nil {
+	if err := engine.SaveFile(path, main.Save); err != nil {
 		return 0, err
 	}
 	if d.w != nil {

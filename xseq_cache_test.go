@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -161,8 +162,8 @@ func TestErrUnsupportedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.d.SaveFile(t.TempDir() + "/x"); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("dynamic SaveFile = %v, want ErrUnsupported", err)
+	if err := d.d.Save(io.Discard); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("dynamic Save = %v, want ErrUnsupported", err)
 	}
 }
 
