@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -12,22 +13,37 @@ import (
 )
 
 // Dynamic makes an (immutable, frozen) engine updatable, the way the paper
-// frames ViST as "a dynamic index method": new documents accumulate in a
-// delta buffer; queries run against the frozen main engine plus a small
-// engine built lazily over the delta; Compact folds everything into a fresh
-// main engine. The Builder decides the layout of every sub-engine — a
-// sharded Builder gives updatable indexes parallel compaction rebuilds —
-// and each sub-engine carries its own sequencing state (schema statistics
-// and repeat set are per-build), so query equivalence holds on both sides
-// independently.
+// frames ViST as "a dynamic index method". The answer to a tree-pattern
+// query over a document set is the union of its answers over the parts of
+// any partition of the set, so the corpus is held as a frozen main engine
+// plus a short list of frozen segments — each an engine the Builder made
+// over a contiguous run of inserted documents — and a query merges the
+// per-engine answers.
 //
-// Dynamic is safe for concurrent use; Insert and Query may interleave.
+// Segments follow the Bentley–Saxe logarithmic method. An insert indexes
+// its document once, as a 1-document segment; while a segment is no larger
+// than the one after it, the two merge into one by a single Builder call.
+// Segment sizes therefore strictly decrease in insertion order, at most
+// ⌈log₂ threshold⌉ segments exist below the compaction watermark, and a
+// document is re-indexed at most that many times before compaction folds
+// every segment into a fresh main engine. The Builder decides the layout of
+// every sub-engine — a sharded Builder gives updatable indexes parallel
+// compaction rebuilds — and each sub-engine carries its own sequencing
+// state (schema statistics and repeat set are per-build), so query
+// equivalence holds on every part independently.
 //
-// Dynamic is failure-safe: a Builder that returns an error or panics during
-// compaction (or delta construction) never disturbs the serving state — the
-// old main engine and buffer stay exactly as they were, the failure is
-// surfaced as a *CompactionError, and compaction is retried once the buffer
-// grows by another threshold.
+// Dynamic is safe for concurrent use; Insert and Query may interleave. No
+// Builder call runs under the serving lock: a build works on a snapshot of
+// immutable inputs and publishes its result by swapping pointers, so
+// queries and inserts never wait for a merge or a compaction.
+//
+// Dynamic is failure-safe: a Builder that returns an error or panics never
+// disturbs the serving state. A failed singleton build rejects its insert
+// before anything is logged; a failed merge leaves both segments serving
+// and is retried by the next insert; a failed compaction leaves the old
+// main engine and every segment serving, is surfaced as a
+// *CompactionError, and is retried once the pending documents grow by
+// another threshold.
 type Dynamic struct {
 	build Builder
 
@@ -37,14 +53,24 @@ type Dynamic struct {
 	// never contend with the serving lock.
 	gen atomic.Uint64
 
-	mu        sync.RWMutex
-	main      Engine
-	mainDocs  []*xmltree.Document
-	buffer    []*xmltree.Document
-	delta     Engine // nil when dirty or buffer empty
+	// buildMu serializes the builds that replace published engines (merges,
+	// compactions, rebuilds) and ResetTo. Only its holder removes segments,
+	// so a build that snapshotted segments [i, j) finds them at the same
+	// positions when it publishes. Lock order: buildMu, then mu.
+	buildMu sync.Mutex
+
+	mu       sync.RWMutex
+	main     Engine
+	mainDocs []*xmltree.Document
+	// segs is the delta in insertion order. Readers copy the slice header
+	// under mu and use it unlocked, so a published slice is never written
+	// below its length: publishing a merge or compaction allocates a new
+	// slice, and an insert's append only writes past every copy's length.
+	segs      []segment
+	pending   int // documents in segs
 	seen      map[int32]bool
 	threshold int
-	compactAt int // buffer size that triggers the next auto-compaction
+	compactAt int // pending count that triggers the next auto-compaction
 	lastErr   error
 	compacts  int // successful compactions
 	failures  int // failed compaction attempts
@@ -58,6 +84,12 @@ type Dynamic struct {
 	appliedSeq uint64 // seq of the last applied insert
 }
 
+// segment is one frozen engine over a contiguous run of inserted documents.
+type segment struct {
+	eng  Engine
+	docs []*xmltree.Document
+}
+
 // WALSink is the durability hook Dynamic writes through when one is
 // attached: WriteRecord persists an entry (no durability wait), WaitDurable
 // blocks until it is fsynced. *wal.WAL satisfies it.
@@ -67,14 +99,16 @@ type WALSink interface {
 }
 
 // Builder constructs an engine over a corpus; Dynamic calls it for the
-// initial corpus, for delta rebuilds, and for compactions, passing through
-// the caller's context. The builder chooses the layout: returning a sharded
-// engine makes compaction rebuilds parallel.
+// initial corpus, for each inserted document, for segment merges, and for
+// compactions, passing through the caller's context (stripped of its
+// cancellation for the merges and compaction an insert leaves). The
+// builder chooses the layout: returning a sharded engine makes compaction
+// rebuilds parallel.
 type Builder func(ctx context.Context, docs []*xmltree.Document) (Engine, error)
 
-// CompactionError reports that folding the delta into the main engine
+// CompactionError reports that folding the segments into the main engine
 // failed (Builder error or panic). The index is still fully serviceable:
-// the previous main engine and the buffered documents are untouched,
+// the previous main engine and the pending documents are untouched,
 // queries keep answering exactly as before the attempt, and compaction is
 // retried automatically at the next threshold crossing.
 type CompactionError struct {
@@ -90,13 +124,20 @@ func (e *CompactionError) Error() string {
 
 func (e *CompactionError) Unwrap() error { return e.Err }
 
-// DefaultCompactThreshold is the delta size that triggers automatic
-// compaction (relative to nothing — an absolute document count; deltas stay
-// small so their rebuild cost stays negligible).
+// ErrNotApplied marks an insert rejected before anything was logged or
+// applied because its document could not be indexed (Builder error, panic,
+// or the insert's context ending): the document is not in the index and the
+// insert is safe to retry. Detect it with errors.Is.
+var ErrNotApplied = errors.New("engine: document not applied")
+
+// DefaultCompactThreshold is the pending-document count that triggers
+// automatic compaction (an absolute document count; below it a document is
+// re-indexed at most log₂ of it times).
 const DefaultCompactThreshold = 1024
 
 // NewDynamic builds a dynamic engine over an initial corpus (which may be
-// empty). threshold <= 0 uses DefaultCompactThreshold.
+// empty) with one Builder call. threshold <= 0 uses
+// DefaultCompactThreshold.
 func NewDynamic(build Builder, initial []*xmltree.Document, threshold int) (*Dynamic, error) {
 	if build == nil {
 		return nil, fmt.Errorf("engine: NewDynamic requires a Builder")
@@ -148,13 +189,22 @@ func (d *Dynamic) Insert(doc *xmltree.Document) error {
 	return d.InsertContext(context.Background(), doc)
 }
 
-// InsertContext adds one document. The delta engine is invalidated and
-// rebuilt on the next query; when the delta reaches the compaction
-// watermark the whole index is rebuilt inline under ctx.
+// InsertContext adds one document. It indexes the document under ctx as a
+// 1-document segment before taking the serving lock; if that build fails,
+// panics or is cancelled, the insert is rejected before anything is logged
+// or applied, and the error wraps ErrNotApplied.
 //
-// If that automatic compaction fails, the document is still inserted (it
-// remains buffered and queryable) and the failure is returned as a
-// *CompactionError; the rebuild is retried after threshold further inserts.
+// After the apply it runs, outside the serving lock, the build work the
+// insert leaves: a compaction once the pending documents reach the
+// watermark, then the segment merges that restore the logarithmic shape
+// (skipped when another build is in flight; a later insert picks them up).
+// That work belongs to the index, not to the caller, so it runs without
+// ctx's cancellation: neither a hang-up nor a deadline abandons it.
+//
+// If the automatic compaction fails, the document is still inserted (it
+// remains pending and queryable) and the failure is returned as a
+// *CompactionError; the rebuild is retried after threshold further
+// inserts, and merges keep the segment count logarithmic meanwhile.
 //
 // With a WAL attached, the entry is written to the log before the document
 // becomes visible and the call blocks until it is durable: a returned nil
@@ -164,6 +214,11 @@ func (d *Dynamic) Insert(doc *xmltree.Document) error {
 func (d *Dynamic) InsertContext(ctx context.Context, doc *xmltree.Document) error {
 	if doc == nil || doc.Root == nil {
 		return fmt.Errorf("engine: nil document")
+	}
+	one := []*xmltree.Document{doc}
+	eng, err := d.safeBuild(ctx, one)
+	if err != nil {
+		return fmt.Errorf("%w: index document %d: %w", ErrNotApplied, doc.ID, err)
 	}
 	d.mu.Lock()
 	if d.seen[doc.ID] {
@@ -194,25 +249,124 @@ func (d *Dynamic) InsertContext(ctx context.Context, doc *xmltree.Document) erro
 	// current.
 	d.gen.Add(1)
 	d.seen[doc.ID] = true
-	d.buffer = append(d.buffer, doc)
-	d.delta = nil
+	d.segs = append(d.segs, segment{eng: eng, docs: one})
+	d.pending++
 	d.appliedSeq = seq
-	var cerr error
-	if len(d.buffer) >= d.compactAt {
-		if cerr = d.compactLocked(ctx); cerr != nil {
-			// Keep serving the old state; back off one threshold before
-			// the next automatic attempt.
-			d.compactAt = len(d.buffer) + d.threshold
-		}
-	}
 	sink := d.wal
 	d.mu.Unlock()
+	// The builds overlap the group commit the durability wait joins.
+	cerr := d.settle(context.WithoutCancel(ctx))
 	if sink != nil {
 		if err := sink.WaitDurable(ctx, seq); err != nil {
 			return fmt.Errorf("engine: document %d applied but not yet durable: %w", doc.ID, err)
 		}
 	}
 	return cerr
+}
+
+// settle runs the build work an insert leaves: the auto-compaction once the
+// pending documents reach the watermark, then merges until segment sizes
+// strictly decrease. A failed compaction backs the watermark off by one
+// threshold and is returned, after the merges ran. settle returns at once
+// when another build holds buildMu; whatever that build leaves undone, the
+// next insert settles.
+func (d *Dynamic) settle(ctx context.Context) error {
+	if !d.buildMu.TryLock() {
+		return nil
+	}
+	defer d.buildMu.Unlock()
+	var cerr error
+	for {
+		d.mu.RLock()
+		segs, due := d.segs, d.pending >= d.compactAt
+		d.mu.RUnlock()
+		if due {
+			if _, _, err := d.rebuild(ctx, false); err != nil {
+				cerr = err
+				d.mu.Lock()
+				d.compactAt = d.pending + d.threshold
+				d.mu.Unlock()
+			}
+			continue
+		}
+		i := mergePoint(segs)
+		if i < 0 {
+			return cerr
+		}
+		docs := make([]*xmltree.Document, 0, len(segs[i].docs)+len(segs[i+1].docs))
+		docs = append(append(docs, segs[i].docs...), segs[i+1].docs...)
+		eng, err := d.safeBuild(ctx, docs)
+		if err != nil {
+			// Both segments keep serving; the next insert retries.
+			return cerr
+		}
+		// A merge preserves every answer, so the generation stays.
+		d.mu.Lock()
+		next := make([]segment, 0, len(d.segs)-1)
+		next = append(next, d.segs[:i]...)
+		next = append(next, segment{eng: eng, docs: docs})
+		d.segs = append(next, d.segs[i+2:]...)
+		d.mu.Unlock()
+	}
+}
+
+// mergePoint returns the first i whose segment is no larger than segment
+// i+1, or -1 when sizes strictly decrease. Merging leftmost first treats a
+// run of equal small segments the way it would have treated them arriving
+// one by one, so no document is re-indexed more than a binary counter
+// would.
+func mergePoint(segs []segment) int {
+	for i := 0; i+1 < len(segs); i++ {
+		if len(segs[i].docs) <= len(segs[i+1].docs) {
+			return i
+		}
+	}
+	return -1
+}
+
+// rebuild folds main and every segment present when it starts into a
+// fresh main engine, returning the WAL sequence number and the main engine
+// the result covers. The caller holds buildMu. force rebuilds main even
+// with nothing pending (re-sequencing).
+//
+// The build runs without mu; segments appended meanwhile stay pending.
+// Any failure (error, panic, cancellation) is a counted *CompactionError
+// that leaves the serving state untouched.
+func (d *Dynamic) rebuild(ctx context.Context, force bool) (uint64, Engine, error) {
+	d.mu.RLock()
+	seq, main, k := d.appliedSeq, d.main, len(d.segs)
+	if k == 0 && (!force || len(d.mainDocs) == 0) {
+		d.mu.RUnlock()
+		return seq, main, nil
+	}
+	all := make([]*xmltree.Document, 0, len(d.mainDocs)+d.pending)
+	all = append(all, d.mainDocs...)
+	for _, s := range d.segs {
+		all = append(all, s.docs...)
+	}
+	d.mu.RUnlock()
+
+	eng, err := d.safeBuild(ctx, all)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		cerr := &CompactionError{Docs: len(all), Err: err}
+		d.lastErr = cerr
+		d.failures++
+		return 0, nil, cerr
+	}
+	// Conservative invalidation: compaction preserves query answers, but a
+	// generation bump here is cheap and keeps the rule simple — any
+	// structural change of main invalidates.
+	d.gen.Add(1)
+	d.pending -= len(all) - len(d.mainDocs)
+	d.main = eng
+	d.mainDocs = all
+	d.segs = append([]segment(nil), d.segs[k:]...)
+	d.compactAt = d.threshold
+	d.lastErr = nil
+	d.compacts++
+	return seq, eng, nil
 }
 
 // AttachWAL arms the durability hook: every subsequent insert is encoded
@@ -239,8 +393,8 @@ func (d *Dynamic) AppliedSeq() uint64 {
 }
 
 // Contains reports whether a document with the given id is in the corpus.
-// WAL replay uses it to skip entries a checkpoint snapshot already covers
-// (a crash between snapshotting and log rotation leaves an overlap).
+// Replication uses it to skip entries a snapshot seed already covers (a
+// crash between snapshotting and log rotation leaves an overlap).
 func (d *Dynamic) Contains(id int32) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -249,12 +403,13 @@ func (d *Dynamic) Contains(id int32) bool {
 
 // ResetTo replaces the entire serving state with a frozen engine and its
 // corpus — the re-seed primitive for a follower installing a primary
-// checkpoint it can no longer reach through the log. The swap is atomic
-// with respect to queries and inserts: a reader sees either the complete
-// old state or the complete new one, and the generation bump invalidates
-// any result cache layered above. seq is the WAL sequence number the
-// snapshot covers; replication resumes at seq+1. main may be nil only
-// with an empty corpus.
+// checkpoint it can no longer reach through the log. It waits for any
+// in-flight build, so none can publish over the new state. The swap is
+// atomic with respect to queries and inserts: a reader sees either the
+// complete old state or the complete new one, and the generation bump
+// invalidates any result cache layered above. seq is the WAL sequence
+// number the snapshot covers; replication resumes at seq+1. main may be
+// nil only with an empty corpus.
 func (d *Dynamic) ResetTo(main Engine, docs []*xmltree.Document, seq uint64) error {
 	seen := make(map[int32]bool, len(docs))
 	for _, doc := range docs {
@@ -269,14 +424,16 @@ func (d *Dynamic) ResetTo(main Engine, docs []*xmltree.Document, seq uint64) err
 	if main == nil && len(docs) > 0 {
 		return fmt.Errorf("engine: reset with %d documents but no engine", len(docs))
 	}
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Invalidate before the swap becomes visible, same rule as inserts.
 	d.gen.Add(1)
 	d.main = main
 	d.mainDocs = append([]*xmltree.Document(nil), docs...)
-	d.buffer = nil
-	d.delta = nil
+	d.segs = nil
+	d.pending = 0
 	d.seen = seen
 	d.appliedSeq = seq
 	d.compactAt = d.threshold
@@ -298,54 +455,50 @@ func (d *Dynamic) SkipReplicated(seq uint64) error {
 	return nil
 }
 
-// CompactForCheckpoint compacts and returns, atomically with respect to
-// inserts, the sequence number the compacted state covers and the frozen
-// main engine (nil for an empty corpus). Snapshotting that engine and then
-// rotating the WAL at that sequence number is the checkpoint recipe: every
-// logged entry not in the snapshot stays in the log.
+// CompactForCheckpoint compacts and returns the sequence number the
+// compacted state covers together with the frozen main engine covering
+// exactly the entries up to it (nil for an empty corpus). Inserts may land
+// during the build; they stay pending and their sequence numbers are
+// higher. Snapshotting that engine and then rotating the WAL at that
+// sequence number is the checkpoint recipe: every logged entry not in the
+// snapshot stays in the log.
 func (d *Dynamic) CompactForCheckpoint(ctx context.Context) (uint64, Engine, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.compactLocked(ctx); err != nil {
-		return 0, nil, err
-	}
-	return d.appliedSeq, d.main, nil
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
+	return d.rebuild(ctx, false)
 }
 
-// Query answers a pattern over main + delta, ids ascending; it is
+// Query answers a pattern over main + segments, ids ascending; it is
 // QueryContext with context.Background().
 func (d *Dynamic) Query(pat *query.Pattern) ([]int32, error) {
 	return d.QueryContext(context.Background(), pat)
 }
 
-// QueryContext answers a pattern over main + delta, ids ascending,
-// honouring ctx both in the lazy delta rebuild and in the match loops.
+// QueryContext answers a pattern over main + segments, ids ascending,
+// honouring ctx in the match loops.
 func (d *Dynamic) QueryContext(ctx context.Context, pat *query.Pattern) ([]int32, error) {
 	return d.QueryWithContext(ctx, pat, QueryOptions{})
 }
 
 // QueryWithContext is QueryContext with per-query options: verification and
-// work-profile accumulation apply to both sides and merge; MaxResults
-// counts across main + delta, skipping the delta when the main engine
-// already filled the budget.
+// work-profile accumulation apply to every part and merge; MaxResults
+// counts across main and then the segments in insertion order, skipping the
+// rest once the budget is filled. It holds the read lock only to copy the
+// engine list.
 func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo QueryOptions) ([]int32, error) {
-	d.mu.Lock()
-	if d.delta == nil && len(d.buffer) > 0 {
-		delta, err := d.safeBuild(ctx, d.buffer)
-		if err != nil {
-			d.mu.Unlock()
-			return nil, err
-		}
-		d.delta = delta
-	}
-	main, delta := d.main, d.delta
-	d.mu.Unlock()
+	d.mu.RLock()
+	main, segs := d.main, d.segs
+	d.mu.RUnlock()
 
-	var (
-		lists    [2][]int32
-		n, found int
-	)
-	for _, sub := range []Engine{main, delta} {
+	// One list per part; below the compaction watermark main plus ⌈log₂
+	// DefaultCompactThreshold⌉ segments fit the stack buffer.
+	var buf [16][]int32
+	lists, found := buf[:0], 0
+	for i := -1; i < len(segs); i++ {
+		sub := main
+		if i >= 0 {
+			sub = segs[i].eng
+		}
 		if sub == nil {
 			continue
 		}
@@ -355,33 +508,33 @@ func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo Q
 			sqo.Stats = &st
 		}
 		if qo.MaxResults > 0 {
-			remaining := qo.MaxResults - found
-			if remaining <= 0 {
+			if sqo.MaxResults = qo.MaxResults - found; sqo.MaxResults <= 0 {
 				break
 			}
-			sqo.MaxResults = remaining
 		}
 		ids, err := sub.QueryWithContext(ctx, pat, sqo)
 		if err != nil {
 			return nil, err
 		}
-		lists[n] = ids
-		n++
-		found += len(ids)
+		if len(ids) > 0 {
+			lists = append(lists, ids)
+			found += len(ids)
+		}
 		if qo.Stats != nil {
 			qo.Stats.Add(st)
 		}
 	}
-	// Main and delta ids are disjoint (duplicate ids are rejected at
-	// insert) and each side is already ascending, so the merge is a two-way
-	// merge with no deduplication. Sub-engine results are caller-owned
-	// fresh slices, so a single-list merge may return it directly.
+	// The parts' ids are disjoint (duplicate ids are rejected at insert) and
+	// each list is already ascending, so the merge needs no deduplication.
+	// Sub-engine results are caller-owned fresh slices, so a single list
+	// may be returned directly.
 	var out []int32
-	switch {
-	case n == 1:
+	switch len(lists) {
+	case 0:
+	case 1:
 		out = lists[0]
-	case n == 2:
-		out = MergeAscending(lists[:], make([]int32, 0, found), 0)
+	default:
+		out = MergeAscending(lists, make([]int32, 0, found), 0)
 	}
 	if qo.Stats != nil {
 		qo.Stats.Results = len(out)
@@ -389,65 +542,34 @@ func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo Q
 	return out, nil
 }
 
-// Compact folds the delta into a fresh main engine; it is CompactContext
+// Compact folds the segments into a fresh main engine; it is CompactContext
 // with context.Background().
 func (d *Dynamic) Compact() error {
 	return d.CompactContext(context.Background())
 }
 
-// CompactContext folds the delta into a fresh main engine under ctx. On
+// CompactContext folds the segments into a fresh main engine under ctx. On
 // failure it returns a *CompactionError and leaves the serving state (main
-// engine and buffer) untouched.
+// engine and segments) untouched.
 func (d *Dynamic) CompactContext(ctx context.Context) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.compactLocked(ctx)
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
+	_, _, err := d.rebuild(ctx, false)
+	return err
 }
 
 // RebuildContext rebuilds the main engine over the full corpus even when no
-// documents are buffered — the adaptive-resequencing entry point: after the
+// documents are pending — the adaptive-resequencing entry point: after the
 // builder's sequencing weights change, a forced rebuild re-sequences every
-// document, where CompactContext would no-op on an empty buffer. It shares
-// compaction's failure containment exactly: a failed rebuild (error, panic,
-// cancellation) is a counted *CompactionError that leaves the serving state
-// untouched.
+// document, where CompactContext would no-op with nothing pending. It
+// shares compaction's failure containment exactly: a failed rebuild (error,
+// panic, cancellation) is a counted *CompactionError that leaves the
+// serving state untouched.
 func (d *Dynamic) RebuildContext(ctx context.Context) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rebuildLocked(ctx, true)
-}
-
-// compactLocked rebuilds main over mainDocs + buffer. All serving state is
-// replaced atomically only after a successful build; any failure (error,
-// panic, cancellation) leaves it untouched.
-func (d *Dynamic) compactLocked(ctx context.Context) error {
-	return d.rebuildLocked(ctx, false)
-}
-
-func (d *Dynamic) rebuildLocked(ctx context.Context, force bool) error {
-	if len(d.buffer) == 0 && (!force || len(d.mainDocs) == 0) {
-		return nil
-	}
-	// Conservative invalidation: compaction preserves query answers, but a
-	// generation bump here is cheap and keeps the rule simple — any
-	// structural change invalidates.
-	d.gen.Add(1)
-	all := append(append([]*xmltree.Document{}, d.mainDocs...), d.buffer...)
-	main, err := d.safeBuild(ctx, all)
-	if err != nil {
-		cerr := &CompactionError{Docs: len(all), Err: err}
-		d.lastErr = cerr
-		d.failures++
-		return cerr
-	}
-	d.main = main
-	d.mainDocs = all
-	d.buffer = nil
-	d.delta = nil
-	d.compactAt = d.threshold
-	d.lastErr = nil
-	d.compacts++
-	return nil
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
+	_, _, err := d.rebuild(ctx, true)
+	return err
 }
 
 // Compactions reports how many compactions have succeeded.
@@ -472,22 +594,23 @@ func (d *Dynamic) LastCompactionError() error {
 	return d.lastErr
 }
 
-// NumDocuments reports the total corpus size (main + buffered).
+// NumDocuments reports the total corpus size (main + pending).
 func (d *Dynamic) NumDocuments() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.mainDocs) + len(d.buffer)
+	return len(d.mainDocs) + d.pending
 }
 
-// PendingDocuments reports how many documents await compaction.
+// PendingDocuments reports how many documents await compaction, summed
+// over the segments.
 func (d *Dynamic) PendingDocuments() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.buffer)
+	return d.pending
 }
 
 // NumNodes reports the main engine's trie node count (0 before the first
-// build); the delta's nodes are transient.
+// build); the segments' nodes are transient.
 func (d *Dynamic) NumNodes() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -498,7 +621,7 @@ func (d *Dynamic) NumNodes() int {
 }
 
 // NumLinks reports the main engine's distinct path count (0 before the
-// first build); the delta's links are transient.
+// first build); the segments' links are transient.
 func (d *Dynamic) NumLinks() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -530,19 +653,22 @@ func (d *Dynamic) Shards() []ShardStat {
 	return d.main.Shards()
 }
 
-// Documents returns the current corpus (main + buffered). Unlike frozen
-// engines, a Dynamic always retains its documents — they are the compaction
-// input — so this never depends on a KeepDocuments option.
+// Documents returns the current corpus (main, then pending) in insertion
+// order. Unlike frozen engines, a Dynamic always retains its documents —
+// they are the compaction input — so this never depends on a KeepDocuments
+// option.
 func (d *Dynamic) Documents() []*xmltree.Document {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]*xmltree.Document, 0, len(d.mainDocs)+len(d.buffer))
+	out := make([]*xmltree.Document, 0, len(d.mainDocs)+d.pending)
 	out = append(out, d.mainDocs...)
-	out = append(out, d.buffer...)
+	for _, s := range d.segs {
+		out = append(out, s.docs...)
+	}
 	return out
 }
 
-// Save is unsupported: a dynamic engine's delta state is transient by
+// Save is unsupported: a dynamic engine's segment state is transient by
 // design. Compact first and snapshot the frozen main engine instead.
 func (d *Dynamic) Save(w io.Writer) error {
 	return fmt.Errorf("engine: dynamic index snapshot: %w", ErrUnsupported)

@@ -6,6 +6,7 @@ package engine_test
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"xseq/internal/engine"
@@ -18,7 +19,8 @@ import (
 )
 
 // csBuilder infers a schema per build and returns a probability-strategy
-// monolithic index, the way the xseq facade's dynamic builder does.
+// monolithic index, the way the xseq facade's dynamic builder does. It
+// keeps documents so verified queries work.
 func csBuilder() engine.Builder {
 	return func(ctx context.Context, docs []*xmltree.Document) (engine.Engine, error) {
 		roots := make([]*xmltree.Node, len(docs))
@@ -30,7 +32,53 @@ func csBuilder() engine.Builder {
 			return nil, err
 		}
 		enc := pathenc.NewEncoder(1 << 20)
-		return index.BuildContext(ctx, docs, index.Options{Encoder: enc, Strategy: sequence.NewProbability(sch, enc)})
+		return index.BuildContext(ctx, docs, index.Options{Encoder: enc, Strategy: sequence.NewProbability(sch, enc), KeepDocuments: true})
+	}
+}
+
+// blockingBuilder wraps csBuilder: the first call whose documents satisfy
+// stop signals entered and waits for release; every other call, before and
+// after, goes straight through.
+type blockingBuilder struct {
+	stop    func(docs []*xmltree.Document) bool
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newBlockingBuilder(stop func([]*xmltree.Document) bool) *blockingBuilder {
+	return &blockingBuilder{stop: stop, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (b *blockingBuilder) build(ctx context.Context, docs []*xmltree.Document) (engine.Engine, error) {
+	hit := false
+	if b.stop(docs) {
+		b.once.Do(func() { hit = true })
+	}
+	if hit {
+		close(b.entered)
+		<-b.release
+	}
+	return csBuilder()(ctx, docs)
+}
+
+// sameAnswers fails t unless d answers every pattern exactly as a fresh
+// csBuilder index over docs does.
+func sameAnswers(t *testing.T, d *engine.Dynamic, docs []*xmltree.Document, pats []*query.Pattern) {
+	t.Helper()
+	fresh := mustBuild(t, docs)
+	for _, pat := range pats {
+		want, err := fresh.QueryWithContext(context.Background(), pat, engine.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Query(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameIDs(got, want) {
+			t.Fatalf("%s: got %v, fresh build over %d docs %v", pat, got, len(docs), want)
+		}
 	}
 }
 

@@ -18,9 +18,10 @@ import (
 
 func TestDynamicCompactionFailureKeepsServing(t *testing.T) {
 	docs := testCorpus(t, 6)
-	// Call 1: initial build. Call 2: lazy delta. Call 3: the explicit
-	// Compact — the one that fails. Call 4: the retry, which succeeds.
-	b := faultio.FlakyBuilderN(csBuilder(), 3, 3, nil)
+	// Call 1: initial build. Calls 2-3: the two inserted documents. Call 4:
+	// their merge. Call 5: the explicit Compact — the one that fails. Call
+	// 6: the retry, which succeeds.
+	b := faultio.FlakyBuilderN(csBuilder(), 5, 5, nil)
 	d, err := engine.NewDynamic(b, docs[:4], 1<<30)
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +84,11 @@ func TestDynamicCompactionFailureKeepsServing(t *testing.T) {
 
 func TestDynamicBuilderPanicContained(t *testing.T) {
 	inner := csBuilder()
-	calls := faultio.After(2)
+	calls := faultio.Between(3, 3)
 	b := func(ctx context.Context, docs []*xmltree.Document) (engine.Engine, error) {
-		// Panic on exactly the second call (the compaction below).
-		if calls.Hit() && calls.Hits() == 2 {
+		// Panic on exactly the third call (initial build, inserted
+		// document, then the compaction below).
+		if calls.Hit() {
 			panic("injected builder panic")
 		}
 		return inner(ctx, docs)
@@ -111,7 +113,7 @@ func TestDynamicBuilderPanicContained(t *testing.T) {
 		t.Fatalf("error %v does not mention the panic", cerr)
 	}
 	// Serving state is untouched: the main index still answers, the
-	// buffered document is still pending, and the recovered builder (call 3)
+	// inserted document is still pending, and the recovered builder (call 4)
 	// lets queries and compaction proceed.
 	if d.Main() == nil || d.PendingDocuments() != 1 {
 		t.Fatalf("serving state disturbed: main=%v pending=%d", d.Main(), d.PendingDocuments())
@@ -125,9 +127,10 @@ func TestDynamicBuilderPanicContained(t *testing.T) {
 }
 
 func TestDynamicAutoCompactRetryAtWatermark(t *testing.T) {
-	// The first auto-compaction (buffer hits threshold 2) fails; the next
-	// attempt happens only once the buffer has grown by another threshold.
-	b := faultio.FlakyBuilderN(csBuilder(), 1, 1, nil)
+	// The first auto-compaction (pending hits threshold 2) fails; the next
+	// attempt happens only once pending has grown by another threshold.
+	// Calls 1-2 index the first two documents; call 3 is that compaction.
+	b := faultio.FlakyBuilderN(csBuilder(), 3, 3, nil)
 	d, err := engine.NewDynamic(b, nil, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +139,7 @@ func TestDynamicAutoCompactRetryAtWatermark(t *testing.T) {
 	if err := d.Insert(docs[0]); err != nil {
 		t.Fatal(err)
 	}
-	err = d.Insert(docs[1]) // buffer reaches 2: auto-compaction fires and fails
+	err = d.Insert(docs[1]) // pending reaches 2: auto-compaction fires and fails
 	var ce *engine.CompactionError
 	if !errors.As(err, &ce) {
 		t.Fatalf("failed auto-compaction returned %v, want *CompactionError", err)
@@ -163,7 +166,10 @@ func TestDynamicAutoCompactRetryAtWatermark(t *testing.T) {
 func TestDynamicConcurrentFlakyCompaction(t *testing.T) {
 	const total = 24
 	docs := testCorpus(t, total)
-	b := faultio.FlakyBuilderN(csBuilder(), 3, 4, nil)
+	// Calls 1-5 index documents 0-3 and merge the first two; call 6, the
+	// first auto-compaction, fails. Queries never build, so the one
+	// inserting goroutine fixes the numbering.
+	b := faultio.FlakyBuilderN(csBuilder(), 6, 6, nil)
 	d, err := engine.NewDynamic(b, nil, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -236,9 +242,10 @@ func TestDynamicConcurrentFlakyCompaction(t *testing.T) {
 // history.
 func TestDynamicCompactionCounters(t *testing.T) {
 	docs := testCorpus(t, 6)
-	// Call 1: initial build. Call 2: lazy delta. Call 3: failed Compact.
-	// Call 4: retried Compact, succeeds.
-	b := faultio.FlakyBuilderN(csBuilder(), 3, 3, nil)
+	// Call 1: initial build. Calls 2-3: the inserted documents. Call 4:
+	// their merge. Call 5: failed Compact. Call 6: retried Compact,
+	// succeeds.
+	b := faultio.FlakyBuilderN(csBuilder(), 5, 5, nil)
 	d, err := engine.NewDynamic(b, docs[:4], 1<<30)
 	if err != nil {
 		t.Fatal(err)

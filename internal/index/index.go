@@ -64,7 +64,6 @@ type Index struct {
 	enc       *pathenc.Encoder
 	strategy  sequence.Strategy
 	prio      sequence.Prioritizer // nil if strategy has no priority
-	tr        *trie.Trie
 	links     map[pathenc.PathID]*match.Link
 	ends      endList
 	ci        *pathenc.ChildIndex
@@ -98,7 +97,6 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 	ix := &Index{
 		enc:      opts.Encoder,
 		strategy: opts.Strategy,
-		tr:       trie.New(),
 		opts:     opts,
 	}
 	if p, ok := opts.Strategy.(sequence.Prioritizer); ok {
@@ -113,6 +111,7 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 		}
 		ra.SetRepeatPaths(sequence.RepeatPaths(roots, opts.Encoder))
 	}
+	tr := trie.New()
 	seen := map[int32]bool{}
 	seqs := make([]sequence.Sequence, 0, len(docs))
 	ids := make([]int32, 0, len(docs))
@@ -135,11 +134,11 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 			seqs = append(seqs, s)
 			ids = append(ids, d.ID)
 		} else {
-			ix.tr.Insert(s, d.ID)
+			tr.Insert(s, d.ID)
 		}
 	}
 	if opts.BulkLoad {
-		if err := ix.tr.BulkLoad(seqs, ids); err != nil {
+		if err := tr.BulkLoad(seqs, ids); err != nil {
 			return nil, err
 		}
 	}
@@ -147,18 +146,19 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 	if opts.KeepDocuments {
 		ix.docs = docs
 	}
-	ix.freeze()
+	ix.freeze(tr)
 	return ix, nil
 }
 
 // freeze labels the trie and builds the path links and the flattened doc-id
-// lists.
-func (ix *Index) freeze() {
-	ix.tr.Freeze()
+// lists from it. Queries and Save need only those, so the index does not keep
+// the trie: its nodes and maps would otherwise stay live as long as the index.
+func (ix *Index) freeze(tr *trie.Trie) {
+	tr.Freeze()
 	// Size every link first, so their label columns come out of one arena.
 	counts := map[pathenc.PathID]int32{}
-	for n := trie.NodeID(1); int(n) <= ix.tr.NumNodes(); n++ {
-		counts[ix.tr.Path(n)]++
+	for n := trie.NodeID(1); int(n) <= tr.NumNodes(); n++ {
+		counts[tr.Path(n)]++
 	}
 	ix.links = allocLinks(counts)
 	// One pre-order pass; per-path stacks of open link-entry indices give
@@ -179,9 +179,9 @@ func (ix *Index) freeze() {
 		slab = append(slab, filling{l: l})
 		fills[p] = &slab[len(slab)-1]
 	}
-	ix.tr.WalkPreOrder(func(n trie.NodeID, _ int) bool {
-		f := fills[ix.tr.Path(n)]
-		pre, max := ix.tr.Pre(n), ix.tr.Max(n)
+	tr.WalkPreOrder(func(n trie.NodeID, _ int) bool {
+		f := fills[tr.Path(n)]
+		pre, max := tr.Pre(n), tr.Max(n)
 		f.l.Set(f.next, pre, max)
 		// Pop entries whose subtree has ended.
 		st := f.open
@@ -204,9 +204,9 @@ func (ix *Index) freeze() {
 	}
 	var ends []endNode
 	total := 0
-	ix.tr.WalkPreOrder(func(n trie.NodeID, _ int) bool {
-		if ids := ix.tr.Docs(n); len(ids) > 0 {
-			ends = append(ends, endNode{ix.tr.Pre(n), ids})
+	tr.WalkPreOrder(func(n trie.NodeID, _ int) bool {
+		if ids := tr.Docs(n); len(ids) > 0 {
+			ends = append(ends, endNode{tr.Pre(n), ids})
 			total += len(ids)
 		}
 		return true
@@ -223,7 +223,7 @@ func (ix *Index) freeze() {
 		ix.ends.ids = append(ix.ends.ids, e.ids...)
 	}
 	ix.ci = ix.enc.BuildChildIndex()
-	ix.maxSerial = int32(ix.tr.NumNodes())
+	ix.maxSerial = int32(tr.NumNodes())
 	ix.initEngine()
 }
 
@@ -288,11 +288,6 @@ func (ix *Index) EstimatedDiskBytes() int64 {
 
 // Documents returns the retained corpus (nil unless KeepDocuments).
 func (ix *Index) Documents() []*xmltree.Document { return ix.docs }
-
-// Trie exposes the underlying trie for tests and size accounting. Indexes
-// reconstructed by Load carry no trie (queries run off the links alone);
-// the result is then nil.
-func (ix *Index) Trie() *trie.Trie { return ix.tr }
 
 // ChildIdx exposes the frozen path-table snapshot for query instantiation.
 func (ix *Index) ChildIdx() *pathenc.ChildIndex { return ix.ci }

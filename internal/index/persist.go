@@ -21,8 +21,8 @@ import (
 // designator/path tables, the path links with their sibling-cover metadata,
 // the flattened document-id lists, the schema the sequencing strategy was
 // derived from, and the corpus repeat set. Load reconstructs a query-ready
-// index — the trie itself is not stored (queries need only the links and
-// labels), so loaded indexes are immutable and Trie() returns nil.
+// index — the trie itself is not stored: queries need only the links and
+// labels, and a built index drops its trie once those are derived.
 //
 // On-disk format v2 (the format Save writes):
 //

@@ -48,9 +48,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			back.NumNodes(), ix.NumNodes(),
 			back.NumLinks(), ix.NumLinks())
 	}
-	if back.Trie() != nil {
-		t.Fatal("loaded index should carry no trie")
-	}
 	queries := []*query.Pattern{
 		query.MustParse("//A"),
 		query.MustParse("/R[A][B]"),

@@ -147,7 +147,7 @@ func (a *resequencer) doRebuild(ctx context.Context, w map[string]float64) error
 	}
 	if a.s.dyn != nil {
 		// Dynamic primary: the engine rebuilds in place with compaction's
-		// failure containment; the weight vector sticks for later delta
+		// failure containment; the weight vector sticks for later segment
 		// builds and compactions.
 		return a.s.dyn.Resequence(ctx, w)
 	}

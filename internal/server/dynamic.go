@@ -113,6 +113,21 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		case strings.Contains(err.Error(), "duplicate document id"):
 			writeError(w, http.StatusConflict, err.Error())
 			return
+		case errors.Is(err, xseq.ErrNotApplied):
+			// Rejected before it was logged: the document is definitely
+			// not in the index, so the client can simply retry.
+			s.insertErrs.Add(1)
+			status := http.StatusInternalServerError
+			switch {
+			case errors.Is(err, context.DeadlineExceeded):
+				status = http.StatusGatewayTimeout
+			case errors.Is(err, context.Canceled):
+				status = http.StatusServiceUnavailable
+			default:
+				s.cfg.Logf("server: insert id %d failed: %v", id64, err)
+			}
+			writeError(w, status, fmt.Sprintf("insert not applied (safe to retry): %v", err))
+			return
 		case errors.Is(err, context.DeadlineExceeded):
 			s.insertErrs.Add(1)
 			writeError(w, http.StatusGatewayTimeout,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,11 +9,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"xseq"
 )
 
 // newPrimary starts a durable dynamic primary over a fresh WAL.
@@ -147,6 +151,102 @@ func TestPrimaryInsertAndQuery(t *testing.T) {
 	}
 }
 
+// TestInsertHangupDuringCompactionStaysHealthy: a client that hangs up
+// once its insert is applied cannot abandon the automatic compaction that
+// insert triggered — the build belongs to the index, not to the request.
+// The compaction has landed by the time the handler returns, nothing is
+// counted as a failure, and /healthz stays ok. (The engine and facade
+// tests cancel from inside the compaction build itself; here the cancel
+// comes from the HTTP side, always after the apply.)
+func TestInsertHangupDuringCompactionStaysHealthy(t *testing.T) {
+	srv, ts := newPrimary(t, filepath.Join(t.TempDir(), "p.wal"), nil)
+	const threshold = 1024 // the primary's compaction threshold
+	// Records large enough that the cancel below usually lands while the
+	// 1,024-document compaction runs; the assertions hold either way.
+	rec := func(i int) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "<rec><title>t%d</title>", i)
+		for k := 0; k < 12; k++ {
+			fmt.Fprintf(&b, "<author><name>a%d</name><city>c%d</city></author>", (i+k)%97, k)
+		}
+		b.WriteString("</rec>")
+		return b.String()
+	}
+	for i := 0; i < threshold-1; i++ {
+		doc, err := xseq.ParseDocumentString(int32(i), rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.dyn.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, fmt.Sprintf("/insert?id=%d", threshold-1),
+		strings.NewReader(rec(threshold-1))).WithContext(ctx)
+	resp := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeHTTP(resp, req)
+	}()
+	// Hang up as soon as the document is applied (NumDocuments takes only
+	// the read lock, so it never waits for the compaction).
+	for srv.dyn.NumDocuments() < threshold {
+		select {
+		case <-done:
+			t.Fatalf("insert ended before it applied: %d %s", resp.Code, resp.Body)
+		default:
+			runtime.Gosched()
+		}
+	}
+	cancel()
+	<-done
+	t.Logf("hung-up insert answered %d", resp.Code)
+
+	if h := srv.dyn.Health(); h.Degraded || h.Compactions != 1 || h.FailedCompactions != 0 || h.Pending != 0 {
+		t.Fatalf("health after a hang-up = %+v", h)
+	}
+	code, body := get(t, ts.URL+"/healthz")
+	var hr healthResponse
+	if code != http.StatusOK || json.Unmarshal(body, &hr) != nil || hr.Status != "ok" {
+		t.Fatalf("healthz after a hang-up = %d %s", code, body)
+	}
+	if code, _, body := postInsert(t, ts.URL, threshold, rec(threshold)); code != http.StatusOK {
+		t.Fatalf("next insert = %d: %s", code, body)
+	}
+	if h := srv.dyn.Health(); h.Compactions != 1 || h.FailedCompactions != 0 || h.Documents != threshold+1 {
+		t.Fatalf("health after the next insert = %+v", h)
+	}
+}
+
+// TestInsertNotAppliedIsSafeToRetry: an insert whose deadline passes
+// before its document is indexed is rejected before anything is logged.
+// The 504 says so — not "durability unconfirmed" — and a retry lands.
+func TestInsertNotAppliedIsSafeToRetry(t *testing.T) {
+	srv, ts := newPrimary(t, filepath.Join(t.TempDir(), "p.wal"), nil)
+	if code, _, body := postInsert(t, ts.URL, 0, docXML(0)); code != http.StatusOK {
+		t.Fatalf("insert 0 = %d: %s", code, body)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/insert?id=1",
+		strings.NewReader(docXML(1))).WithContext(ctx)
+	resp := httptest.NewRecorder()
+	srv.ServeHTTP(resp, req)
+	if resp.Code != http.StatusGatewayTimeout || !strings.Contains(resp.Body.String(), "not applied (safe to retry)") {
+		t.Fatalf("expired insert = %d %s", resp.Code, resp.Body)
+	}
+	if n, seq := srv.dyn.NumDocuments(), srv.dyn.AppliedSeq(); n != 1 || seq != 1 {
+		t.Fatalf("after a rejected insert: %d documents, seq %d; want 1, 1", n, seq)
+	}
+	if code, ir, body := postInsert(t, ts.URL, 1, docXML(1)); code != http.StatusOK || ir.Seq != 2 || ir.Documents != 2 {
+		t.Fatalf("retried insert = %d %+v: %s", code, ir, body)
+	}
+}
+
 func TestPrimaryCrashRecoveryOverHTTP(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "p.wal")
 	srv, ts := newPrimary(t, walPath, nil)
@@ -270,7 +370,7 @@ func TestFollowerCatchUpAndReadOnly(t *testing.T) {
 	// New inserts stream continuously.
 	postInsert(t, pts.URL, 8, docXML(8))
 	waitUntil(t, 5*time.Second, "streamed insert", func() bool {
-		return fsrv.dyn.AppliedSeq() == 9
+		return fsrv.dyn.AppliedSeq() == 9 && fsrv.repl.status().EntriesApplied == 9
 	})
 	// The follower refuses writes.
 	if code, _, body := postInsert(t, fts.URL, 99, docXML(99)); code != http.StatusForbidden {
@@ -319,8 +419,10 @@ func TestDurableFollowerResumesFromLocalWAL(t *testing.T) {
 	if got := fsrv2.dyn.WALStats().ReplayedEntries; got != 6 {
 		t.Fatalf("follower replayed %d entries", got)
 	}
+	// The position advances inside the apply, before its durability wait;
+	// the counter only once the apply returns. Wait for both.
 	waitUntil(t, 5*time.Second, "follower rejoin", func() bool {
-		return fsrv2.dyn.AppliedSeq() == 7
+		return fsrv2.dyn.AppliedSeq() == 7 && fsrv2.repl.status().EntriesApplied > 0
 	})
 	if st := fsrv2.repl.status(); st.EntriesApplied != 1 {
 		t.Fatalf("rejoin applied %d entries over HTTP, want 1", st.EntriesApplied)

@@ -446,8 +446,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // and waits for in-flight ones — executing and queued — to finish. If ctx
 // expires first, every in-flight query's context is cancelled; the match
 // loops poll their contexts, so stragglers unwind promptly and Drain still
-// waits for them before returning ctx.Err(). A nil error means everything
-// completed within the budget.
+// waits for them before returning ctx.Err(). An insert that is running the
+// merges or compaction it triggered finishes them first: those builds
+// belong to the index and ignore request cancellation. A nil error means
+// everything completed within the budget.
 func (s *Server) Drain(ctx context.Context) error {
 	zero := s.dr.begin()
 	select {

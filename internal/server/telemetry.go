@@ -67,8 +67,8 @@ func (s *Server) latencyHist(layout string) *telemetry.Histogram {
 
 // layoutName names the serving engine's storage layout for metric labels
 // and trace lines: the snapshot's own layout in static mode, "dynamic"
-// for primaries and followers (their base+delta pair is not a snapshot
-// layout).
+// for primaries and followers (their main engine plus segments is not a
+// snapshot layout).
 func (s *Server) layoutName() string {
 	if s.dyn != nil {
 		return "dynamic"

@@ -13,11 +13,12 @@
 // sibling-cover test preserves the equivalence between a structure match
 // and a subsequence match (Theorems 2 and 3).
 //
-// Every storage organization — monolithic, hash-sharded, dynamic base+delta
-// — implements one internal Engine contract, and Index dispatches every
-// query, stats, and persistence call through exactly one engine value; an
-// optional bounded result cache (Config.QueryCacheEntries) composes over
-// any of them. Operations a layout cannot perform report ErrUnsupported.
+// Every storage organization — monolithic, hash-sharded, dynamic base plus
+// segments — implements one internal Engine contract, and Index dispatches
+// every query, stats, and persistence call through exactly one engine
+// value; an optional bounded result cache (Config.QueryCacheEntries)
+// composes over any of them. Operations a layout cannot perform report
+// ErrUnsupported.
 //
 // Quick start:
 //
@@ -66,6 +67,12 @@ type CorruptError = index.CorruptError
 // serving its pre-compaction state and retries automatically; detect the
 // condition with errors.As.
 type CompactionError = engine.CompactionError
+
+// ErrNotApplied marks a DynamicIndex insert rejected before it was logged
+// because its document could not be indexed (including the insert's
+// context ending first): the document is not in the index and the insert
+// is safe to retry. Detect it with errors.Is.
+var ErrNotApplied = engine.ErrNotApplied
 
 // WALCorruptError reports a write-ahead log that failed validation: an
 // uninterpretable file header, or (under Config.WALStrict) a torn or
@@ -440,18 +447,17 @@ func (x *queryable) run(ctx context.Context, q string, qo engine.QueryOptions) (
 // Query answers an XPath-subset query (child and descendant steps,
 // wildcards, branching predicates, value tests), returning matching
 // document ids in ascending order; a DynamicIndex answers over main +
-// delta. Value semantics are designator-level: two values in the same hash
-// bucket are indistinguishable; use QueryVerified for exact matching. It is
+// segments. Value semantics are designator-level: two values in the same
+// hash bucket are indistinguishable; use QueryVerified for exact matching. It is
 // QueryContext with context.Background().
 func (x *queryable) Query(q string) ([]int32, error) {
 	return x.QueryContext(context.Background(), q)
 }
 
 // QueryContext is Query honouring ctx: a cancelled or expired context
-// aborts the match loops (and a DynamicIndex's lazy delta rebuild)
-// promptly (checked every few hundred candidate entries), returning the
-// context's error — the escape hatch for runaway wildcard queries over
-// large corpora.
+// aborts the match loops promptly (checked every few hundred candidate
+// entries), returning the context's error — the escape hatch for runaway
+// wildcard queries over large corpora.
 func (x *queryable) QueryContext(ctx context.Context, q string) ([]int32, error) {
 	return x.run(ctx, q, engine.QueryOptions{})
 }
@@ -468,7 +474,7 @@ func (x *queryable) QueryVerifiedContext(ctx context.Context, q string) ([]int32
 }
 
 // QueryLimit is Query that stops after max distinct documents (max <= 0:
-// unlimited), counting across main + delta on a DynamicIndex. Useful for
+// unlimited), counting across main + segments on a DynamicIndex. Useful for
 // existence tests and first-page results. It is QueryLimitContext with
 // context.Background().
 func (x *queryable) QueryLimit(q string, max int) ([]int32, error) {
@@ -591,7 +597,7 @@ func cacheStats(eng engine.Engine) *QueryCacheStats {
 }
 
 // Stats returns index statistics. On a DynamicIndex the corpus includes
-// buffered documents; node and link counts cover the compacted main index.
+// pending documents; node and link counts cover the compacted main index.
 func (x *queryable) Stats() Stats {
 	st := Stats{
 		Documents:          x.eng.NumDocuments(),
@@ -916,10 +922,12 @@ func (s *Swapper) SwapFromFile(path string) (*Index, error) {
 }
 
 // DynamicIndex is an updatable index: documents can be inserted after
-// construction. New documents buffer in a small delta index; queries span
-// main + delta, and the delta folds into the main index on Compact (or
-// automatically once it reaches the compaction threshold). Safe for
-// concurrent use.
+// construction. Each new document is indexed once into a small frozen
+// segment, and segments merge geometrically (Bentley–Saxe), so a query
+// spans the main index plus about log₂(threshold) segments; every segment
+// folds into the main index on Compact (or automatically once the pending
+// documents reach the compaction threshold). No build ever blocks a query.
+// Safe for concurrent use.
 type DynamicIndex struct {
 	queryable // eng is d, possibly wrapped in a result cache
 	d         *engine.Dynamic
@@ -927,38 +935,46 @@ type DynamicIndex struct {
 	replay    wal.ReplayStats
 	// weights is the adaptive-resequencing vector the builder closure reads
 	// at build time: once Resequence installs it, every rebuild — the
-	// forced one, lazy delta builds, and future compactions — sequences
-	// under the weighted strategy, keeping main and delta order-compatible.
+	// forced one, segment builds, and future compactions — sequences under
+	// the weighted strategy. Every sub-engine carries its own sequencing,
+	// so engines built before and after the switch answer alike.
 	weights atomic.Pointer[map[string]float64]
 }
 
 // BuildDynamic builds an updatable index over an initial corpus (which may
-// be empty). threshold is the delta size that triggers automatic compaction
-// (<= 0: 1024). Config.Shards is honoured: with Shards > 1 every rebuild —
-// the initial build, lazy delta builds, and compactions — runs through the
-// sharded build path, so compaction parallelizes across BuildWorkers
-// workers and queries fan out across shards; results are identical to the
-// monolithic dynamic index either way. Config.QueryCacheEntries composes a
-// result cache over the whole dynamic engine, invalidated exactly on every
-// insert and compaction.
+// be empty). threshold is the pending-document count that triggers
+// automatic compaction (<= 0: 1024). Config.Shards is honoured: with
+// Shards > 1 every rebuild — the initial build, segment builds, and
+// compactions — runs through the sharded build path, so compaction
+// parallelizes across BuildWorkers workers and queries fan out across
+// shards; results are identical to the monolithic dynamic index either way.
+// Config.QueryCacheEntries composes a result cache over the whole dynamic
+// engine, invalidated exactly on every insert and compaction.
 //
 // Config.WALPath arms durable ingestion: the log at that path is replayed
 // on top of the initial corpus (entries whose document id the corpus
 // already holds are skipped — the overlap a crash between checkpointing
-// and log rotation leaves), then every insert is logged and fsynced before
+// and log rotation leaves) and the initial and replayed documents are
+// indexed by one build; then every insert is logged and fsynced before
 // it is acknowledged. Close the index when done so the final group commit
 // lands. The restart recipe after a Checkpoint: load the snapshot (built
 // with Config.KeepDocuments), pass its StoredDocuments as the initial
 // corpus, and keep the same WALPath — replay supplies everything newer
 // than the snapshot.
-func BuildDynamic(initial []*Document, cfg Config, threshold int) (_ *DynamicIndex, err error) {
+func BuildDynamic(initial []*Document, cfg Config, threshold int) (*DynamicIndex, error) {
+	return buildDynamic(initial, cfg, threshold, nil)
+}
+
+// buildDynamic is BuildDynamic with an optional wrapper around the engine
+// Builder, through which tests observe every build.
+func buildDynamic(initial []*Document, cfg Config, threshold int, wrap func(engine.Builder) engine.Builder) (_ *DynamicIndex, err error) {
 	defer guard(&err)
 	subCfg := cfg
 	// The cache layers over the dynamic engine as a whole, not inside the
 	// sub-engines it rebuilds.
 	subCfg.QueryCacheEntries = 0
 	di := &DynamicIndex{}
-	builder := func(ctx context.Context, inner []*xmltree.Document) (engine.Engine, error) {
+	var builder engine.Builder = func(ctx context.Context, inner []*xmltree.Document) (engine.Engine, error) {
 		wrapped := make([]*Document, len(inner))
 		for i, d := range inner {
 			wrapped[i] = &Document{id: d.ID, root: d.Root}
@@ -973,6 +989,9 @@ func BuildDynamic(initial []*Document, cfg Config, threshold int) (_ *DynamicInd
 		}
 		return ix.eng, nil
 	}
+	if wrap != nil {
+		builder = wrap(builder)
+	}
 	inner := make([]*xmltree.Document, len(initial))
 	for i, d := range initial {
 		if d == nil || d.root == nil {
@@ -980,12 +999,11 @@ func BuildDynamic(initial []*Document, cfg Config, threshold int) (_ *DynamicInd
 		}
 		inner[i] = &xmltree.Document{ID: d.id, Root: d.root}
 	}
-	dyn, err := engine.NewDynamic(builder, inner, threshold)
-	if err != nil {
-		return nil, err
-	}
-	di.d, di.eng = dyn, dyn
 	if cfg.WALPath != "" {
+		seen := make(map[int32]bool, len(inner))
+		for _, d := range inner {
+			seen[d.ID] = true
+		}
 		w, st, err := wal.Open(cfg.WALPath, wal.Options{
 			SyncWindow: cfg.WALSyncWindow,
 			Strict:     cfg.WALStrict,
@@ -994,20 +1012,34 @@ func BuildDynamic(initial []*Document, cfg Config, threshold int) (_ *DynamicInd
 				if err != nil {
 					return err
 				}
-				if dyn.Contains(doc.ID) {
+				if seen[doc.ID] {
 					// Already covered by the initial corpus — the entry
 					// predates a checkpoint whose rotation didn't land.
 					return nil
 				}
-				return dyn.InsertContext(context.Background(), doc)
+				seen[doc.ID] = true
+				inner = append(inner, doc)
+				return nil
 			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("xseq: wal %s: %w", cfg.WALPath, err)
 		}
-		dyn.AttachWAL(w, wal.EncodeDocument, st.LastSeq)
 		di.w, di.replay = w, st
+		defer func() {
+			if err != nil {
+				w.Close()
+			}
+		}()
 	}
+	dyn, err := engine.NewDynamic(builder, inner, threshold)
+	if err != nil {
+		return nil, err
+	}
+	if di.w != nil {
+		dyn.AttachWAL(di.w, wal.EncodeDocument, di.replay.LastSeq)
+	}
+	di.d, di.eng = dyn, dyn
 	if cfg.QueryCacheEntries > 0 {
 		di.eng = qcache.New(dyn, cfg.QueryCacheEntries)
 	}
@@ -1020,11 +1052,14 @@ func (d *DynamicIndex) Insert(doc *Document) error {
 	return d.InsertContext(context.Background(), doc)
 }
 
-// InsertContext adds one document under ctx (which governs any automatic
-// compaction the insert triggers). If that compaction fails — builder
-// error, panic, or cancellation — the document is still inserted and
-// queryable, the old main index keeps serving, and the failure is returned
-// as a *CompactionError; compaction retries at the next threshold crossing.
+// InsertContext adds one document under ctx, which governs indexing the
+// document: a failure there, ctx ending included, rejects the insert
+// before it is logged with an error wrapping ErrNotApplied. The segment
+// merges and automatic compaction the insert triggers run to completion
+// whatever happens to ctx. If that compaction fails — builder error or
+// panic — the document is still inserted and queryable, the old main index
+// keeps serving, and the failure is returned as a *CompactionError;
+// compaction retries at the next threshold crossing.
 func (d *DynamicIndex) InsertContext(ctx context.Context, doc *Document) (err error) {
 	defer guard(&err)
 	if doc == nil || doc.root == nil {
@@ -1033,7 +1068,7 @@ func (d *DynamicIndex) InsertContext(ctx context.Context, doc *Document) (err er
 	return d.d.InsertContext(ctx, &xmltree.Document{ID: doc.id, Root: doc.root})
 }
 
-// Compact folds buffered documents into the main index. On failure the
+// Compact folds pending documents into the main index. On failure the
 // index keeps serving its pre-compaction state and the error is a
 // *CompactionError; see CompactContext.
 func (d *DynamicIndex) Compact() error { return d.CompactContext(context.Background()) }
@@ -1051,7 +1086,7 @@ func (d *DynamicIndex) CompactContext(ctx context.Context) (err error) {
 // forces a full weighted rebuild of the main engine, re-sequencing every
 // document so frequently-queried paths sequence earlier — the dynamic
 // layout's half of online adaptive resequencing. The vector sticks: later
-// delta builds and compactions sequence under it too, until the next
+// segment builds and compactions sequence under it too, until the next
 // Resequence. Failure containment is compaction's exactly: a failed
 // rebuild is a counted *CompactionError (degraded Health), the serving
 // state is untouched, and queries keep answering from the old sequencing.
@@ -1071,7 +1106,7 @@ func (d *DynamicIndex) Resequence(ctx context.Context, weights map[string]float6
 // after a successful compaction (or if none ever failed).
 func (d *DynamicIndex) LastCompactionError() error { return d.d.LastCompactionError() }
 
-// NumDocuments reports the total corpus size including buffered documents.
+// NumDocuments reports the total corpus size including pending documents.
 func (d *DynamicIndex) NumDocuments() int { return d.d.NumDocuments() }
 
 // PendingDocuments reports how many documents await compaction.
@@ -1286,10 +1321,10 @@ func (d *DynamicIndex) Close() error {
 // Health summarizes a DynamicIndex's serving condition for health
 // endpoints. Degraded means the most recent compaction failed; the index is
 // still fully serviceable (queries answer over the pre-compaction state
-// plus the delta) and compaction retries automatically, so Degraded is a
+// plus the segments) and compaction retries automatically, so Degraded is a
 // "needs attention", not an outage.
 type Health struct {
-	// Documents is the total corpus size including buffered documents.
+	// Documents is the total corpus size including pending documents.
 	Documents int
 	// Pending is the number of documents awaiting compaction.
 	Pending int

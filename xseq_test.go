@@ -9,6 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"xseq/internal/engine"
+	"xseq/internal/xmltree"
 )
 
 const projectXML = `
@@ -485,8 +488,21 @@ func TestSwapper(t *testing.T) {
 }
 
 func TestDynamicHealth(t *testing.T) {
+	// fail, when set, runs before every compaction-sized build (the initial
+	// document plus two or more pending ones).
+	var fail func(ctx context.Context) error
+	wrap := func(b engine.Builder) engine.Builder {
+		return func(ctx context.Context, docs []*xmltree.Document) (engine.Engine, error) {
+			if fail != nil && len(docs) >= 3 {
+				if err := fail(ctx); err != nil {
+					return nil, err
+				}
+			}
+			return b(ctx, docs)
+		}
+	}
 	d0, _ := ParseDocumentString(0, `<P><R><L>boston</L></R></P>`)
-	dyn, err := BuildDynamic([]*Document{d0}, Config{}, 2)
+	dyn, err := buildDynamic([]*Document{d0}, Config{}, 2, wrap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,40 +510,69 @@ func TestDynamicHealth(t *testing.T) {
 	if h.Degraded || h.Documents != 1 || h.Pending != 0 || h.FailedCompactions != 0 {
 		t.Fatalf("fresh health = %+v", h)
 	}
-
-	// Drive an automatic compaction into failure with an already-cancelled
-	// context: the insert lands, the old state keeps serving, and Health
-	// reports degraded-but-serving.
 	d1, _ := ParseDocumentString(1, `<P><D><L>boston</L></D></P>`)
 	if err := dyn.Insert(d1); err != nil {
 		t.Fatal(err)
 	}
+
+	// The caller hangs up while its insert's automatic compaction runs: the
+	// compaction belongs to the index, so it lands anyway and nothing is
+	// counted as a failure.
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	fail = func(context.Context) error { cancel(); return nil }
 	d2, _ := ParseDocumentString(2, `<P><R><L>newyork</L></R></P>`)
-	err = dyn.InsertContext(ctx, d2)
-	var cerr *CompactionError
-	if !errors.As(err, &cerr) {
-		t.Fatalf("cancelled auto-compaction = %v, want *CompactionError", err)
+	if err := dyn.InsertContext(ctx, d2); err != nil {
+		t.Fatalf("insert whose caller left during compaction = %v", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the compaction build never ran")
 	}
 	h = dyn.Health()
-	if !h.Degraded || h.LastCompactionError == "" || h.FailedCompactions != 1 || h.Compactions != 0 {
+	if h.Degraded || h.FailedCompactions != 0 || h.Compactions != 1 || h.Documents != 3 || h.Pending != 0 {
+		t.Fatalf("health after a hang-up during compaction = %+v", h)
+	}
+
+	// A caller whose context has already ended is rejected before its
+	// document is logged or applied.
+	d3, _ := ParseDocumentString(3, `<P><R><L>chicago</L></R></P>`)
+	if err := dyn.InsertContext(ctx, d3); !errors.Is(err, ErrNotApplied) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("insert on an ended context = %v, want ErrNotApplied wrapping context.Canceled", err)
+	}
+	if h := dyn.Health(); h.Documents != 3 {
+		t.Fatalf("a rejected insert was applied: %+v", h)
+	}
+
+	// A builder failure in the next automatic compaction: the insert lands,
+	// the old state keeps serving, and Health reports degraded-but-serving.
+	fail = func(context.Context) error { return errors.New("injected build failure") }
+	if err := dyn.Insert(d3); err != nil {
+		t.Fatal(err)
+	}
+	d4, _ := ParseDocumentString(4, `<P><D><L>denver</L></D></P>`)
+	err = dyn.Insert(d4)
+	var cerr *CompactionError
+	if !errors.As(err, &cerr) {
+		t.Fatalf("failed auto-compaction = %v, want *CompactionError", err)
+	}
+	h = dyn.Health()
+	if !h.Degraded || h.LastCompactionError == "" || h.FailedCompactions != 1 || h.Compactions != 1 {
 		t.Fatalf("degraded health = %+v", h)
 	}
-	if h.Documents != 3 || h.Pending != 2 {
+	if h.Documents != 5 || h.Pending != 2 {
 		t.Fatalf("degraded health counts = %+v", h)
 	}
-	// Still serving: all three documents answer.
-	if ids, err := dyn.Query("//L"); err != nil || len(ids) != 3 {
+	// Still serving: all five documents answer.
+	if ids, err := dyn.Query("//L"); err != nil || len(ids) != 5 {
 		t.Fatalf("degraded query = %v, %v", ids, err)
 	}
 
 	// A successful compaction heals the summary.
+	fail = nil
 	if err := dyn.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	h = dyn.Health()
-	if h.Degraded || h.LastCompactionError != "" || h.Compactions != 1 || h.FailedCompactions != 1 || h.Pending != 0 {
+	if h.Degraded || h.LastCompactionError != "" || h.Compactions != 2 || h.FailedCompactions != 1 || h.Pending != 0 {
 		t.Fatalf("healed health = %+v", h)
 	}
 }
