@@ -57,6 +57,7 @@ func TestQueryAllocsAllLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flatPaged := flatServed(t, docs)
 
 	queries := []string{"/n0", "/n0/n1", "//n2", "/n0/*"}
 
@@ -65,8 +66,9 @@ func TestQueryAllocsAllLayouts(t *testing.T) {
 	// is O(shards) allocations on top of the monolithic kernel's; the
 	// dynamic engine with an empty delta adds only its dispatch; the flat
 	// engine reads the mapped bytes through the same pooled scratch as the
-	// monolithic kernel, so it shares its bound. Parsing the query string
-	// is included (a handful of pattern nodes).
+	// monolithic kernel, so it shares its bound, and its served page
+	// accounting (a pooled per-query pager) adds nothing. Parsing the query
+	// string is included (a handful of pattern nodes).
 	layouts := []struct {
 		name  string
 		query queryFn
@@ -76,6 +78,7 @@ func TestQueryAllocsAllLayouts(t *testing.T) {
 		{"sharded", sharded.Query, 160},
 		{"dynamic", dyn.Query, 60},
 		{"flat", flat.Query, 60},
+		{"flat, accounting attached", flatPaged.Query, 60},
 	}
 	for _, l := range layouts {
 		for _, q := range queries {
@@ -93,6 +96,20 @@ func TestQueryAllocsAllLayouts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flatServed builds a flat index with page accounting attached the way
+// xseqd serves one: a pool that holds every page of the file.
+func flatServed(t testing.TB, docs []*Document) *Index {
+	t.Helper()
+	ix, err := Build(docs, Config{Layout: LayoutFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.EnablePagedIO(int(ix.Stats().Flat.Pages)); err != nil {
+		t.Fatal(err)
+	}
+	return ix
 }
 
 // TestQueryAllocsTwigs holds the kernel to the shape of query the benchmark
@@ -121,6 +138,7 @@ func TestQueryAllocsTwigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flatPaged := flatServed(t, docs)
 	sharded, err := Build(docs, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +177,9 @@ func TestQueryAllocsTwigs(t *testing.T) {
 		heap := measure("monolithic", mono.Query, tw.mono)
 		if fl := measure("flat", flat.Query, tw.mono); fl != heap {
 			t.Errorf("%s: flat %.1f allocs/op, monolithic %.1f: one kernel must cost the same on both", tw.q, fl, heap)
+		}
+		if fl := measure("flat, accounting attached", flatPaged.Query, tw.mono); fl != heap {
+			t.Errorf("%s: flat with accounting %.1f allocs/op, monolithic %.1f: served accounting must add none", tw.q, fl, heap)
 		}
 		measure("sharded", sharded.Query, tw.sharded)
 		measure("dynamic", dyn.Query, tw.dynamic)

@@ -140,7 +140,9 @@ type FlatStats struct {
 	// attaches the pager, so /stats does not carry it.
 	PagerAttached bool `json:"-"`
 	// ResidentPages and ResidentBytes count the distinct pages queries
-	// have touched since the pager attached (bounded by the pool size).
+	// have touched since the pager attached. With a pool that covers the
+	// file (xseqd's) that is exact and at most Pages; a smaller pool caps
+	// it at its own size.
 	ResidentPages int64 `json:"resident_pages"`
 	ResidentBytes int64 `json:"resident_bytes"`
 	// Reads, Hits, and DiskAccesses are the buffer-pool counters;

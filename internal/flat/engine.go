@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"xseq/internal/engine"
-	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
@@ -68,72 +67,3 @@ func (ix *Index) Generation() uint64 { return 0 }
 
 // Encoder exposes the designator/path table (conversion and tests).
 func (ix *Index) Encoder() *pathenc.Encoder { return ix.enc }
-
-// AttachPager starts page-level accounting: every kernel read charges the
-// 4 KiB page(s) it touches, so pool.Stats reports the paper's disk-access
-// metric over the real layout and pool.Len the resident page count. It
-// returns the snapshot's total page count. Safe to call on a serving
-// index; queries pay one mutex acquisition per touched range while
-// attached.
-func (ix *Index) AttachPager(pool *pager.Pool) (int64, error) {
-	ix.pagerMu.Lock()
-	ix.pool = pool
-	ix.pagerMu.Unlock()
-	ix.pagerOn.Store(pool != nil)
-	return ix.TotalPages(), nil
-}
-
-// DetachPager stops page accounting.
-func (ix *Index) DetachPager() {
-	ix.pagerOn.Store(false)
-	ix.pagerMu.Lock()
-	ix.pool = nil
-	ix.pagerMu.Unlock()
-}
-
-// PagerStats returns the attached pool's counters (zero when detached).
-func (ix *Index) PagerStats() pager.Stats {
-	ix.pagerMu.Lock()
-	defer ix.pagerMu.Unlock()
-	if ix.pool == nil {
-		return pager.Stats{}
-	}
-	return ix.pool.Stats()
-}
-
-// ResetPagerStats zeroes the counters, keeping the pool warm.
-func (ix *Index) ResetPagerStats() {
-	ix.pagerMu.Lock()
-	defer ix.pagerMu.Unlock()
-	if ix.pool != nil {
-		ix.pool.ResetStats()
-	}
-}
-
-// DropPagerCache empties the pool (cold-cache measurements).
-func (ix *Index) DropPagerCache() {
-	ix.pagerMu.Lock()
-	defer ix.pagerMu.Unlock()
-	if ix.pool != nil {
-		ix.pool.Drop()
-	}
-}
-
-// PagerAttached reports whether page accounting is running.
-func (ix *Index) PagerAttached() bool { return ix.pagerOn.Load() }
-
-// ResidentPages reports how many distinct pages the attached pool holds
-// (0 when detached).
-func (ix *Index) ResidentPages() int64 {
-	ix.pagerMu.Lock()
-	defer ix.pagerMu.Unlock()
-	if ix.pool == nil {
-		return 0
-	}
-	return int64(ix.pool.Len())
-}
-
-// TotalPages is the snapshot's size in 4 KiB pages.
-func (ix *Index) TotalPages() int64 {
-	return (int64(len(ix.data)) + pager.PageSize - 1) / pager.PageSize
-}

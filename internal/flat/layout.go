@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"xseq/internal/match"
-	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 )
 
@@ -24,44 +23,11 @@ func (ix *Index) Link(p pathenc.PathID) *match.Link {
 	return &ix.links[p]
 }
 
-// Pager returns the accounting hook, nil when detached: the detached fast
-// path is this one atomic load per query.
-func (ix *Index) Pager() match.Pager {
-	if !ix.pagerOn.Load() {
-		return nil
-	}
-	return ix
-}
-
-// TouchLink charges the page holding link slot k's pre label.
-func (ix *Index) TouchLink(l *match.Link, k int32) {
-	ix.charge(l.Off+uint64(4*k), 4)
-}
-
-// touch charges the page(s) of the file range [off, off+n) when a pager is
-// attached.
-func (ix *Index) touch(off uint64, n int) {
-	if ix.pagerOn.Load() {
-		ix.charge(off, n)
-	}
-}
-
-func (ix *Index) charge(off uint64, n int) {
-	first := pager.PageID(off / pager.PageSize)
-	last := pager.PageID((off + uint64(n) - 1) / pager.PageSize)
-	ix.pagerMu.Lock()
-	if ix.pool != nil {
-		for p := first; p <= last; p++ {
-			ix.pool.Touch(p)
-		}
-	}
-	ix.pagerMu.Unlock()
-}
-
 // CollectDocs appends the doc ids of all end nodes with pre in [lo, hi],
-// decoding the varint-delta blocks in place. Every offset and varint is
-// bounds-checked; a violation returns a *CorruptError.
-func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
+// decoding the varint-delta blocks in place and charging the bytes it reads
+// to pg. Every offset and varint is bounds-checked; a violation returns a
+// *CorruptError.
+func (ix *Index) CollectDocs(lo, hi int32, out []int32, pg match.Pager) ([]int32, error) {
 	ev := &ix.ends
 	if ev.numBlocks == 0 {
 		return out, nil
@@ -88,7 +54,9 @@ func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
 		if count < 0 || count > endsBlockSize || entryPos > len(payload) || idsPos > len(payload) {
 			return out, corrupt("ends block %d directory out of range", b)
 		}
-		ix.touch(ev.fileOff+uint64(b*endsBlockDirLen)+8, endsBlockDirLen)
+		if pg != nil {
+			pg.TouchRange(ev.fileOff+uint64(b*endsBlockDirLen)+8, endsBlockDirLen)
+		}
 		pre := firstPre
 		for e := 0; e < count; e++ {
 			delta, next, ok := uvarint(payload, entryPos)
@@ -103,7 +71,9 @@ func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
 			if !ok {
 				return out, corrupt("ends block %d entry %d: truncated ids length", b, e)
 			}
-			ix.touch(ev.fileOff+uint64(entryPos), next3-entryPos)
+			if pg != nil {
+				pg.TouchRange(ev.fileOff+uint64(entryPos), next3-entryPos)
+			}
 			entryPos = next3
 			if delta > uint64(1)<<31 || idCount > uint64(1)<<31 || idsLen > uint64(len(payload)) {
 				return out, corrupt("ends block %d entry %d: implausible sizes", b, e)
@@ -119,7 +89,9 @@ func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
 				idsPos += int(idsLen)
 				continue
 			}
-			ix.touch(ev.fileOff+uint64(idsPos), int(idsLen))
+			if pg != nil {
+				pg.TouchRange(ev.fileOff+uint64(idsPos), int(idsLen))
+			}
 			stop := idsPos + int(idsLen)
 			id := int32(0)
 			for k := uint64(0); k < idCount; k++ {

@@ -14,7 +14,6 @@ import (
 
 	"xseq/internal/index"
 	"xseq/internal/match"
-	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
@@ -71,15 +70,10 @@ type Index struct {
 	docs     []*xmltree.Document
 	docsErr  error
 
-	// Page-level observability: when a pager.Pool is attached, every
-	// kernel read charges the 4 KiB page(s) it falls on, so the pool's
-	// counters report the paper's disk-access metric and resident-page
-	// count for real queries over the real layout. The pool is not
-	// concurrency-safe, hence the mutex; pagerOn keeps the detached fast
-	// path to one atomic load.
-	pagerOn atomic.Bool
-	pagerMu sync.Mutex
-	pool    *pager.Pool
+	// acct is the page accounting AttachPager installed, nil when detached:
+	// a lock-free touched-page bitmap when the pool covers the whole file,
+	// the pool's LRU behind a mutex otherwise (pages.go).
+	acct atomic.Pointer[accounting]
 }
 
 // section is one parsed section-table row.

@@ -325,7 +325,7 @@ func (ix *Index) scanLink(l *match.Link, k, hi int32) []Interval {
 // DocsInPreRange returns (appending to out) the ids of documents whose
 // sequences end at a node with pre ∈ [lo, hi].
 func (ix *Index) DocsInPreRange(lo, hi int32, out []int32) []int32 {
-	out, _ = ix.CollectDocs(lo, hi, out)
+	out, _ = ix.CollectDocs(lo, hi, out, ix.Pager())
 	return out
 }
 
@@ -334,13 +334,16 @@ type Interval struct {
 	Pre, Max int32
 }
 
-// CollectDocs appends the document ids of all end nodes with pre ∈ [lo,hi]
-// (match.Layout); heap lists cannot fail.
-func (ix *Index) CollectDocs(lo, hi int32, out []int32) ([]int32, error) {
+// CollectDocs appends the document ids of all end nodes with pre ∈ [lo,hi],
+// charging the doc-id slots it reads to pg (match.Layout); heap lists
+// cannot fail.
+func (ix *Index) CollectDocs(lo, hi int32, out []int32, pg match.Pager) ([]int32, error) {
 	i := sort.Search(len(ix.ends.pres), func(k int) bool { return ix.ends.pres[k] >= lo })
 	for ; i < len(ix.ends.pres) && ix.ends.pres[i] <= hi; i++ {
 		off, n := ix.ends.offs[i], ix.ends.lens[i]
-		ix.touchDocRange(off, n)
+		if pg != nil {
+			pg.TouchRange(uint64(off), int(n))
+		}
 		out = append(out, ix.ends.ids[off:off+n]...)
 	}
 	return out, nil

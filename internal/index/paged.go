@@ -112,13 +112,17 @@ func (pg *pagedLayout) TouchLink(l *match.Link, k int32) {
 	pg.pool.Touch(pager.PageID(l.Off) + pager.PageID(k/(pager.PageSize/linkEntryBytes)))
 }
 
-func (ix *Index) touchDocRange(off, n int32) {
-	if ix.pg == nil || n <= 0 {
+// TouchRange charges the pages holding doc-id slots [off, off+n).
+func (pg *pagedLayout) TouchRange(off uint64, n int) {
+	if n <= 0 {
 		return
 	}
-	first := ix.pg.docs.PageOf(int(off))
-	last := ix.pg.docs.PageOf(int(off + n - 1))
-	for pg := first; pg <= last; pg++ {
-		ix.pg.pool.Touch(pg)
+	first := pg.docs.PageOf(int(off))
+	last := pg.docs.PageOf(int(off) + n - 1)
+	for p := first; p <= last; p++ {
+		pg.pool.Touch(p)
 	}
 }
+
+// Release is a no-op: the simulated pool is the index's, not the query's.
+func (pg *pagedLayout) Release() {}

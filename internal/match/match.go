@@ -33,19 +33,27 @@ type Layout interface {
 	Link(p pathenc.PathID) *Link
 	// CollectDocs appends the document ids of all end nodes with
 	// pre ∈ [lo, hi] — "output the document id lists of node v and all
-	// nodes under v". Every id is within [0, Engine.MaxDocID].
-	CollectDocs(lo, hi int32, out []int32) ([]int32, error)
+	// nodes under v" — charging what it reads to pg when pg is not nil.
+	// Every id is within [0, Engine.MaxDocID].
+	CollectDocs(lo, hi int32, out []int32, pg Pager) ([]int32, error)
 	// LoadDocuments returns the retained corpus for verified queries, nil
 	// when the index was built without KeepDocuments.
 	LoadDocuments() ([]*xmltree.Document, error)
-	// Pager returns the page-accounting hook, nil when accounting is off.
+	// Pager hands one query its page-accounting hook, nil when accounting
+	// is off. Query fetches it once and releases it when the query ends.
 	Pager() Pager
 }
 
-// Pager is charged for every link slot the kernel reads while page
-// accounting is on.
+// Pager is one query's page accounting: it is charged for every link slot
+// the kernel reads and every range CollectDocs reads.
 type Pager interface {
+	// TouchLink charges the page holding slot k of l.
 	TouchLink(l *Link, k int32)
+	// TouchRange charges the pages of [off, off+n) in the layout's own
+	// address units (flat: file bytes; heap: doc-id slots).
+	TouchRange(off uint64, n int)
+	// Release ends the query's use of the hook, publishing what it counted.
+	Release()
 }
 
 // CorruptError reports index data that failed validation: a snapshot stream
@@ -145,8 +153,12 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 			tr.AddKernel(st.Instances, st.Orders, st.LinkProbes, st.EntriesScanned, st.CoverChecks, st.CoverRejections)
 		}()
 	}
+	pg := e.Layout.Pager()
+	if pg != nil {
+		defer pg.Release()
+	}
 	insts := pat.InstantiateScratch(e.Enc, e.ChildIdx, e.InstantiationLimit, &scr.inst)
-	res := resultSet{scr: scr, ids: scr.ids[:0], limit: qo.MaxResults, stats: qo.Stats, pager: e.Layout.Pager(), ctx: ctx}
+	res := resultSet{scr: scr, ids: scr.ids[:0], limit: qo.MaxResults, stats: qo.Stats, pager: pg, ctx: ctx}
 	enumLimit := e.OrderEnumerationLimit
 	if enumLimit <= 0 {
 		enumLimit = DefaultOrderEnumerationLimit

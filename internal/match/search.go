@@ -99,7 +99,7 @@ func (e *Engine) search(q sequence.Sequence, naive bool, res *resultSet) {
 				// "output the document id lists of node v and all nodes
 				// under v".
 				var err error
-				if scr.docBuf, err = e.Layout.CollectDocs(pre, max, scr.docBuf[:0]); err != nil {
+				if scr.docBuf, err = e.Layout.CollectDocs(pre, max, scr.docBuf[:0], pg); err != nil {
 					res.err = err
 					return
 				}

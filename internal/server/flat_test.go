@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,5 +169,118 @@ func TestFlatCorruptReloadKeepsServing(t *testing.T) {
 	}
 	if code, qr, _ := getQuery(t, ts.URL, "q="+matchAll); code != 200 || qr.Count != 3 {
 		t.Fatalf("after recovery: query = %d, %+v", code, qr)
+	}
+}
+
+// TestServeFlatAccountingRace: a served flat snapshot counts the page
+// touches of concurrent requests exactly — no read lost, every page's first
+// touch counted once — while the counters and GET /stats are read
+// throughout. Run with -race.
+func TestServeFlatAccountingRace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.flat")
+	buildFlatSnapshot(t, path, 40, false)
+	srv, err := New(Config{
+		IndexPath:      path,
+		ExpectLayout:   "flat",
+		DefaultTimeout: 30 * time.Second,
+		Logf:           silentLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ix := srv.swap.Current()
+	stats := func() (*xseq.FlatStats, error) {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var st statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			return nil, err
+		}
+		return st.Flat, nil
+	}
+	query := func(q string) error {
+		resp, err := http.Get(ts.URL + "/query?q=" + url.QueryEscape(q))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("query %s: HTTP %d", q, resp.StatusCode)
+		}
+		return nil
+	}
+
+	// A query's reads do not depend on what is resident.
+	queries := []string{matchAll, "/rec/title", "//city"}
+	var single int64
+	for _, q := range queries {
+		before := ix.IO().Reads
+		if err := query(q); err != nil {
+			t.Fatal(err)
+		}
+		single += ix.IO().Reads - before
+	}
+	if single == 0 {
+		t.Fatal("queries registered no page reads")
+	}
+	base := ix.IO().Reads
+
+	const workers, rounds = 4, 10
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			c := ix.IO()
+			fs := ix.Stats().Flat
+			if c.Hits+c.DiskAccesses != c.Reads || fs.ResidentPages > fs.Pages {
+				t.Errorf("mid-run: %+v, %d of %d pages resident", c, fs.ResidentPages, fs.Pages)
+			}
+			if st, err := stats(); err != nil || st.ResidentPages > st.Pages {
+				t.Errorf("mid-run /stats: %+v, %v", st, err)
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range queries {
+					if err := query(queries[(g+k)%len(queries)]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	<-polled
+
+	st, err := stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Reads-base, single*workers*rounds; got != want {
+		t.Errorf("/stats reads grew by %d, want %d (%d per pass × %d passes)", got, want, single, workers*rounds)
+	}
+	if st.DiskAccesses != st.ResidentPages || st.ResidentPages > st.Pages || st.ResidentPages == 0 {
+		t.Errorf("/stats: %d disk accesses, %d of %d pages resident", st.DiskAccesses, st.ResidentPages, st.Pages)
 	}
 }

@@ -784,6 +784,8 @@ func prepareSnapshot(cfg *Config, ix *xseq.Index) error {
 	// A flat snapshot serves with page accounting attached, the pool sized
 	// to hold every page: /stats then reports how much of the mapped file
 	// queries actually touch (resident vs mapped) and the disk-access count.
+	// A pool that size selects flat's lock-free touched-page bitmap, so the
+	// accounting puts no lock on the probe path.
 	if st := ix.Stats(); st.Flat != nil {
 		if _, err := ix.EnablePagedIO(int(st.Flat.Pages)); err != nil {
 			return err

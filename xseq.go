@@ -1354,15 +1354,16 @@ func (d *DynamicIndex) Health() Health {
 	return h
 }
 
-// IOStats reports simulated disk I/O counters (all zero until EnablePagedIO).
+// IOStats reports page-level I/O counters (all zero until EnablePagedIO):
+// simulated for a monolithic index, real page touches for a flat one.
 type IOStats struct {
 	Reads        int64
 	Hits         int64
 	DiskAccesses int64
 }
 
-// pagedEngine is the capability a layout must have for paged I/O
-// simulation; only the monolithic index has a single page layout.
+// pagedEngine is the capability a layout must have for page-level I/O
+// accounting; the monolithic and flat indexes each have one page image.
 type pagedEngine interface {
 	AttachPager(*pager.Pool) (int64, error)
 	DetachPager()
@@ -1378,11 +1379,15 @@ func (ix *Index) pagedEngine() pagedEngine {
 	return pe
 }
 
-// EnablePagedIO lays the index out on simulated 4 KiB pages behind an LRU
-// buffer pool of poolPages pages (<= 0: 256) and starts counting disk
-// accesses. It returns the on-disk page count. Paged I/O simulation is a
-// single-index instrument; layouts without one page image (sharded indexes)
-// return an error wrapping ErrUnsupported.
+// EnablePagedIO starts counting disk accesses behind a buffer pool of
+// poolPages 4 KiB pages (<= 0: 256) and returns the on-disk page count. A
+// monolithic index is laid out on simulated pages behind an LRU pool. A
+// flat index charges the real pages of its file: a pool at least as large
+// as the file can never evict, so its counts are kept exactly by a
+// lock-free touched-page bitmap (what xseqd attaches); a smaller pool is an
+// LRU that queries share under a mutex. Paged I/O is a single-index
+// instrument; layouts without one page image (sharded indexes) return an
+// error wrapping ErrUnsupported.
 func (ix *Index) EnablePagedIO(poolPages int) (int64, error) {
 	pe := ix.pagedEngine()
 	if pe == nil {
