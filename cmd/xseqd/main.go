@@ -122,7 +122,7 @@ func main() {
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget before in-flight queries are cancelled")
 		watch    = flag.Duration("watch", 0, "poll the snapshot file at this interval and hot-reload on change (0 = SIGHUP only)")
 		shards   = flag.Int("shards", 0, "require the snapshot (and every reload) to have exactly this many shards (0 = accept any layout)")
-		layout   = flag.String("layout", "", "require the snapshot (and every reload) to have this layout: monolithic, sharded, or flat (\"\" = accept any)")
+		layout   = flag.String("layout", "", "require the snapshot (and every reload) to have this layout: monolithic, sharded, or flat (\"\" = accept any); a single-partition snapshot is mapped under flat, read into memory otherwise")
 		workers  = flag.Int("workers", 0, "cap OS threads executing Go code, the parallelism of sharded query fan-out (0 = GOMAXPROCS default)")
 		qcache   = flag.Int("query-cache", 0, "cache up to this many query results per snapshot, invalidated on reload (0 = no cache); hit rates in /stats")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060); keep it private — off by default")

@@ -1,22 +1,22 @@
-// Command xseqflat converts a saved index snapshot (any heap layout
-// written by xseqquery -saveindex) to the flat single-file format, builds
-// flat snapshots straight from a corpus, and verifies existing flat
-// snapshots.
+// Command xseqflat writes and verifies single-partition snapshots. Every
+// single-partition snapshot is one XSEQFLAT file — xseqquery -saveindex
+// writes one too — so xseqflat builds one straight from a corpus, rewrites
+// a sharded snapshot as one, and checks one.
 //
 // Usage:
 //
-//	xseqflat -in corpus.idx -out corpus.flat     # convert heap → flat
-//	xseqflat -data corpus.xml -out corpus.flat   # build corpus → flat
+//	xseqflat -data corpus.xml -out corpus.flat   # build corpus → snapshot
+//	xseqflat -in sharded.idx -out corpus.flat    # sharded → one partition
 //	xseqflat -check corpus.flat                  # full checksum sweep
-//	xseqflat -in corpus.idx -out c.flat -verify  # convert, reopen, sweep
+//	xseqflat -in corpus.idx -out c.flat -verify  # rewrite, reopen, sweep
 //
-// The flat file opens in O(dictionary) time regardless of corpus size and
-// is queried in place through mmap — serve it with `xseqd -index corpus.flat
-// -layout flat`. Converting a sharded snapshot requires it to have been
+// The file opens in O(dictionary) time regardless of corpus size and is
+// queried in place through mmap — serve it with `xseqd -index corpus.flat
+// -layout flat`. Rewriting a sharded snapshot requires it to have been
 // built with KeepDocuments (the corpus is re-indexed as one partition).
 // -strategy selects the sequencing order for -data builds: gbest (the
 // default) or weighted; the positional baselines (depth-first,
-// breadth-first) cannot back a queryable flat snapshot and are refused.
+// breadth-first) cannot back a queryable snapshot and are refused.
 //
 // Exit codes: 0 success, 1 data error (unreadable input, unsupported
 // conversion, write failure), 2 usage, 4 corrupt snapshot.
@@ -55,12 +55,12 @@ func exitCode(err error) int {
 
 func main() {
 	var (
-		in     = flag.String("in", "", "input snapshot (monolithic, sharded, or already flat)")
-		data   = flag.String("data", "", "corpus XML file to index straight into a flat snapshot (alternative to -in)")
-		out    = flag.String("out", "", "output flat snapshot path (crash-safe: temp + fsync + rename)")
-		check  = flag.String("check", "", "verify this flat snapshot's checksums instead of converting")
-		verify = flag.Bool("verify", false, "after converting, reopen -out and run the full checksum sweep")
-		strat  = flag.String("strategy", "", "sequencing strategy for -data builds: gbest (default) or weighted; positional baselines are not flat-queryable")
+		in     = flag.String("in", "", "input snapshot (single-partition or sharded)")
+		data   = flag.String("data", "", "corpus XML file to index straight into a snapshot (alternative to -in)")
+		out    = flag.String("out", "", "output single-partition snapshot path (crash-safe: temp + fsync + rename)")
+		check  = flag.String("check", "", "verify this single-partition snapshot's checksums")
+		verify = flag.Bool("verify", false, "after writing, reopen -out and run the full checksum sweep")
+		strat  = flag.String("strategy", "", "sequencing strategy for -data builds: gbest (default) or weighted; positional baselines are not queryable")
 		quiet  = flag.Bool("q", false, "suppress the summary line")
 	)
 	flag.Parse()
@@ -70,7 +70,7 @@ func main() {
 		os.Exit(exitUsage)
 	}
 	if strategy == xseq.StrategyDepthFirst || strategy == xseq.StrategyBreadthFirst {
-		fmt.Fprintf(os.Stderr, "xseqflat: -strategy %s cannot back a queryable flat snapshot\n", strategy)
+		fmt.Fprintf(os.Stderr, "xseqflat: -strategy %s cannot back a queryable snapshot\n", strategy)
 		os.Exit(exitUsage)
 	}
 	if *strat != "" && *data == "" {
@@ -93,7 +93,7 @@ func main() {
 	case *data != "" && *out != "":
 		summary, err = buildFlat(*data, *out, strategy, *verify)
 	default:
-		fmt.Fprintln(os.Stderr, "xseqflat: need -in/-data and -out (convert/build) or -check (verify); see -h")
+		fmt.Fprintln(os.Stderr, "xseqflat: need -in/-data and -out (rewrite/build) or -check (verify); see -h")
 		os.Exit(exitUsage)
 	}
 	if err != nil {
@@ -105,7 +105,8 @@ func main() {
 	}
 }
 
-// checkFlat opens a flat snapshot and runs the full checksum sweep.
+// checkFlat maps a single-partition snapshot and runs the full checksum
+// sweep.
 func checkFlat(path string) (string, error) {
 	ix, err := xseq.LoadFile(path)
 	if err != nil {
@@ -113,7 +114,7 @@ func checkFlat(path string) (string, error) {
 	}
 	defer ix.Close()
 	if ix.Layout() != xseq.LayoutFlat {
-		return "", fmt.Errorf("%s: layout is %s, not flat (nothing to check — heap snapshots verify at load)", path, ix.Layout())
+		return "", fmt.Errorf("%s: layout is %s, not a single-partition snapshot", path, ix.Layout())
 	}
 	if err := ix.VerifyIntegrity(); err != nil {
 		return "", fmt.Errorf("%s: %w", path, err)
@@ -123,8 +124,8 @@ func checkFlat(path string) (string, error) {
 		path, st.Documents, st.IndexNodes, st.Flat.MappedBytes), nil
 }
 
-// buildFlat indexes a corpus file directly into a flat snapshot under the
-// named sequencing strategy.
+// buildFlat indexes a corpus file directly into a snapshot under the named
+// sequencing strategy.
 func buildFlat(data, out, strategy string, verify bool) (string, error) {
 	docs, err := xseq.LoadCorpusFile(data)
 	if err != nil {
@@ -156,8 +157,9 @@ func buildFlat(data, out, strategy string, verify bool) (string, error) {
 		data, out, st.Documents, st.IndexNodes, st.Flat.MappedBytes, strategy), nil
 }
 
-// convert loads any snapshot and writes it out flat; with verify it reopens
-// the result and runs the full checksum sweep before reporting success.
+// convert loads any snapshot and writes it out as one partition; with
+// verify it reopens the result and runs the full checksum sweep before
+// reporting success.
 func convert(in, out string, verify bool) (string, error) {
 	ix, err := xseq.LoadFile(in)
 	if err != nil {

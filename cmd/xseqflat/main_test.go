@@ -11,7 +11,7 @@ import (
 )
 
 // saveSnapshot builds an n-document index (optionally sharded) and saves it
-// in the heap format.
+// with SaveFile.
 func saveSnapshot(t *testing.T, path string, n, shards int) {
 	t.Helper()
 	docs := make([]*xseq.Document, n)
@@ -44,6 +44,10 @@ func TestConvertAndCheck(t *testing.T) {
 		in := filepath.Join(dir, tc.name+".idx")
 		out := filepath.Join(dir, tc.name+".flat")
 		saveSnapshot(t, in, 5, tc.shards)
+		// A single-partition SaveFile snapshot is already XSEQFLAT.
+		if _, err := checkFlat(in); (err == nil) != (tc.shards == 0) {
+			t.Fatalf("%s: check of the SaveFile snapshot: %v", tc.name, err)
+		}
 		summary, err := convert(in, out, true)
 		if err != nil {
 			t.Fatalf("%s: convert: %v", tc.name, err)
@@ -98,11 +102,11 @@ func TestCheckRejectsDamage(t *testing.T) {
 	}
 }
 
-func TestCheckRejectsHeapSnapshot(t *testing.T) {
+func TestCheckRejectsShardedSnapshot(t *testing.T) {
 	in := filepath.Join(t.TempDir(), "x.idx")
-	saveSnapshot(t, in, 2, 0)
+	saveSnapshot(t, in, 4, 2)
 	if _, err := checkFlat(in); err == nil {
-		t.Fatal("check accepted a heap snapshot")
+		t.Fatal("check accepted a sharded snapshot")
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 //	xseqquery -data corpus.xml "/site//person/*/age[text='32']" ...
 //	xseqquery -data corpus.xml -stats            # index statistics only
-//	xseqquery -data corpus.xml -io "/a/b"        # with simulated I/O costs
+//	xseqquery -data corpus.xml -io "/a/b"        # with page-level I/O costs
 //	xseqquery -data corpus.xml -verify "/a[b='x']"
 //	xseqquery -data corpus.xml -shards 8 "/a/b"  # partitioned parallel build + fan-out query
 //
@@ -65,7 +65,7 @@ func main() {
 		data    = flag.String("data", "", "corpus XML file (or use -loadindex)")
 		stats   = flag.Bool("stats", false, "print index statistics")
 		verify  = flag.Bool("verify", false, "verify candidates against stored documents (exact values)")
-		ioSim   = flag.Bool("io", false, "report simulated disk accesses per query")
+		ioSim   = flag.Bool("io", false, "report disk accesses (4 KiB pages of the index image) per query")
 		pool    = flag.Int("pool", 0, "buffer pool pages for -io (0 = default 256)")
 		maxIDs  = flag.Int("show", 20, "maximum result ids to print per query")
 		text    = flag.Bool("text", false, "index values as character sequences (enables [text='p*'] prefix queries)")
@@ -86,7 +86,7 @@ func main() {
 		os.Exit(exitUsage)
 	}
 	if *ioSim && *shards > 1 {
-		fmt.Fprintln(os.Stderr, "xseqquery: -io is monolithic-only (sharded indexes have no paged layout)")
+		fmt.Fprintln(os.Stderr, "xseqquery: -io needs a single partition (a sharded index has no one page image)")
 		os.Exit(exitUsage)
 	}
 	strategy, err := xseq.CanonicalStrategy(*strat)
@@ -123,6 +123,11 @@ func main() {
 	case *loadIdx != "":
 		var err error
 		ix, err = xseq.LoadFile(*loadIdx)
+		if err == nil {
+			// LoadFile maps the snapshot and checks only its head; check
+			// the rest before answering from it.
+			err = ix.VerifyIntegrity()
+		}
 		if err != nil {
 			fail(err, "%v", err)
 		}
@@ -183,7 +188,7 @@ func main() {
 		if err != nil {
 			fail(err, "%v", err)
 		}
-		fmt.Printf("paged layout: %d pages of 4KiB\n", pages)
+		fmt.Printf("index image: %d pages of 4KiB\n", pages)
 	}
 
 	for _, q := range flag.Args() {

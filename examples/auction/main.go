@@ -1,6 +1,7 @@
 // Auction: index an XMark-like corpus (item / person / open_auction /
 // closed_auction substructure records) and run the paper's Table 4 queries
-// with simulated disk I/O accounting — the Table 7 experiment as a program.
+// with page-level disk I/O accounting over the index image — the Table 7
+// experiment as a program.
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	s := ix.Stats()
-	fmt.Printf("indexed %d auction records: %d trie nodes on %d simulated 4KiB pages\n\n",
+	fmt.Printf("indexed %d auction records: %d trie nodes on %d 4KiB pages\n\n",
 		s.Documents, s.IndexNodes, pages)
 
 	queries := []struct{ name, text string }{

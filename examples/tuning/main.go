@@ -3,7 +3,7 @@
 // queried, highly selective element makes it sequence earlier, so queries
 // that use it cut the search space sooner. The program builds the same
 // corpus twice — unweighted and with the selective element promoted — and
-// compares simulated disk accesses and time for the same query workload.
+// compares disk accesses and time for the same query workload.
 package main
 
 import (

@@ -5,82 +5,76 @@ import (
 	"fmt"
 	"io"
 
-	"xseq/internal/engine"
 	"xseq/internal/flat"
-	"xseq/internal/index"
 	"xseq/internal/shard"
 )
 
-// LayoutFlat is the Config.Layout value selecting the flat single-file
-// layout: the built index is immediately converted to the mmap-able flat
-// format and queried in place. See SaveFlat for converting an existing
-// index.
+// LayoutFlat is the Config.Layout value for the flat layout. Every
+// single-partition index is an XSEQFLAT image; the layout names how one is
+// held. "monolithic" (Config.Layout "", Load) keeps the image on the Go
+// heap, verified in full when loaded; "flat" (LayoutFlat, LoadFile) serves
+// it in place — memory-mapped when loaded from a file — and reports its
+// storage figures in Stats.Flat.
 const LayoutFlat = "flat"
 
 // Layout names the index's storage organization: "monolithic", "sharded",
 // or "flat".
 func (ix *Index) Layout() string {
-	switch ix.baseEngine().(type) {
-	case *flat.Index:
-		return "flat"
-	case *shard.Index:
-		return "sharded"
-	default:
-		return "monolithic"
+	if ix.flat {
+		return LayoutFlat
 	}
+	if _, ok := ix.baseEngine().(*shard.Index); ok {
+		return "sharded"
+	}
+	return "monolithic"
 }
 
-// flatEngine returns the underlying flat engine, nil for other layouts.
+// flatEngine returns the underlying engine of the flat layout, nil for
+// other layouts.
 func (ix *Index) flatEngine() *flat.Index {
+	if !ix.flat {
+		return nil
+	}
 	f, _ := ix.baseEngine().(*flat.Index)
 	return f
 }
 
-// SaveFlat converts the index to the flat single-file format and writes it
-// to w. A monolithic index converts directly; a flat index copies its
-// bytes; a sharded index rebuilds one monolithic image from its retained
-// corpus first (requires Config.KeepDocuments — without the documents
-// there is nothing to rebuild from, and the error wraps ErrUnsupported).
-// For a DynamicIndex, checkpoint it and convert the snapshot.
-//
-// The written snapshot is opened with Load/LoadFile like any other; opening
-// it costs O(dictionary) regardless of corpus size, and on platforms with
-// mmap the file is queried in place without being read up front.
+// SaveFlat writes the index as a single-partition snapshot. A
+// single-partition index writes exactly what Save writes; a sharded index
+// rebuilds one partition from its retained corpus first (requires
+// Config.KeepDocuments — without the documents there is nothing to rebuild
+// from, and the error wraps ErrUnsupported). For a DynamicIndex, checkpoint
+// it instead.
 func (ix *Index) SaveFlat(w io.Writer) (err error) {
 	defer guard(&err)
-	if f := ix.flatEngine(); f != nil {
-		return f.Save(w)
-	}
-	ex, err := ix.flatExport()
+	f, err := ix.singlePartition()
 	if err != nil {
 		return err
 	}
-	return flat.Write(w, ex)
+	return f.Save(w)
 }
 
 // SaveFlatFile is SaveFlat to a file, crash-safely (temp + fsync + atomic
 // rename; a previous file at path survives a failure intact).
 func (ix *Index) SaveFlatFile(path string) (err error) {
 	defer guard(&err)
-	if f := ix.flatEngine(); f != nil {
-		return f.SaveFile(path)
-	}
-	ex, err := ix.flatExport()
+	f, err := ix.singlePartition()
 	if err != nil {
 		return err
 	}
-	return flat.WriteFile(path, ex)
+	return f.SaveFile(path)
 }
 
-// flatExport produces the flat-format source material for any heap engine.
-func (ix *Index) flatExport() (*index.Export, error) {
+// singlePartition returns the index's one XSEQFLAT image, rebuilding a
+// sharded index's retained corpus as one partition.
+func (ix *Index) singlePartition() (*flat.Index, error) {
 	switch eng := ix.baseEngine().(type) {
-	case *index.Index:
-		return eng.Export()
+	case *flat.Index:
+		return eng, nil
 	case *shard.Index:
 		docs := eng.Documents()
 		if docs == nil {
-			return nil, fmt.Errorf("xseq: flat conversion of a sharded index requires Config.KeepDocuments (rebuilds one monolithic image from the corpus): %w", ErrUnsupported)
+			return nil, fmt.Errorf("xseq: single-partition save of a sharded index requires Config.KeepDocuments (rebuilds one partition from the corpus): %w", ErrUnsupported)
 		}
 		enc := eng.Shard(0).Encoder()
 		rebuilt, _, err := buildPartition(context.Background(), docs, Config{
@@ -90,21 +84,21 @@ func (ix *Index) flatExport() (*index.Export, error) {
 			BulkLoad:      true,
 		}, false)
 		if err != nil {
-			return nil, fmt.Errorf("xseq: flat conversion rebuild: %w", err)
+			return nil, fmt.Errorf("xseq: single-partition rebuild: %w", err)
 		}
-		return rebuilt.Export()
+		return rebuilt, nil
 	default:
-		return nil, fmt.Errorf("xseq: flat conversion of layout %q: %w", ix.Layout(), ErrUnsupported)
+		return nil, fmt.Errorf("xseq: single-partition save of layout %q: %w", ix.Layout(), ErrUnsupported)
 	}
 }
 
-// VerifyIntegrity runs the deepest integrity pass the layout supports. For
-// a flat snapshot that is the full checksum sweep over every section —
-// opening only verifies the dictionary head, so this is what a serving
-// layer calls before publishing a reloaded snapshot (corruption then keeps
-// the old snapshot serving instead of surfacing mid-query). Heap layouts
-// verified everything at load time already; for them this is a no-op.
-// Damage is reported as a *CorruptError.
+// VerifyIntegrity runs the deepest integrity pass the layout needs. For
+// the flat layout that is the full checksum sweep over every section,
+// which a mapped open skips, so this is what a serving layer calls before
+// publishing a reloaded snapshot (corruption then keeps the old snapshot
+// serving instead of surfacing mid-query). The monolithic and sharded
+// layouts verified checksums and structure at load time already; for them
+// this is a no-op. Damage is reported as a *CorruptError.
 func (ix *Index) VerifyIntegrity() (err error) {
 	defer guard(&err)
 	if f := ix.flatEngine(); f != nil {
@@ -114,12 +108,13 @@ func (ix *Index) VerifyIntegrity() (err error) {
 }
 
 // Close releases resources the layout holds outside the Go heap — the mmap
-// of a flat snapshot. Heap layouts close as a no-op. Idempotent; no
-// queries may be in flight or issued afterwards. An unclosed flat index is
-// unmapped by a finalizer when it becomes unreachable, so a Swapper
-// dropping old snapshots without closing them does not leak mappings.
+// of a snapshot opened by LoadFile. Other indexes close as a no-op.
+// Idempotent; no queries may be in flight or issued afterwards. An unclosed
+// mapped index is unmapped by a finalizer when it becomes unreachable, so a
+// Swapper dropping old snapshots without closing them does not leak
+// mappings.
 func (ix *Index) Close() error {
-	if f := ix.flatEngine(); f != nil {
+	if f, ok := ix.baseEngine().(*flat.Index); ok {
 		return f.Close()
 	}
 	return nil
@@ -128,12 +123,12 @@ func (ix *Index) Close() error {
 // FlatStats reports the flat layout's real storage figures — the
 // resident-vs-mapped pair the paper's page-oriented cost model is about.
 type FlatStats struct {
-	// MappedBytes is the snapshot file size (the whole mapped image).
+	// MappedBytes is the image size (the whole mapped file).
 	MappedBytes int64 `json:"mapped_bytes"`
 	// Pages is MappedBytes in 4 KiB pages.
 	Pages int64 `json:"pages"`
-	// Mmapped reports whether the snapshot is memory-mapped (false: read
-	// into the heap, the ReadAt fallback).
+	// Mmapped reports whether the snapshot is memory-mapped (false: held on
+	// the Go heap — built in memory, or the ReadAt fallback).
 	Mmapped bool `json:"mmapped"`
 	// PagerAttached reports whether page-level accounting is running
 	// (EnablePagedIO). The fields below are zero without it. xseqd always
@@ -152,23 +147,24 @@ type FlatStats struct {
 	DiskAccesses int64 `json:"disk_accesses"`
 }
 
-// flatStats assembles FlatStats for a flat engine, nil otherwise.
-func flatStats(eng engine.Engine) *FlatStats {
-	f, ok := eng.(*flat.Index)
-	if !ok {
-		return nil
+// Stats returns index statistics; Stats.Flat is set for the flat layout.
+func (ix *Index) Stats() Stats {
+	st := ix.queryable.Stats()
+	f := ix.flatEngine()
+	if f == nil {
+		return st
 	}
-	st := &FlatStats{
+	st.Flat = &FlatStats{
 		MappedBytes: f.MappedBytes(),
 		Pages:       f.TotalPages(),
 		Mmapped:     f.Mmapped(),
 	}
 	if f.PagerAttached() {
 		ps := f.PagerStats()
-		st.PagerAttached = true
-		st.ResidentPages = f.ResidentPages()
-		st.ResidentBytes = st.ResidentPages * 4096
-		st.Reads, st.Hits, st.DiskAccesses = ps.Reads, ps.Hits, ps.Misses
+		st.Flat.PagerAttached = true
+		st.Flat.ResidentPages = f.ResidentPages()
+		st.Flat.ResidentBytes = st.Flat.ResidentPages * 4096
+		st.Flat.Reads, st.Flat.Hits, st.Flat.DiskAccesses = ps.Reads, ps.Hits, ps.Misses
 	}
 	return st
 }

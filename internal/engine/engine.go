@@ -9,7 +9,7 @@
 // from any storage organization, and callers dispatch through exactly one
 // Engine value instead of branching on engine kind.
 //
-// Implementations: index.Index (monolithic), shard.Index (hash-partitioned
+// Implementations: flat.Index (one partition), shard.Index (hash-partitioned
 // fan-out), engine.Dynamic (updatable base+delta over any Builder), and
 // qcache.Cache (a memoizing wrapper composable over all of the above).
 //
@@ -30,7 +30,7 @@ import (
 )
 
 // ErrUnsupported reports an operation the engine's layout cannot perform —
-// paged I/O simulation on a sharded index, Save on a dynamic engine, a
+// paged I/O accounting on a sharded index, Save on a dynamic engine, a
 // schema outline where no schema was retained. It is a sentinel: detect it
 // with errors.Is; the wrapping error names the operation and the layout.
 var ErrUnsupported = errors.New("operation not supported by this index layout")

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xseq/internal/datagen"
 	"xseq/internal/engine"
-	"xseq/internal/index"
+	"xseq/internal/match"
 	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
+	"xseq/internal/trie"
 	"xseq/internal/xmltree"
 )
 
@@ -39,8 +42,9 @@ func corpus(t testing.TB, name string, n int) []*xmltree.Document {
 	return docs
 }
 
-// buildMono builds the reference monolithic index.
-func buildMono(t testing.TB, docs []*xmltree.Document, keep bool) *index.Index {
+// buildMono builds an index over docs the way index.BuildContext does:
+// g_best over the inferred schema and the corpus repeat set.
+func buildMono(t testing.TB, docs []*xmltree.Document, keep bool) *Index {
 	t.Helper()
 	roots := make([]*xmltree.Node, len(docs))
 	for i, d := range docs {
@@ -51,26 +55,25 @@ func buildMono(t testing.TB, docs []*xmltree.Document, keep bool) *index.Index {
 		t.Fatal(err)
 	}
 	enc := pathenc.NewEncoder(0)
-	ix, err := index.Build(docs, index.Options{
-		Encoder:       enc,
-		Strategy:      sequence.NewProbability(sch, enc),
-		KeepDocuments: keep,
-	})
-	if err != nil {
-		t.Fatal(err)
+	st := sequence.NewProbability(sch, enc)
+	st.SetRepeatPaths(sequence.RepeatPaths(roots, enc))
+	tr := trie.New()
+	h := Head{Enc: enc, Strategy: st, NumDocs: len(docs)}
+	for _, d := range docs {
+		tr.Insert(st.Sequence(d.Root), d.ID)
+		h.MaxDocID = max(h.MaxDocID, d.ID)
 	}
-	return ix
+	if keep {
+		h.Docs = docs
+	}
+	return Build(tr, h)
 }
 
-// flatten converts an index to an opened flat snapshot held in memory.
-func flatten(t testing.TB, ix *index.Index, opts Options) (*Index, []byte) {
+// flatten saves ix and opens the bytes as a snapshot held in memory.
+func flatten(t testing.TB, ix *Index, opts Options) (*Index, []byte) {
 	t.Helper()
-	ex, err := ix.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := Write(&buf, ex); err != nil {
+	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	f, err := OpenBytes(buf.Bytes(), opts)
@@ -111,14 +114,14 @@ var testQueries = map[string][]string{
 	},
 }
 
-// TestFlatEquivalence: the flat engine must answer every query mode
-// exactly like the monolithic index it was converted from — plain,
-// verified, stats-carrying, and limited.
+// TestFlatEquivalence: a saved and reopened snapshot must answer every
+// query mode exactly like the index built in memory — plain, verified,
+// stats-carrying, and limited.
 func TestFlatEquivalence(t *testing.T) {
 	for corpusName, queries := range testQueries {
 		docs := corpus(t, corpusName, 250)
 		mono := buildMono(t, docs, true)
-		f, _ := flatten(t, mono, Options{VerifyChecksums: true})
+		f, _ := flatten(t, mono, Options{Verify: true})
 		if f.NumDocuments() != mono.NumDocuments() {
 			t.Fatalf("%s: NumDocuments %d, want %d", corpusName, f.NumDocuments(), mono.NumDocuments())
 		}
@@ -189,17 +192,13 @@ func TestFlatEquivalence(t *testing.T) {
 	}
 }
 
-// TestFlatFileRoundtrip: WriteFile → OpenFile (mapped and unmapped) both
-// answer like the source index, and Close is idempotent.
+// TestFlatFileRoundtrip: SaveFile → OpenFile (mapped and unmapped) both
+// answer like the built index, and Close is idempotent.
 func TestFlatFileRoundtrip(t *testing.T) {
 	docs := corpus(t, "xmark", 120)
 	mono := buildMono(t, docs, false)
-	ex, err := mono.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "x.flat")
-	if err := WriteFile(path, ex); err != nil {
+	if err := mono.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -250,7 +249,7 @@ func TestFlatSaveCopies(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), blob) {
 		t.Fatal("Save did not reproduce the snapshot bytes")
 	}
-	if _, err := OpenBytes(out.Bytes(), Options{VerifyChecksums: true}); err != nil {
+	if _, err := OpenBytes(out.Bytes(), Options{Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -293,7 +292,7 @@ func TestFlatPagerAccounting(t *testing.T) {
 
 // TestFlatCorruptionDetected: every class of damage — truncation anywhere,
 // bit flips in every region, forged section lengths — fails the
-// full-verification open with *index.CorruptError and never panics.
+// full-verification open with *match.CorruptError and never panics.
 func TestFlatCorruptionDetected(t *testing.T) {
 	docs := corpus(t, "xmark", 60)
 	mono := buildMono(t, docs, true)
@@ -301,13 +300,13 @@ func TestFlatCorruptionDetected(t *testing.T) {
 
 	check := func(name string, data []byte) {
 		t.Helper()
-		_, err := OpenBytes(data, Options{VerifyChecksums: true})
+		_, err := OpenBytes(data, Options{Verify: true})
 		if err == nil {
 			t.Fatalf("%s: full-verify open accepted damaged snapshot", name)
 		}
-		var ce *index.CorruptError
+		var ce *match.CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("%s: error %v, want *index.CorruptError", name, err)
+			t.Fatalf("%s: error %v, want *match.CorruptError", name, err)
 		}
 	}
 
@@ -356,17 +355,17 @@ func TestFlatLazyOpenQueriesNeverPanic(t *testing.T) {
 		mut[off] ^= 0x40
 		f, err := OpenBytes(mut, Options{})
 		if err != nil {
-			var ce *index.CorruptError
+			var ce *match.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("open at %d: error %v, want *index.CorruptError", off, err)
+				t.Fatalf("open at %d: error %v, want *match.CorruptError", off, err)
 			}
 			continue
 		}
 		for _, pat := range pats {
 			if _, err := f.QueryWithContext(ctx, pat, engine.QueryOptions{}); err != nil {
-				var ce *index.CorruptError
+				var ce *match.CorruptError
 				if !errors.As(err, &ce) && ctx.Err() == nil {
-					t.Fatalf("query after flip at %d: error %v, want *index.CorruptError", off, err)
+					t.Fatalf("query after flip at %d: error %v, want *match.CorruptError", off, err)
 				}
 			}
 		}
@@ -374,7 +373,7 @@ func TestFlatLazyOpenQueriesNeverPanic(t *testing.T) {
 }
 
 // FuzzFlatLoad hammers OpenBytes + the query kernel with arbitrary bytes:
-// whatever the damage, opening either fails with *index.CorruptError or
+// whatever the damage, opening either fails with *match.CorruptError or
 // yields an index whose queries run to completion without panicking.
 func FuzzFlatLoad(f *testing.F) {
 	docs := corpus(f, "L3F5A25I0P40", 30)
@@ -395,17 +394,184 @@ func FuzzFlatLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := OpenBytes(data, Options{})
 		if err != nil {
-			var ce *index.CorruptError
+			var ce *match.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("open error %v, want *index.CorruptError", err)
+				t.Fatalf("open error %v, want *match.CorruptError", err)
 			}
 			return
 		}
 		if _, err := ix.QueryWithContext(context.Background(), pat, engine.QueryOptions{}); err != nil {
-			var ce *index.CorruptError
+			var ce *match.CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("query error %v, want *index.CorruptError", err)
+				t.Fatalf("query error %v, want *match.CorruptError", err)
 			}
 		}
 	})
+}
+
+// reseal recomputes every section checksum and the header checksum of a
+// snapshot a test edited, so that only the structural checks stand between
+// the damage and a query.
+func reseal(blob []byte) {
+	for id := 1; id <= numSections; id++ {
+		row := blob[headerFixedLen+(id-1)*sectionEntryLen:]
+		off, n := le.Uint64(row[8:]), le.Uint64(row[16:])
+		le.PutUint32(row[4:], crc32.ChecksumIEEE(blob[off:off+n]))
+	}
+	le.PutUint32(blob[headerLen-4:], crc32.ChecksumIEEE(blob[:headerLen-4]))
+}
+
+// sectionOf returns section id of a snapshot's bytes.
+func sectionOf(blob []byte, id int) []byte {
+	row := blob[headerFixedLen+(id-1)*sectionEntryLen:]
+	off, n := le.Uint64(row[8:]), le.Uint64(row[16:])
+	return blob[off : off+n]
+}
+
+// identicalSiblings is an XMark corpus whose links carry cover metadata.
+func identicalSiblings(t testing.TB, n int) []*xmltree.Document {
+	t.Helper()
+	_, docs, err := datagen.XMark(datagen.XMarkOptions{IdenticalSiblings: true, Seed: 3}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return docs
+}
+
+// TestFlatForgedSnapshots: damage that keeps every checksum valid — a link
+// directory row aliasing another path's link, an anc pointer that does not
+// point back, end blocks out of order — and snapshots of another format or
+// version fail the verified open with a *CorruptError that names the
+// problem.
+func TestFlatForgedSnapshots(t *testing.T) {
+	_, blob := flatten(t, buildMono(t, identicalSiblings(t, 60), false), Options{})
+	cases := []struct {
+		name, want string
+		forge      func(b []byte)
+	}{
+		{"duplicate link", "overlaps another link", func(b []byte) {
+			dir := sectionOf(b, secLinkDir)
+			var rows [][]byte
+			for p := 0; len(rows) < 2; p++ {
+				if row := dir[p*linkDirEntryLen : (p+1)*linkDirEntryLen]; le.Uint32(row) > 0 {
+					rows = append(rows, row)
+				}
+			}
+			copy(rows[1], rows[0])
+			reseal(b)
+		}},
+		{"forged anc", "not earlier", func(b []byte) {
+			dir, links := sectionOf(b, secLinkDir), sectionOf(b, secLinks)
+			for p := 0; p*linkDirEntryLen < len(dir); p++ {
+				row := dir[p*linkDirEntryLen:]
+				if n := int(le.Uint32(row)); n > 0 && le.Uint32(row[4:])&linkHasCover != 0 {
+					anc := links[le.Uint64(row[8:])+uint64(8*n):]
+					for k := 0; k < n; k++ {
+						if int32(le.Uint32(anc[4*k:])) >= 0 {
+							le.PutUint32(anc[4*k:], uint32(k))
+							reseal(b)
+							return
+						}
+					}
+				}
+			}
+			t.Fatal("corpus has no cover metadata to forge")
+		}},
+		{"end blocks out of order", "not after", func(b []byte) {
+			ends := sectionOf(b, secEnds)
+			le.PutUint32(ends[4+endsDirRowLen:], le.Uint32(ends[4:]))
+			reseal(b)
+		}},
+		{"format version 1", "rebuild", func(b []byte) {
+			le.PutUint32(b[8:], 1)
+			reseal(b)
+		}},
+		{"unknown magic", "bad magic", func(b []byte) { b[0] = 'Y' }},
+		{"gob stream", "XSEQIDX2", func(b []byte) { copy(b, "XSEQIDX2") }},
+	}
+	for _, c := range cases {
+		b := bytes.Clone(blob)
+		c.forge(b)
+		_, err := OpenBytes(b, Options{Verify: true})
+		var ce *match.CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: open error %v, want *match.CorruptError mentioning %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestFlatEveryBitFlip: one flipped bit anywhere in a snapshot — header,
+// section table, padding or any section — fails the verified open with a
+// *CorruptError.
+func TestFlatEveryBitFlip(t *testing.T) {
+	_, blob := flatten(t, buildMono(t, corpus(t, "L3F5A25I0P40", 4), true), Options{})
+	for off := range blob {
+		bit := byte(1) << (off % 8)
+		blob[off] ^= bit
+		_, err := OpenBytes(blob, Options{Verify: true})
+		blob[off] ^= bit
+		var ce *match.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("bit %d of byte %d flipped: open error %v, want *match.CorruptError", off%8, off, err)
+		}
+	}
+}
+
+// TestCheckInvariantsDetectsCorruption: each broken invariant of a built
+// index — in a link's labels or cover columns, in the end-node table, or
+// in the bounds the head records — is reported.
+func TestCheckInvariantsDetectsCorruption(t *testing.T) {
+	docs := identicalSiblings(t, 20)
+	firstLink := func(ix *Index, ok func(l *match.Link) bool) *match.Link {
+		for p := range ix.links {
+			if l := &ix.links[p]; l.Len() > 0 && ok(l) {
+				return l
+			}
+		}
+		t.Fatal("no link fits the corruption")
+		return nil
+	}
+	anyLink := func(*match.Link) bool { return true }
+	cover := func(l *match.Link) bool { return l.HasCover() }
+	corruptions := []struct {
+		name string
+		mut  func(ix *Index)
+	}{
+		{"inverted interval", func(ix *Index) {
+			l := firstLink(ix, anyLink)
+			l.Set(0, l.Pre(0), l.Pre(0)-1)
+		}},
+		{"unsorted link", func(ix *Index) {
+			l := firstLink(ix, func(l *match.Link) bool { return l.Len() >= 2 })
+			l.Set(0, l.Pre(1), l.Max(0))
+		}},
+		{"forward anc", func(ix *Index) {
+			l := firstLink(ix, cover)
+			l.SetAnc(0, l.Len())
+		}},
+		{"anc without embeds mark", func(ix *Index) {
+			l := firstLink(ix, cover)
+			for k := int32(0); k < l.Len(); k++ {
+				if a := l.Anc(k); a >= 0 {
+					ix.data[l.Off+uint64(12*l.Len()+a/8)] &^= 1 << (a % 8)
+					return
+				}
+			}
+		}},
+		{"end blocks out of order", func(ix *Index) {
+			le.PutUint32(ix.ends.s[4+endsDirRowLen:], le.Uint32(ix.ends.s[4:]))
+		}},
+		{"doc id out of range", func(ix *Index) { ix.meta.MaxDocID = 0 }},
+		{"serial out of range", func(ix *Index) { ix.meta.MaxSerial = 1 }},
+	}
+	for _, c := range corruptions {
+		ix := buildMono(t, docs, false)
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: pre-corruption check failed: %v", c.name, err)
+		}
+		c.mut(ix)
+		if err := ix.CheckInvariants(); err == nil {
+			t.Errorf("%s: corruption not detected", c.name)
+		}
+	}
 }

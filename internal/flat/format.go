@@ -1,102 +1,113 @@
-// Package flat is the fourth storage organization of the constraint-sequence
-// index: a single-file snapshot laid out as offset-addressed arrays that are
-// queried in place, with no decode step between the bytes on disk and the
-// match kernel. A snapshot is opened with mmap (ReadAt fallback on platforms
-// without it), so open cost is O(dictionary) — independent of corpus size —
-// and a corpus larger than RAM is serveable: the kernel only ever touches
-// the pages a query's binary searches and range scans actually visit.
+// Package flat is the one frozen representation of the constraint-sequence
+// index: the trie's interval labels, its path links sorted by n⊢ and its
+// document-id lists (Section 4.1), laid out as offset-addressed arrays that
+// the match kernel queries in place, with no decode step between the bytes
+// and the kernel. Build lays a frozen trie out in a heap buffer and returns
+// the engine over it; Save writes the snapshot file; OpenFile maps one
+// (ReadAt fallback on platforms without mmap), so open cost is
+// O(dictionary) — independent of corpus size — and a corpus larger than RAM
+// is serveable: a query touches only the pages its binary searches and
+// range scans visit.
 //
-// File format (version 1, all fixed-width integers little-endian):
+// File format (version 2, all fixed-width integers little-endian):
 //
 //	offset  size  field
 //	0       8     magic "XSEQFLAT"
 //	8       4     version (uint32)
-//	12      4     section count s (uint32)
+//	12      4     section count (uint32), always 6
 //	16      8     total file size (uint64) — catches truncation up front
-//	24      24*s  section table: {id uint32, crc uint32 (IEEE), offset
-//	              uint64, length uint64} per section, ascending id
-//	24+24s  4     CRC-32 (IEEE) of bytes [0, 24+24s) — the header checksum
-//	...           section payloads, each 8-byte aligned
+//	24      144   section table: {id uint32, crc uint32 (IEEE), offset
+//	              uint64, length uint64} per section, ids 1..6 in order
+//	168     4     CRC-32 (IEEE) of bytes [0, 168) — the header checksum
+//	176...        section payloads in id order, each 8-byte aligned
 //
-// Sections:
+// The bulk sections come first, so a build knows where they live in the
+// file before it encodes the head that follows them:
 //
-//	META (1)     gob(flatMeta): schema, repeat set, corpus bounds, options.
-//	DICT (2)     gob(pathenc.Snapshot): the designator/path table.
-//	LINKDIR (3)  one {count uint32, flags uint32, offset uint64} per PathID
-//	             (NumPaths entries): where the path's link lives in LINKS.
-//	             Flag bit 0 (linkHasCover) marks links that carry
-//	             sibling-cover metadata; links without it store only the
-//	             label arrays — the structure-sharing trick for repetitive
-//	             markup, where almost every link's cover metadata is the
-//	             all-default {anc: -1, embeds: false} row.
-//	LINKS (4)    per link: pres []int32, maxs []int32, then (only with
-//	             linkHasCover) anc []int32 and an embeds bitset, each run
-//	             4-byte aligned. Fixed-width on purpose: the kernel binary
-//	             searches pres and hops anc chains, which needs random
-//	             access.
-//	ENDS (5)     the end-node table, varint-delta encoded in blocks of
-//	             endsBlockSize entries (access is sequential range scans, so
-//	             compression costs nothing): header {numEnds uint32,
-//	             numBlocks uint32}, a fixed-width block directory {firstPre
-//	             int32, count uint32, entryOff uint64, idsOff uint64}, then
-//	             per entry uvarint(preDelta), uvarint(idCount),
-//	             uvarint(idsByteLen), and per doc-id list zigzag varints
-//	             (first id absolute, then deltas).
-//	DOCS (6)     gob([]*xmltree.Document), empty unless the source index
-//	             kept its corpus. Decoded lazily (only Verify/Documents
-//	             need it), preserving O(dictionary) open.
+//	LINKDIR (1)  one {count uint32, flags uint32, offset uint64} per PathID
+//	             (NumPaths entries): where the path's link lives in LINKS,
+//	             in ascending PathID order. Flag bit 0 (linkHasCover) marks
+//	             links that carry sibling-cover metadata; links without it
+//	             store only the label arrays — the structure-sharing trick
+//	             for repetitive markup, where almost every link's cover
+//	             metadata is the all-default {anc: -1, embeds: false} row.
+//	LINKS (2)    per link the column block of match.Link: pres []int32,
+//	             maxs []int32, then (only with linkHasCover) anc []int32 and
+//	             an embeds bitset, padded to 8 bytes. Fixed-width on
+//	             purpose: the kernel binary searches pres and hops anc
+//	             chains, which needs random access.
+//	ENDS (3)     the end nodes by ascending pre, in blocks of endsBlockSize:
+//	             numEnds uint32, a directory row {firstPre uint32, offset
+//	             uint64} per block, then the entries. An entry is
+//	             uvarint(preDelta<<1 | multi), preDelta counted from the
+//	             previous entry of its block (0 for the first), followed
+//	             by uvarint(id) for a one-id list — almost every end node —
+//	             or, with multi set, uvarint(count), uvarint(byteLen) and
+//	             count zigzag varints (the first id, then deltas). A range
+//	             scan binary searches the directory and decodes at most
+//	             endsBlockSize-1 entries before the range starts.
+//	META (4)     gob(flatMeta): schema, repeat set, corpus bounds, options.
+//	DICT (5)     gob(pathenc.Snapshot): the designator/path table.
+//	DOCS (6)     gob([]*xmltree.Document), empty unless the corpus was
+//	             kept. Decoded on first use, preserving O(dictionary) open.
 //
-// Opening verifies the header checksum, the structural sanity of the
-// section table, and the CRCs of the small sections (META, DICT, LINKDIR —
-// all O(dictionary)). The bulk sections (LINKS, ENDS, DOCS) are checked by
-// VerifyChecksums (Options.VerifyChecksums runs it at open); without it,
-// every query-time read of those sections is bounds-checked, so corruption
-// surfaces as a *index.CorruptError, never a panic or a silent wrong
-// answer.
+// Version 1 put the head first and used 64-entry ENDS blocks with three
+// varints in front of every entry; it is rejected with a *CorruptError that
+// says to rebuild.
+//
+// Opening verifies the header checksum, the section table, the CRCs of the
+// small sections (LINKDIR, META, DICT — all O(dictionary)) and that the link
+// directory's extents ascend without overlap. The bulk sections (LINKS,
+// ENDS, DOCS) are checked by VerifyChecksums, their structure by
+// CheckInvariants (Options.Verify runs both at open); without them, every
+// query-time read of the bulk sections is bounds-checked, so corruption
+// surfaces as a *match.CorruptError, never a panic.
 package flat
 
 import (
 	"encoding/binary"
 )
 
-// Magic opens every flat snapshot.
-var Magic = [8]byte{'X', 'S', 'E', 'Q', 'F', 'L', 'A', 'T'}
+// magic opens every flat snapshot; gobMagic opened the retired gob format.
+const (
+	magic    = "XSEQFLAT"
+	gobMagic = "XSEQIDX2"
+)
 
 // formatVersion is the version this package writes and accepts.
-const formatVersion = 1
+const formatVersion = 2
 
-// Section ids. The table is written ascending; ids are unique.
+// Section ids, which are also the order of the sections in the file.
 const (
-	secMeta    = 1
-	secDict    = 2
-	secLinkDir = 3
-	secLinks   = 4
-	secEnds    = 5
-	secDocs    = 6
+	secLinkDir = 1 + iota
+	secLinks
+	secEnds
+	secMeta
+	secDict
+	secDocs
+	numSections = secDocs
 )
 
 const (
 	headerFixedLen  = 24 // magic + version + count + file size
 	sectionEntryLen = 24 // id + crc + offset + length
-	maxSections     = 64 // sanity bound against hostile counts
+	// headerLen is the header with its section table and checksum; the
+	// first section starts at the next 8-byte boundary, bulkBase.
+	headerLen = headerFixedLen + numSections*sectionEntryLen + 4
+	bulkBase  = (headerLen + 7) &^ 7
 
 	// linkDirEntryLen is one LINKDIR row: count, flags, offset.
 	linkDirEntryLen = 16
 	// linkHasCover marks a link that stores anc + embeds arrays.
 	linkHasCover = 1
 
-	// endsBlockSize is the entry count per ENDS block: big enough to
-	// amortize the 24-byte directory row, small enough that a range scan
-	// decodes little beyond what it returns.
-	endsBlockSize = 64
-	// endsBlockDirLen is one ENDS block-directory row.
-	endsBlockDirLen = 24
+	// endsBlockSize is the entry count per ENDS block: small, because a
+	// range scan decodes from the start of a block, and large enough that
+	// the directory stays under two bytes per entry.
+	endsBlockSize = 8
+	// endsDirRowLen is one ENDS directory row: firstPre, offset.
+	endsDirRowLen = 12
 )
-
-// IsFlatHeader reports whether b starts with the flat snapshot magic.
-func IsFlatHeader(b []byte) bool {
-	return len(b) >= len(Magic) && string(b[:len(Magic)]) == string(Magic[:])
-}
 
 // le is the byte order of every fixed-width field.
 var le = binary.LittleEndian

@@ -1,19 +1,19 @@
 package flat
 
 import (
-	"sort"
+	"math"
 
 	"xseq/internal/match"
 	"xseq/internal/pathenc"
 )
 
 // This file is the flat layout's side of the match.Layout seam: links are
-// views onto the mapped LINKS section, handed to the shared kernel as they
-// are; doc-id collection decodes the varint ENDS blocks in place. Because
-// the bulk sections are not checksummed at open, every offset followed into
-// the ENDS streams is bounds-checked here (and every anc hop in the kernel),
-// and a violation aborts the query with a *index.CorruptError instead of
-// panicking or silently mis-answering.
+// views onto the LINKS section, handed to the shared kernel as they are;
+// doc-id collection decodes the varint ENDS blocks in place. Because the
+// bulk sections of a lazily opened snapshot are not checksummed, every
+// offset followed into the ENDS section is bounds-checked here (and every
+// anc hop in the kernel), and a violation aborts the query with a
+// *match.CorruptError instead of panicking or silently mis-answering.
 
 // Link resolves a path to its view; link extents were validated at open.
 func (ix *Index) Link(p pathenc.PathID) *match.Link {
@@ -24,96 +24,92 @@ func (ix *Index) Link(p pathenc.PathID) *match.Link {
 }
 
 // CollectDocs appends the doc ids of all end nodes with pre in [lo, hi],
-// decoding the varint-delta blocks in place and charging the bytes it reads
-// to pg. Every offset and varint is bounds-checked; a violation returns a
-// *CorruptError.
+// charging the directory rows and entry bytes it reads to pg. It binary
+// searches the directory for the last block starting at or before lo and
+// decodes blocks from there until an entry passes hi.
 func (ix *Index) CollectDocs(lo, hi int32, out []int32, pg match.Pager) ([]int32, error) {
 	ev := &ix.ends
-	if ev.numBlocks == 0 {
-		return out, nil
-	}
-	// Find the first block that could hold pre >= lo: the one before the
-	// first block with firstPre > lo (entries within a block ascend from
-	// firstPre).
-	b := sort.Search(ev.numBlocks, func(k int) bool {
-		return int32(le.Uint32(ev.dir[k*endsBlockDirLen:])) > lo
-	}) - 1
-	if b < 0 {
-		b = 0
-	}
-	payload := ev.payload
-	for ; b < ev.numBlocks; b++ {
-		row := ev.dir[b*endsBlockDirLen:]
-		firstPre := int32(le.Uint32(row))
-		if firstPre > hi {
-			break
+	i, j := 0, ev.numBlocks
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if int32(le.Uint32(ev.s[4+h*endsDirRowLen:])) <= lo {
+			i = h + 1
+		} else {
+			j = h
 		}
-		count := int(le.Uint32(row[4:]))
-		entryPos := int(le.Uint64(row[8:]))
-		idsPos := int(le.Uint64(row[16:]))
-		if count < 0 || count > endsBlockSize || entryPos > len(payload) || idsPos > len(payload) {
-			return out, corrupt("ends block %d directory out of range", b)
+	}
+	for b := max(i-1, 0); b < ev.numBlocks; b++ {
+		start, end, last, done, err := ix.scanBlock(b, lo, hi, &out)
+		if err != nil {
+			return out, err
 		}
 		if pg != nil {
-			pg.TouchRange(ev.fileOff+uint64(b*endsBlockDirLen)+8, endsBlockDirLen)
+			pg.TouchRange(ev.fileOff+uint64(4+b*endsDirRowLen), endsDirRowLen)
+			pg.TouchRange(ev.fileOff+uint64(start), end-start)
 		}
-		pre := firstPre
-		for e := 0; e < count; e++ {
-			delta, next, ok := uvarint(payload, entryPos)
-			if !ok {
-				return out, corrupt("ends block %d entry %d: truncated pre delta", b, e)
-			}
-			idCount, next2, ok := uvarint(payload, next)
-			if !ok {
-				return out, corrupt("ends block %d entry %d: truncated id count", b, e)
-			}
-			idsLen, next3, ok := uvarint(payload, next2)
-			if !ok {
-				return out, corrupt("ends block %d entry %d: truncated ids length", b, e)
-			}
-			if pg != nil {
-				pg.TouchRange(ev.fileOff+uint64(entryPos), next3-entryPos)
-			}
-			entryPos = next3
-			if delta > uint64(1)<<31 || idCount > uint64(1)<<31 || idsLen > uint64(len(payload)) {
-				return out, corrupt("ends block %d entry %d: implausible sizes", b, e)
-			}
-			pre += int32(delta)
-			if idsPos+int(idsLen) > len(payload) {
-				return out, corrupt("ends block %d entry %d: ids run past section", b, e)
-			}
-			if pre > hi {
-				return out, nil
-			}
-			if pre < lo {
-				idsPos += int(idsLen)
-				continue
-			}
-			if pg != nil {
-				pg.TouchRange(ev.fileOff+uint64(idsPos), int(idsLen))
-			}
-			stop := idsPos + int(idsLen)
-			id := int32(0)
-			for k := uint64(0); k < idCount; k++ {
-				u, next, ok := uvarint(payload, idsPos)
-				if !ok || next > stop {
-					return out, corrupt("ends block %d entry %d: truncated doc id", b, e)
-				}
-				idsPos = next
-				if k == 0 {
-					id = unzigzag(u)
-				} else {
-					id += unzigzag(u)
-				}
-				if id < 0 || id > ix.meta.MaxDocID {
-					return out, corrupt("ends block %d entry %d: doc id %d outside [0, %d]", b, e, id, ix.meta.MaxDocID)
-				}
-				out = append(out, id)
-			}
-			if idsPos != stop {
-				return out, corrupt("ends block %d entry %d: ids length mismatch", b, e)
-			}
+		if done || last >= hi {
+			break
 		}
 	}
 	return out, nil
+}
+
+// scanBlock decodes ENDS block b, appending to *out the ids of its entries
+// with pre in [lo, hi]. It stops after the first entry past hi (done); end
+// is the offset past the last byte it read and last the pre of the last
+// entry decoded.
+func (ix *Index) scanBlock(b int, lo, hi int32, out *[]int32) (start, end int, last int32, done bool, err error) {
+	s := ix.ends.s
+	row := s[4+b*endsDirRowLen:]
+	pre, off := le.Uint32(row), le.Uint64(row[4:])
+	if off > uint64(len(s)) {
+		return 0, 0, 0, false, corrupt("ends block %d at offset %d, past the section", b, off)
+	}
+	start = int(off)
+	pos, maxID := start, uint64(ix.meta.MaxDocID)
+	for e := 0; e < min(endsBlockSize, ix.ends.numEnds-b*endsBlockSize); e++ {
+		h, next, ok := uvarint(s, pos)
+		delta := h >> 1
+		if !ok || uint64(pre)+delta > math.MaxInt32 || (e > 0 && delta == 0) {
+			return 0, 0, 0, false, corrupt("ends block %d entry %d: bad header", b, e)
+		}
+		if pre += uint32(delta); int32(pre) > hi {
+			return start, next, int32(pre), true, nil
+		}
+		if h&1 == 0 {
+			id, after, ok := uvarint(s, next)
+			if !ok || id > maxID {
+				return 0, 0, 0, false, corrupt("ends block %d entry %d: doc id outside [0, %d]", b, e, maxID)
+			}
+			if pos = after; int32(pre) >= lo {
+				*out = append(*out, int32(id))
+			}
+			continue
+		}
+		n, after, ok1 := uvarint(s, next)
+		size, ids, ok2 := uvarint(s, after)
+		if !ok1 || !ok2 || n < 2 || size > uint64(len(s)-ids) {
+			return 0, 0, 0, false, corrupt("ends block %d entry %d: bad id list", b, e)
+		}
+		if pos = ids + int(size); int32(pre) >= lo {
+			if *out, ok = appendIDs(*out, s[ids:pos], n, int64(maxID)); !ok {
+				return 0, 0, 0, false, corrupt("ends block %d entry %d: bad id list", b, e)
+			}
+		}
+	}
+	return start, pos, int32(pre), false, nil
+}
+
+// appendIDs decodes the n zigzag-delta ids that make up b exactly.
+func appendIDs(out []int32, b []byte, n uint64, maxID int64) ([]int32, bool) {
+	pos, id := 0, int64(0)
+	for k := uint64(0); k < n; k++ {
+		u, next, ok := uvarint(b, pos)
+		if id += int64(unzigzag(u)); !ok || id < 0 || id > maxID {
+			return out, false
+		}
+		pos = next
+		out = append(out, int32(id))
+	}
+	return out, pos == len(b)
 }

@@ -8,11 +8,9 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"xseq/internal/index"
 	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
@@ -22,44 +20,50 @@ import (
 
 // Options tunes Open/OpenFile.
 type Options struct {
-	// VerifyChecksums CRC-checks the bulk sections (LINKS, ENDS, DOCS) at
-	// open, trading the O(1) open for up-front corruption detection — what
-	// a serving layer does before publishing a snapshot. Without it the
-	// small sections are still verified and every query-time read of the
-	// bulk sections is bounds-checked.
-	VerifyChecksums bool
+	// Verify runs VerifyChecksums and CheckInvariants at open, trading the
+	// O(dictionary) open for an O(file) one that proves the bytes are the
+	// index that was written. Without it the small sections are still
+	// verified and every query-time read of the bulk sections is
+	// bounds-checked.
+	Verify bool
 	// NoMmap makes OpenFile read the file into memory instead of mapping
 	// it (platforms without mmap always do).
 	NoMmap bool
 }
 
-// Index is an opened flat snapshot: an engine.Engine whose query kernel
-// runs directly over the mapped file bytes. Only the dictionary head
-// (encoder, schema, strategy, link directory) lives on the Go heap; the
-// label arrays and doc-id lists are read in place.
+// Index is the engine over one flat image: an engine.Engine whose query
+// kernel runs directly over the bytes — a mapped or read snapshot file, or
+// the heap buffer Build filled. Only the head (encoder, schema, strategy,
+// link directory) lives as Go values; the label arrays and doc-id lists are
+// read in place.
 //
-// Ownership and pinning: the mapped bytes stay valid until Close. Query
-// results are freshly allocated copies (the engine ownership contract), so
-// nothing a query returns pins the mapping; an Index dropped without Close
-// is unmapped by a finalizer. Close is idempotent and must not race
-// in-flight queries.
+// Ownership and pinning: mapped bytes stay valid until Close. Query results
+// are freshly allocated copies (the engine ownership contract), so nothing
+// a query returns pins the mapping; an Index dropped without Close is
+// unmapped by a finalizer. Close is idempotent and must not race in-flight
+// queries.
 type Index struct {
+	// data is the whole snapshot when opened (file is true). A built index
+	// holds only its bulk sections there, at the offsets a saved file gives
+	// them, and keeps its head as the Go values below.
 	data  []byte
+	file  bool
 	unmap func() error
 	// closed flips once; queries do not check it (the caller contract is
 	// "no queries after Close", same as any engine teardown).
 	closed atomic.Bool
 
-	meta flatMeta
-	enc  *pathenc.Encoder
-	ci   *pathenc.ChildIndex
-	prio *sequence.Probability
+	meta     flatMeta
+	enc      *pathenc.Encoder
+	ci       *pathenc.ChildIndex
+	strategy sequence.Strategy
+	prio     sequence.Prioritizer // nil when the strategy cannot order queries
 
-	sections map[uint32]section
+	sections [numSections + 1]section // by id
 
-	// links holds one view per PathID onto the mapped LINKS section (empty
-	// for paths without a link); Off is the pres column's file offset, for
-	// page accounting.
+	// links holds one view per PathID onto the LINKS section (empty for
+	// paths without a link); Off is the pres column's file offset, for page
+	// accounting.
 	links    []match.Link
 	numLinks int
 
@@ -76,45 +80,56 @@ type Index struct {
 	acct atomic.Pointer[accounting]
 }
 
-// section is one parsed section-table row.
+// flatMeta is the META section: everything Open needs besides the
+// dictionary to rebuild the query machinery (schema → g_best strategy,
+// repeat set, options), plus the corpus bounds. It is O(dictionary), never
+// O(corpus).
+type flatMeta struct {
+	Schema                *schema.Node
+	Repeat                []pathenc.PathID
+	NumDocs               int
+	MaxDocID              int32
+	MaxSerial             int32
+	InstantiationLimit    int
+	OrderEnumerationLimit int
+	KeptDocs              bool // DOCS section is non-empty
+}
+
+// section is one section-table row.
 type section struct {
 	crc      uint32
 	off, len uint64
 }
 
-// endsView locates the end-node table. dir is the block directory
-// (numBlocks rows); payload is the whole ENDS section, in which the
-// directory's entryOff/idsOff offsets live; fileOff is the section's file
-// offset.
+// endsView locates the end-node table: s is the whole ENDS section, whose
+// directory rows start at byte 4; fileOff is the section's file offset.
 type endsView struct {
 	numEnds   int
 	numBlocks int
-	dir       []byte
-	payload   []byte
+	s         []byte
 	fileOff   uint64
 }
 
 func corrupt(reason string, args ...any) error {
-	return &index.CorruptError{Reason: "flat: " + fmt.Sprintf(reason, args...)}
+	return &match.CorruptError{Reason: "flat: " + fmt.Sprintf(reason, args...)}
 }
 
 // OpenBytes opens a flat snapshot held in memory. data is retained and must
 // not be modified while the index is in use.
 func OpenBytes(data []byte, opts Options) (*Index, error) {
-	ix := &Index{data: data, unmap: nil}
+	ix := &Index{data: data}
 	if err := ix.init(opts); err != nil {
 		return nil, err
 	}
 	return ix, nil
 }
 
-// Open reads a complete flat snapshot stream into memory and opens it —
-// the io.Reader entry point behind the facade's layout-sniffing Load. For
-// the O(1) mapped open, use OpenFile.
+// Open reads a complete flat snapshot stream into memory and opens it. For
+// the O(dictionary) mapped open, use OpenFile.
 func Open(r io.Reader, opts Options) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, &index.CorruptError{Reason: "flat: unreadable stream", Err: err}
+		return nil, &match.CorruptError{Reason: "flat: unreadable stream", Err: err}
 	}
 	return OpenBytes(data, opts)
 }
@@ -137,7 +152,7 @@ func OpenFile(path string, opts Options) (*Index, error) {
 	if opts.NoMmap || !mmapAvailable {
 		data = make([]byte, fi.Size())
 		if _, err := io.ReadFull(f, data); err != nil {
-			return nil, &index.CorruptError{Reason: fmt.Sprintf("flat: %s: short read", path), Err: err}
+			return nil, &match.CorruptError{Reason: fmt.Sprintf("flat: %s: short read", path), Err: err}
 		}
 	} else {
 		data, unmap, err = mapFile(f, fi.Size())
@@ -158,7 +173,7 @@ func OpenFile(path string, opts Options) (*Index, error) {
 	return ix, nil
 }
 
-// Close releases the mapping (a no-op for in-memory snapshots). Idempotent.
+// Close releases the mapping (a no-op for in-memory images). Idempotent.
 // No queries may be in flight or issued afterwards.
 func (ix *Index) Close() error {
 	if ix.closed.Swap(true) {
@@ -172,127 +187,117 @@ func (ix *Index) Close() error {
 }
 
 // Mmapped reports whether the snapshot is memory-mapped (as opposed to
-// read into the Go heap).
+// held on the Go heap).
 func (ix *Index) Mmapped() bool { return ix.unmap != nil }
 
-// MappedBytes is the snapshot's total size — the denominator of the
+// MappedBytes is the image's total size — the denominator of the
 // resident-vs-mapped ratio.
 func (ix *Index) MappedBytes() int64 { return int64(len(ix.data)) }
 
-// init parses and validates the header, decodes the dictionary head, and
-// addresses the bulk sections. Everything here is O(dictionary).
+// init parses and validates the header, decodes the head, and addresses the
+// bulk sections. Everything here is O(dictionary).
 func (ix *Index) init(opts Options) error {
 	data := ix.data
-	if len(data) < headerFixedLen+4 {
+	if bytes.HasPrefix(data, []byte(gobMagic)) {
+		return corrupt("a gob %s snapshot, a format no longer read: rebuild the index from its corpus", gobMagic)
+	}
+	if len(data) < bulkBase {
 		return corrupt("truncated header (%d bytes)", len(data))
 	}
-	if !IsFlatHeader(data) {
+	if !bytes.HasPrefix(data, []byte(magic)) {
 		return corrupt("bad magic")
 	}
 	if v := le.Uint32(data[8:]); v != formatVersion {
-		return corrupt("unsupported format version %d (want %d)", v, formatVersion)
+		return corrupt("format version %d, this build reads only version %d: rebuild the snapshot", v, formatVersion)
 	}
-	count := le.Uint32(data[12:])
-	if count == 0 || count > maxSections {
-		return corrupt("implausible section count %d", count)
-	}
-	headerLen := headerFixedLen + sectionEntryLen*int(count)
-	if len(data) < headerLen+4 {
-		return corrupt("truncated section table")
+	if count := le.Uint32(data[12:]); count != numSections {
+		return corrupt("%d sections, want %d", count, numSections)
 	}
 	if size := le.Uint64(data[16:]); size != uint64(len(data)) {
 		return corrupt("file size %d, header says %d", len(data), size)
 	}
-	if want, got := le.Uint32(data[headerLen:]), crc32.ChecksumIEEE(data[:headerLen]); want != got {
+	if want, got := le.Uint32(data[headerLen-4:]), crc32.ChecksumIEEE(data[:headerLen-4]); want != got {
 		return corrupt("header checksum mismatch (stored %08x, computed %08x)", want, got)
 	}
-	ix.sections = make(map[uint32]section, count)
-	prevEnd := uint64(align8(headerLen + 4))
-	prevID := uint32(0)
-	for i := 0; i < int(count); i++ {
-		row := data[headerFixedLen+i*sectionEntryLen:]
-		id := le.Uint32(row)
+	prevEnd := uint64(bulkBase)
+	for id := 1; id <= numSections; id++ {
+		row := data[headerFixedLen+(id-1)*sectionEntryLen:]
 		s := section{crc: le.Uint32(row[4:]), off: le.Uint64(row[8:]), len: le.Uint64(row[16:])}
-		if id <= prevID {
-			return corrupt("section table not ascending at id %d", id)
+		if got := le.Uint32(row); got != uint32(id) {
+			return corrupt("section table row %d holds id %d", id, got)
 		}
-		prevID = id
 		if s.off%8 != 0 || s.off < prevEnd || s.len > uint64(len(data)) || s.off+s.len > uint64(len(data)) {
 			return corrupt("section %d extent [%d, %d) outside file or overlapping", id, s.off, s.off+s.len)
 		}
 		prevEnd = s.off + s.len
 		ix.sections[id] = s
 	}
-	for _, id := range []uint32{secMeta, secDict, secLinkDir, secLinks, secEnds, secDocs} {
-		if _, ok := ix.sections[id]; !ok {
-			return corrupt("missing section %d", id)
-		}
-	}
 	// Small sections are always checksum-verified: they are O(dictionary),
-	// and the heap decode below trusts their bytes.
-	for _, id := range []uint32{secMeta, secDict, secLinkDir} {
+	// and the decode below trusts their bytes.
+	for _, id := range []int{secLinkDir, secMeta, secDict} {
 		if err := ix.checkSection(id); err != nil {
 			return err
 		}
 	}
 
 	if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secMeta))).Decode(&ix.meta); err != nil {
-		return &index.CorruptError{Reason: "flat: undecodable meta", Err: err}
+		return &match.CorruptError{Reason: "flat: undecodable meta", Err: err}
 	}
 	if ix.meta.NumDocs < 0 || ix.meta.MaxDocID < 0 || ix.meta.MaxSerial < 0 {
 		return corrupt("negative size fields (docs %d, max id %d, max serial %d)",
 			ix.meta.NumDocs, ix.meta.MaxDocID, ix.meta.MaxSerial)
 	}
+	if ix.meta.KeptDocs != (ix.sections[secDocs].len > 0) {
+		return corrupt("meta says documents kept = %v, DOCS holds %d bytes", ix.meta.KeptDocs, ix.sections[secDocs].len)
+	}
 	var snap pathenc.Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secDict))).Decode(&snap); err != nil {
-		return &index.CorruptError{Reason: "flat: undecodable dictionary", Err: err}
+		return &match.CorruptError{Reason: "flat: undecodable dictionary", Err: err}
 	}
 	enc, err := pathenc.FromSnapshot(snap)
 	if err != nil {
-		return &index.CorruptError{Reason: "flat: invalid encoder snapshot", Err: err}
+		return &match.CorruptError{Reason: "flat: invalid encoder snapshot", Err: err}
 	}
 	sch, err := schema.New(ix.meta.Schema)
 	if err != nil {
-		return &index.CorruptError{Reason: "flat: invalid schema", Err: err}
+		return &match.CorruptError{Reason: "flat: invalid schema", Err: err}
 	}
-	ix.enc = enc
-	ix.ci = enc.BuildChildIndex()
-	ix.prio = sequence.NewProbability(sch, enc)
+	prob := sequence.NewProbability(sch, enc)
 	repeat := make(map[pathenc.PathID]bool, len(ix.meta.Repeat))
 	for _, p := range ix.meta.Repeat {
 		repeat[p] = true
 	}
-	ix.prio.SetRepeatPaths(repeat)
+	prob.SetRepeatPaths(repeat)
+	ix.enc, ix.ci, ix.strategy, ix.prio = enc, enc.BuildChildIndex(), prob, prob
 
 	if err := ix.initLinks(); err != nil {
 		return err
 	}
-	if err := ix.initEnds(); err != nil {
-		return err
+	s := ix.sectionBytes(secEnds)
+	if len(s) < 4 {
+		return corrupt("ends section truncated (%d bytes)", len(s))
 	}
-	if ix.meta.KeptDocs && ix.sections[secDocs].len == 0 {
-		return corrupt("meta says documents were kept but DOCS is empty")
+	if n := le.Uint32(s); n > 1<<30 || 4+endsBlocks(int(n))*endsDirRowLen > len(s) {
+		return corrupt("ends directory for %d entries does not fit the %d-byte section", n, len(s))
 	}
-	if opts.VerifyChecksums {
+	ix.initEnds()
+	ix.file = true
+	if opts.Verify {
 		if err := ix.VerifyChecksums(); err != nil {
 			return err
 		}
+		if err := ix.CheckInvariants(); err != nil {
+			return err
+		}
 	}
-	ix.eng = match.Engine{
-		Layout:                ix,
-		Enc:                   ix.enc,
-		ChildIdx:              ix.ci,
-		Prio:                  ix.prio,
-		InstantiationLimit:    ix.meta.InstantiationLimit,
-		OrderEnumerationLimit: ix.meta.OrderEnumerationLimit,
-		MaxDocID:              ix.meta.MaxDocID,
-		MaxSerial:             ix.meta.MaxSerial,
-	}
+	ix.initEngine()
 	return nil
 }
 
-// initLinks validates the link directory against the LINKS arena and
-// precomputes one view per path — O(path table).
+// initLinks validates the link directory against the LINKS section and
+// precomputes one view per path — O(path table). Links must ascend by
+// PathID without overlapping, as Build lays them out: a row that repeats
+// another's extent would alias two paths' links.
 func (ix *Index) initLinks() error {
 	dir := ix.sectionBytes(secLinkDir)
 	numPaths := ix.enc.NumPaths()
@@ -303,10 +308,11 @@ func (ix *Index) initLinks() error {
 	arena := ix.sectionBytes(secLinks)
 	arenaFileOff := ix.sections[secLinks].off
 	ix.links = make([]match.Link, numPaths)
+	prevEnd := uint64(0)
 	for p := 0; p < numPaths; p++ {
 		row := dir[p*linkDirEntryLen:]
 		n := le.Uint32(row)
-		flags := le.Uint32(row[4:])
+		hasCover := le.Uint32(row[4:])&linkHasCover != 0
 		off := le.Uint64(row[8:])
 		if n == 0 {
 			continue
@@ -314,53 +320,52 @@ func (ix *Index) initLinks() error {
 		if n > uint32(1)<<30 {
 			return corrupt("link %d has implausible length %d", p, n)
 		}
-		hasCover := flags&linkHasCover != 0
 		need := uint64(match.LinkBytes(int(n), hasCover))
-		if off > uint64(len(arena)) || off+need > uint64(len(arena)) {
-			return corrupt("link %d extent [%d, %d) outside links section", p, off, off+need)
+		if off < prevEnd || off > uint64(len(arena)) || off+need > uint64(len(arena)) {
+			return corrupt("link %d extent [%d, %d) overlaps another link or leaves the links section", p, off, off+need)
 		}
+		prevEnd = off + need
 		ix.links[p] = match.NewLink(arena[off:], int32(n), hasCover, arenaFileOff+off)
 		ix.numLinks++
 	}
 	return nil
 }
 
-// initEnds addresses the end-node table. Only the section header and the
-// directory's extent are validated here; the kernel bounds-checks every
-// offset and varint it follows, so a corrupt directory surfaces as a
-// *CorruptError at query time instead of an O(corpus) open-time scan.
-func (ix *Index) initEnds() error {
+// endsBlocks is the directory length for n end nodes.
+func endsBlocks(n int) int { return (n + endsBlockSize - 1) / endsBlockSize }
+
+// initEnds addresses the end-node table, whose header and directory extent
+// are known to be sound. The kernel bounds-checks every offset and varint
+// it follows, so a corrupt directory or entry surfaces as a *CorruptError
+// at query time instead of an O(corpus) open-time scan.
+func (ix *Index) initEnds() {
 	s := ix.sectionBytes(secEnds)
-	if len(s) < 8 {
-		return corrupt("ends section truncated (%d bytes)", len(s))
+	n := int(le.Uint32(s))
+	ix.ends = endsView{numEnds: n, numBlocks: endsBlocks(n), s: s, fileOff: ix.sections[secEnds].off}
+}
+
+// initEngine points the query kernel at the finished index.
+func (ix *Index) initEngine() {
+	ix.eng = match.Engine{
+		Layout:                ix,
+		Enc:                   ix.enc,
+		ChildIdx:              ix.ci,
+		Prio:                  ix.prio,
+		InstantiationLimit:    ix.meta.InstantiationLimit,
+		OrderEnumerationLimit: ix.meta.OrderEnumerationLimit,
+		MaxDocID:              ix.meta.MaxDocID,
+		MaxSerial:             ix.meta.MaxSerial,
 	}
-	numEnds := le.Uint32(s)
-	numBlocks := le.Uint32(s[4:])
-	if numEnds > uint32(1)<<30 || numBlocks != (numEnds+endsBlockSize-1)/endsBlockSize {
-		return corrupt("ends header inconsistent (%d ends, %d blocks)", numEnds, numBlocks)
-	}
-	dirEnd := 8 + int(numBlocks)*endsBlockDirLen
-	if dirEnd > len(s) {
-		return corrupt("ends directory extends past section (%d > %d)", dirEnd, len(s))
-	}
-	ix.ends = endsView{
-		numEnds:   int(numEnds),
-		numBlocks: int(numBlocks),
-		dir:       s[8:dirEnd],
-		payload:   s,
-		fileOff:   ix.sections[secEnds].off,
-	}
-	return nil
 }
 
 // sectionBytes returns section id's payload (validated extents).
-func (ix *Index) sectionBytes(id uint32) []byte {
+func (ix *Index) sectionBytes(id int) []byte {
 	s := ix.sections[id]
 	return ix.data[s.off : s.off+s.len]
 }
 
-// checkSection CRC-verifies one section.
-func (ix *Index) checkSection(id uint32) error {
+// checkSection CRC-verifies one section of an opened snapshot.
+func (ix *Index) checkSection(id int) error {
 	s := ix.sections[id]
 	if got := crc32.ChecksumIEEE(ix.sectionBytes(id)); got != s.crc {
 		return corrupt("section %d checksum mismatch (stored %08x, computed %08x)", id, s.crc, got)
@@ -368,43 +373,56 @@ func (ix *Index) checkSection(id uint32) error {
 	return nil
 }
 
-// VerifyChecksums CRC-verifies every section, bulk ones included — the
-// full-integrity pass a serving layer runs before publishing a reloaded
-// snapshot. Cost is O(file); on a mapped snapshot it also faults every
-// page in. Alignment padding between sections is outside every CRC, so the
-// sweep checks it is zero too — every byte of the file is then accounted
-// for.
+// VerifyChecksums is the O(file) integrity sweep a serving layer runs
+// before publishing a mapped snapshot: every section's checksum and the
+// zero padding between sections, so every byte of the file is accounted
+// for. On a mapped snapshot it also faults every page in. A built image has
+// no checksums to check.
 func (ix *Index) VerifyChecksums() error {
-	exts := make([]section, 0, len(ix.sections))
-	for id := range ix.sections {
+	if !ix.file {
+		return nil
+	}
+	pos := uint64(headerLen)
+	for id := 1; id <= numSections; id++ {
+		s := ix.sections[id]
 		if err := ix.checkSection(id); err != nil {
 			return err
 		}
-		exts = append(exts, ix.sections[id])
-	}
-	sort.Slice(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
-	pos := uint64(headerFixedLen + len(ix.sections)*sectionEntryLen + 4)
-	exts = append(exts, section{off: uint64(len(ix.data))})
-	for _, s := range exts {
-		for ; pos < s.off; pos++ {
-			if ix.data[pos] != 0 {
-				return corrupt("nonzero padding byte at offset %d", pos)
-			}
+		if err := ix.zeroPadding(pos, s.off); err != nil {
+			return err
 		}
 		pos = s.off + s.len
+	}
+	return ix.zeroPadding(pos, uint64(len(ix.data)))
+}
+
+// zeroPadding checks the alignment padding [from, to), which no checksum
+// covers.
+func (ix *Index) zeroPadding(from, to uint64) error {
+	for p := from; p < to; p++ {
+		if ix.data[p] != 0 {
+			return corrupt("nonzero padding byte at offset %d", p)
+		}
 	}
 	return nil
 }
 
-// LoadDocuments decodes the retained corpus on first use (match.Layout).
+// LoadDocuments returns the retained corpus (match.Layout). An opened
+// snapshot decodes its DOCS section on first use, after checking its CRC.
 func (ix *Index) LoadDocuments() ([]*xmltree.Document, error) {
+	if !ix.file {
+		return ix.docs, nil
+	}
 	ix.docsOnce.Do(func() {
 		if !ix.meta.KeptDocs {
 			return
 		}
+		if ix.docsErr = ix.checkSection(secDocs); ix.docsErr != nil {
+			return
+		}
 		var docs []*xmltree.Document
 		if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secDocs))).Decode(&docs); err != nil {
-			ix.docsErr = &index.CorruptError{Reason: "flat: undecodable documents", Err: err}
+			ix.docsErr = &match.CorruptError{Reason: "flat: undecodable documents", Err: err}
 			return
 		}
 		ix.docs = docs

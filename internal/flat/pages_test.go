@@ -55,7 +55,7 @@ func endsPagesTouched(ix *Index) int {
 // count is compared cold, warm (after ResetPagerStats) and after
 // DropPagerCache.
 func TestFlatPagerExactness(t *testing.T) {
-	// 1,000 records: the ENDS section spans three pages.
+	// 1,000 records: the ENDS section spans two pages.
 	docs := corpus(t, "xmark", 1000)
 	_, blob := flatten(t, buildMono(t, docs, false), Options{})
 	bitmap, err := OpenBytes(blob, Options{})

@@ -30,23 +30,16 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("P not interned")
 	}
 	rootPath := ix.Encoder().Lookup(pathenc.EmptyPath, P)
-	if ix.LinkLength(rootPath) != 1 {
-		t.Fatalf("root link length = %d", ix.LinkLength(rootPath))
+	root := ix.Link(rootPath)
+	if root.Len() != 1 || root.Pre(0) != 1 || root.Max(0) != ix.MaxSerial() {
+		t.Fatalf("root link: %d entries, first [%d,%d] (max serial %d)", root.Len(), root.Pre(0), root.Max(0), ix.MaxSerial())
 	}
-	entries := ix.LinkEntries(rootPath)
-	if len(entries) != 1 || entries[0].Pre != 1 || entries[0].Max != ix.MaxSerial() {
-		t.Fatalf("root entries = %+v (max serial %d)", entries, ix.MaxSerial())
+	if k := root.LowerBound(ix.MaxSerial()+1, nil); k != root.Len() {
+		t.Fatalf("LowerBound past the last label = %d", k)
 	}
-	ranged := ix.LinkEntriesInRange(rootPath, 1, ix.MaxSerial())
-	if len(ranged) != 1 {
-		t.Fatalf("ranged entries = %+v", ranged)
-	}
-	if empty := ix.LinkEntriesInRange(rootPath, ix.MaxSerial()+1, ix.MaxSerial()+2); len(empty) != 0 {
-		t.Fatalf("out-of-range entries = %+v", empty)
-	}
-	all := ix.DocsInPreRange(0, ix.MaxSerial(), nil)
-	if len(all) != 2 {
-		t.Fatalf("DocsInPreRange = %v", all)
+	all, err := ix.CollectDocs(0, ix.MaxSerial(), nil, nil)
+	if err != nil || len(all) != 2 {
+		t.Fatalf("CollectDocs = %v, %v", all, err)
 	}
 }
 

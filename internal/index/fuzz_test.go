@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"hash/crc32"
 	"math/rand"
@@ -14,7 +13,7 @@ import (
 	"xseq/internal/xmltree"
 )
 
-// savedStream builds a small index and returns its v2 Save stream.
+// savedStream builds a small index and returns its Save stream.
 func savedStream(t testing.TB) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
@@ -66,50 +65,48 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// decodePayload strips the framing of a Save stream — magic+length header
-// (16 bytes) and CRC trailer (4 bytes) — and decodes the gob payload.
-func decodePayload(t *testing.T, data []byte) persistedIndex {
-	t.Helper()
-	var p persistedIndex
-	if err := gob.NewDecoder(bytes.NewReader(data[16 : len(data)-4])).Decode(&p); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestLoadV1Compat: the v1 format (a bare gob payload, no magic, length or
-// checksum) is no longer loadable — nothing has written it since the v2
-// framing was introduced. Such a stream is corrupt input, not a panic.
+// TestLoadV1Compat: the gob snapshot formats — the XSEQIDX2 frame (magic,
+// length, gob payload, CRC-32) and before it a bare gob payload — are no
+// longer read. Such a stream is corrupt input, not a panic, and an
+// XSEQIDX2 stream is named so that its owner knows to rebuild.
 func TestLoadV1Compat(t *testing.T) {
-	p := decodePayload(t, savedStream(t))
-	p.Version = 1
-	var v1 bytes.Buffer
-	if err := gob.NewEncoder(&v1).Encode(&p); err != nil {
-		t.Fatal(err)
-	}
+	var old bytes.Buffer
+	old.WriteString("XSEQIDX2")
+	payload := []byte("a gob payload from a retired format")
+	old.Write(binary.BigEndian.AppendUint64(nil, uint64(len(payload))))
+	old.Write(payload)
+	old.Write(binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload)))
 	var ce *CorruptError
-	if _, err := Load(&v1); !errors.As(err, &ce) || ce.Reason != "not an index stream" {
-		t.Fatalf("Load(bare gob) = %v, want *CorruptError (not an index stream)", err)
+	if _, err := Load(&old); !errors.As(err, &ce) || !strings.Contains(ce.Reason, "XSEQIDX2") || !strings.Contains(ce.Reason, "rebuild") {
+		t.Fatalf("Load(XSEQIDX2 stream) = %v, want *CorruptError naming the format", err)
+	}
+	if _, err := Load(bytes.NewReader(payload)); !errors.As(err, &ce) {
+		t.Fatalf("Load(bare gob) = %v, want *CorruptError", err)
 	}
 }
 
-// TestLoadRejectsDuplicateLink: a decodable stream naming one path's link
-// twice (with different lengths, which would index past the shorter one) is
-// corrupt, not a panic.
+// TestLoadRejectsDuplicateLink: a stream whose link directory names one
+// link's bytes for two paths — every checksum recomputed, so only the
+// structure can tell — is corrupt, not two aliased links.
 func TestLoadRejectsDuplicateLink(t *testing.T) {
-	p := decodePayload(t, savedStream(t))
-	p.Links = append(p.Links, persistedLink{Path: p.Links[0].Path})
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&p); err != nil {
-		t.Fatal(err)
+	stream := savedStream(t)
+	// The section table follows the 24-byte header, one 24-byte row
+	// {id, crc, offset, length} per section; LINKDIR is the first section
+	// and holds one 16-byte row per path.
+	table := stream[24 : 24+6*24]
+	dir := stream[binary.LittleEndian.Uint64(table[8:]):]
+	dir = dir[:binary.LittleEndian.Uint64(table[16:])]
+	var rows [][]byte
+	for p := 0; len(rows) < 2; p++ {
+		if row := dir[16*p : 16*p+16]; binary.LittleEndian.Uint32(row) > 0 {
+			rows = append(rows, row)
+		}
 	}
-	// Reframe so the damage sits behind a valid length and checksum.
-	stream := append([]byte(nil), persistMagic[:]...)
-	stream = binary.BigEndian.AppendUint64(stream, uint64(payload.Len()))
-	stream = append(stream, payload.Bytes()...)
-	stream = binary.BigEndian.AppendUint32(stream, crc32.ChecksumIEEE(payload.Bytes()))
+	copy(rows[1], rows[0])
+	binary.LittleEndian.PutUint32(table[4:], crc32.ChecksumIEEE(dir))
+	binary.LittleEndian.PutUint32(stream[24+len(table):], crc32.ChecksumIEEE(stream[:24+len(table)]))
 	var ce *CorruptError
-	if _, err := Load(bytes.NewReader(stream)); !errors.As(err, &ce) || !strings.HasSuffix(ce.Reason, "appears twice") {
-		t.Fatalf("Load = %v, want *CorruptError (link appears twice)", err)
+	if _, err := Load(bytes.NewReader(stream)); !errors.As(err, &ce) || !strings.Contains(ce.Reason, "overlaps another link") {
+		t.Fatalf("Load = %v, want *CorruptError (link overlaps another link)", err)
 	}
 }

@@ -292,13 +292,14 @@ func TestLinkInvariants(t *testing.T) {
 	}
 	ix := buildCS(t, docs, Options{})
 	covers := 0
-	for p, l := range ix.links {
+	for p := pathenc.PathID(0); int(p) < ix.Encoder().NumPaths(); p++ {
+		l := ix.Link(p)
 		for i := int32(0); i < l.Len(); i++ {
 			if i > 0 && l.Pre(i-1) >= l.Pre(i) {
-				t.Fatalf("link %s not sorted", ix.enc.PathString(p))
+				t.Fatalf("link %s not sorted", ix.Encoder().PathString(p))
 			}
 			if l.Pre(i) > l.Max(i) {
-				t.Fatalf("link %s entry %d inverted interval", ix.enc.PathString(p), i)
+				t.Fatalf("link %s entry %d inverted interval", ix.Encoder().PathString(p), i)
 			}
 			if a := l.Anc(i); a >= 0 {
 				covers++
@@ -373,7 +374,7 @@ func TestQuickQueryEquivalence(t *testing.T) {
 		for k := 0; k < 6; k++ {
 			src := docs[r.Intn(len(docs))].Root
 			pat := query.FromTree(randomSubPattern(r, src))
-			want := groundTruth(docs, pat, ix.enc)
+			want := groundTruth(docs, pat, ix.Encoder())
 			got, err := ix.Query(pat)
 			if err != nil {
 				t.Logf("query error: %v", err)
@@ -441,13 +442,14 @@ func TestPagedAccounting(t *testing.T) {
 		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
-	pool := pager.NewPool(8)
+	// A pool smaller than the image: the LRU path, which evicts.
+	pool := pager.NewPool(2)
 	pages, err := ix.AttachPager(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages <= 0 || ix.PagedBytes() != pages*pager.PageSize {
-		t.Fatalf("pages = %d bytes = %d", pages, ix.PagedBytes())
+	if pages <= 2 || pages != ix.TotalPages() {
+		t.Fatalf("pages = %d of %d, want more than the pool holds", pages, ix.TotalPages())
 	}
 	pat := query.MustParse("//A")
 	if _, err := ix.Query(pat); err != nil {
@@ -477,7 +479,7 @@ func TestPagedAccounting(t *testing.T) {
 		t.Fatal("detached stats should be zero")
 	}
 	unpaged, _ := ix.Query(pat)
-	pool2 := pager.NewPool(8)
+	pool2 := pager.NewPool(2)
 	if _, err := ix.AttachPager(pool2); err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@ var le = binary.LittleEndian
 //
 // The columns are one contiguous block — pres, maxs, then (with cover) anc
 // and the embeds bitset — which is the layout of an XSEQFLAT LINKS entry,
-// so the flat layout hands the kernel views onto its mapped file and the
-// heap layout fills the same block in memory (Set, SetAnc). Entry indexes
-// in [0, Len()) are in bounds by construction; what the columns hold is the
+// so the kernel reads the block in place, from a mapped file or from the
+// buffer a build filled (Set, SetAnc, SetEmbeds). Entry indexes in
+// [0, Len()) are in bounds by construction; what the columns hold is the
 // layout's to validate — the kernel only assumes anc chains can be forged.
 type Link struct {
 	cols  []byte // 8*n bytes, or 12*n + BitsetLen(n) with cover
@@ -79,9 +79,8 @@ func BitsetLen(n int) int { return ((n+7)/8 + 3) &^ 3 }
 func BitsetSet(b []byte, i int) { b[i>>3] |= 1 << uint(i&7) }
 
 // Set, SetAnc and SetEmbeds fill in a link under construction, which must
-// view writable memory (a heap layout's; a mapped snapshot is read-only).
-// A link starts without cover columns; the first SetAnc or SetEmbeds moves
-// it to a block of its own that has them, every anc -1.
+// view writable memory (a build's buffer; a mapped snapshot is read-only).
+// SetAnc and SetEmbeds need the cover columns.
 
 // Set stores entry k's interval label.
 func (l *Link) Set(k, pre, max int32) {
@@ -89,26 +88,12 @@ func (l *Link) Set(k, pre, max int32) {
 	le.PutUint32(l.cols[4*(l.n+k):], uint32(max))
 }
 
-// SetAnc stores entry k's cover ancestor.
+// SetAnc stores entry k's cover ancestor, -1 for none.
 func (l *Link) SetAnc(k, anc int32) {
-	l.withCover()
 	le.PutUint32(l.cols[4*(2*l.n+k):], uint32(anc))
 }
 
 // SetEmbeds marks entry k as embedding identical siblings.
 func (l *Link) SetEmbeds(k int32) {
-	l.withCover()
 	BitsetSet(l.cols[12*l.n:], int(k))
-}
-
-func (l *Link) withCover() {
-	if l.cover {
-		return
-	}
-	cols := make([]byte, LinkBytes(int(l.n), true))
-	copy(cols, l.cols)
-	for i := 8 * l.n; i < 12*l.n; i++ {
-		cols[i] = 0xff
-	}
-	l.cols, l.cover = cols, true
 }

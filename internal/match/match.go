@@ -2,11 +2,10 @@
 // (Section 4.2, Algorithm 1, with the sibling-cover test of Theorem 3) and
 // of the driver around it: wildcard instantiation, identical-sibling order
 // enumeration, result deduplication, cancellation, work counters and the
-// verified mode. Every storage layout — the heap index (internal/index) and
-// the mapped file (internal/flat) — answers queries by handing an Engine
-// its links in the column form of Link; what differs between them sits
-// behind Layout and is reached once per recursion level or per terminal
-// match, never per probe.
+// verified mode. The storage layout, internal/flat, answers queries by
+// handing an Engine its links in the column form of Link; the rest of it
+// sits behind Layout and is reached once per recursion level or per
+// terminal match, never per probe.
 package match
 
 import (
@@ -49,8 +48,7 @@ type Layout interface {
 type Pager interface {
 	// TouchLink charges the page holding slot k of l.
 	TouchLink(l *Link, k int32)
-	// TouchRange charges the pages of [off, off+n) in the layout's own
-	// address units (flat: file bytes; heap: doc-id slots).
+	// TouchRange charges the pages of the file bytes [off, off+n), n > 0.
 	TouchRange(off uint64, n int)
 	// Release ends the query's use of the hook, publishing what it counted.
 	Release()

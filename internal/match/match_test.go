@@ -1,9 +1,9 @@
 package match_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -19,17 +19,11 @@ import (
 	"xseq/internal/xmltree"
 )
 
-// layout is what both storage layouts are to these tests: a query entry
-// point plus the seam the kernel reads through.
-type layout interface {
-	QueryWithContext(context.Context, *query.Pattern, engine.QueryOptions) ([]int32, error)
-	match.Layout
-}
-
 // buildLayouts indexes an XMark-like corpus with identical siblings (the
-// shape that exercises the sibling-cover test) on the heap and converts it
-// to a flat snapshot opened without bulk checksums, as a server maps it.
-func buildLayouts(t *testing.T) (heap *index.Index, fl *flat.Index, paths int) {
+// shape that exercises the sibling-cover test) in memory, saves it, and
+// opens the saved file without the full verification: mapped, as a server
+// maps it, or read into writable memory.
+func buildLayouts(t *testing.T, mapped bool) (built, saved *flat.Index, paths int) {
 	t.Helper()
 	_, docs, err := datagen.XMark(datagen.XMarkOptions{IdenticalSiblings: true, Seed: 3}, 400)
 	if err != nil {
@@ -44,22 +38,19 @@ func buildLayouts(t *testing.T) (heap *index.Index, fl *flat.Index, paths int) {
 		t.Fatal(err)
 	}
 	enc := pathenc.NewEncoder(0)
-	heap, err = index.Build(docs, index.Options{Encoder: enc, Strategy: sequence.NewProbability(sch, enc)})
+	built, err = index.Build(docs, index.Options{Encoder: enc, Strategy: sequence.NewProbability(sch, enc)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := heap.Export()
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "x.flat")
+	if err := built.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := flat.Write(&buf, ex); err != nil {
+	if saved, err = flat.OpenFile(path, flat.Options{NoMmap: !mapped}); err != nil {
 		t.Fatal(err)
 	}
-	if fl, err = flat.OpenBytes(buf.Bytes(), flat.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	return heap, fl, enc.NumPaths()
+	t.Cleanup(func() { saved.Close() })
+	return built, saved, enc.NumPaths()
 }
 
 var patterns = []string{
@@ -75,11 +66,12 @@ var patterns = []string{
 	"/site/*",
 }
 
-// TestLayoutsAgree: one kernel means one answer and one amount of work. For
-// every pattern and mode the heap-built view and the flat-opened view must
-// return the same ids (or the same error) and identical QueryStats.
+// TestLayoutsAgree: one format means one answer and one amount of work. For
+// every pattern and mode the index built in memory and the same bytes saved
+// and mapped must return the same ids (or the same error) and identical
+// QueryStats.
 func TestLayoutsAgree(t *testing.T) {
-	heap, fl, _ := buildLayouts(t)
+	built, saved, _ := buildLayouts(t, true)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	modes := []struct {
@@ -97,24 +89,24 @@ func TestLayoutsAgree(t *testing.T) {
 	for _, q := range patterns {
 		pat := query.MustParse(q)
 		for _, m := range modes {
-			var hs, fs engine.QueryStats
-			m.qo.Stats = &hs
-			want, herr := heap.QueryWithContext(m.ctx, pat, m.qo)
-			m.qo.Stats = &fs
-			got, ferr := fl.QueryWithContext(m.ctx, pat, m.qo)
-			if !errors.Is(herr, m.err) || !errors.Is(ferr, m.err) {
-				t.Fatalf("%s %s: errors heap %v, flat %v, want %v", m.name, q, herr, ferr, m.err)
+			var bs, ss engine.QueryStats
+			m.qo.Stats = &bs
+			want, berr := built.QueryWithContext(m.ctx, pat, m.qo)
+			m.qo.Stats = &ss
+			got, serr := saved.QueryWithContext(m.ctx, pat, m.qo)
+			if !errors.Is(berr, m.err) || !errors.Is(serr, m.err) {
+				t.Fatalf("%s %s: errors built %v, saved %v, want %v", m.name, q, berr, serr, m.err)
 			}
 			if !slices.Equal(got, want) {
-				t.Errorf("%s %s: flat %v, heap %v", m.name, q, got, want)
+				t.Errorf("%s %s: saved %v, built %v", m.name, q, got, want)
 			}
-			if hs != fs {
-				t.Errorf("%s %s: stats flat %+v, heap %+v", m.name, q, fs, hs)
+			if bs != ss {
+				t.Errorf("%s %s: stats saved %+v, built %+v", m.name, q, ss, bs)
 			}
 			if m.name == "limit" && len(want) > 2 {
 				t.Errorf("limit %s: %d ids", q, len(want))
 			}
-			covered = covered || hs.CoverRejections > 0
+			covered = covered || bs.CoverRejections > 0
 		}
 	}
 	if !covered {
@@ -123,11 +115,11 @@ func TestLayoutsAgree(t *testing.T) {
 }
 
 // TestForgedAncIsCorruption: an anc chain that does not strictly decrease —
-// a flipped byte in a mapped file, or heap memory gone bad — must end the
-// query with *CorruptError on either layout, never a hang or a panic.
+// a flipped byte in a snapshot file, or a build's memory gone bad — must end
+// the query with *CorruptError, never a hang or a panic.
 func TestForgedAncIsCorruption(t *testing.T) {
-	heap, fl, paths := buildLayouts(t)
-	for name, l := range map[string]layout{"heap": heap, "flat": fl} {
+	built, saved, paths := buildLayouts(t, false)
+	for name, l := range map[string]*flat.Index{"built": built, "saved": saved} {
 		forged := 0
 		for p := 0; p < paths; p++ {
 			link := l.Link(pathenc.PathID(p))

@@ -1,11 +1,11 @@
-// Package pager simulates the disk layer behind the index so experiments
-// can report I/O costs the way the paper does ("# disk accesses" in Table 7,
-// "# of pages" in Figure 16(c,d)). Index structures lay their arrays out in
-// fixed-size pages via an Allocator; every access goes through an LRU
-// buffer Pool which counts hits and misses — a miss is one disk access.
+// Package pager is the buffer pool behind page-level I/O accounting, so
+// experiments can report I/O costs the way the paper does ("# disk
+// accesses" in Table 7, "# of pages" in Figure 16(c,d)). The flat layout
+// charges every 4 KiB page of its image a query reads to an LRU Pool, which
+// counts hits and misses — a miss is one disk access.
 //
-// No bytes are actually moved: the simulation only tracks which page each
-// array slot falls on, which is exactly what a page-level I/O count needs.
+// No bytes are actually moved: the pool only tracks which pages are
+// resident, which is exactly what a page-level I/O count needs.
 package pager
 
 import (
@@ -16,7 +16,7 @@ import (
 // PageSize is the default page size in bytes (4 KiB).
 const PageSize = 4096
 
-// PageID identifies one page of the simulated file.
+// PageID identifies one page of an index image.
 type PageID int64
 
 // Stats aggregates buffer-pool counters. Misses are disk accesses.
@@ -37,7 +37,7 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Reads)
 }
 
-// Pool is an LRU buffer pool over simulated pages. The zero value is not
+// Pool is an LRU buffer pool over page ids. The zero value is not
 // usable; call NewPool. Not safe for concurrent use.
 type Pool struct {
 	capacity int

@@ -632,9 +632,10 @@ func (r *replicator) fetchAndSwap(ctx context.Context) (seq uint64, n int64, err
 		return 0, 0, err
 	}
 
-	// LoadFile re-verifies the snapshot's own section checksums: a corrupt
-	// file that somehow passed the transfer CRC still cannot get past here.
-	ix, err := xseq.LoadFile(tmpPath)
+	// The load re-verifies the snapshot's own checksums and structure: a
+	// corrupt file that somehow passed the transfer CRC still cannot get
+	// past here.
+	ix, err := openSnapshot(tmpPath, false)
 	if err != nil {
 		return 0, 0, fmt.Errorf("downloaded snapshot: %w", err)
 	}

@@ -17,8 +17,9 @@ import (
 	"xseq"
 )
 
-// buildFlatSnapshot writes an n-document flat snapshot to path (same corpus
-// as buildSnapshot, so matchAll hits every document).
+// buildFlatSnapshot writes an n-document snapshot to path through
+// SaveFlatFile (same corpus as buildSnapshot, so matchAll hits every
+// document).
 func buildFlatSnapshot(t *testing.T, path string, n int, keepDocs bool) {
 	t.Helper()
 	docs := make([]*xseq.Document, n)
@@ -87,21 +88,35 @@ func TestServeFlatSnapshot(t *testing.T) {
 	}
 }
 
-// TestExpectLayoutMismatch: a heap snapshot is refused at startup when the
-// server expects flat, and vice versa.
+// TestExpectLayoutMismatch: ExpectLayout chooses how a single-partition
+// snapshot is held — the same SaveFile output serves as "monolithic" or as
+// "flat" — and refuses a snapshot of the other shape: a sharded one where
+// a single partition is expected, and the reverse.
 func TestExpectLayoutMismatch(t *testing.T) {
 	dir := t.TempDir()
-	heap := filepath.Join(dir, "snap.idx")
-	buildSnapshot(t, heap, 2, false)
-	if _, err := New(Config{IndexPath: heap, ExpectLayout: "flat", Logf: silentLogf}); err == nil {
-		t.Fatal("monolithic snapshot accepted with ExpectLayout=flat")
+	single := filepath.Join(dir, "snap.idx")
+	buildSnapshot(t, single, 2, false)
+	for _, layout := range []string{"monolithic", "flat"} {
+		srv, err := New(Config{IndexPath: single, ExpectLayout: layout, Logf: silentLogf})
+		if err != nil {
+			t.Fatalf("single-partition snapshot refused with ExpectLayout=%s: %v", layout, err)
+		}
+		if got := srv.swap.Current().Layout(); got != layout {
+			t.Fatalf("ExpectLayout=%s serves layout %s", layout, got)
+		}
+		srv.Close()
 	}
-	flat := filepath.Join(dir, "snap.flat")
-	buildFlatSnapshot(t, flat, 2, false)
-	if _, err := New(Config{IndexPath: flat, ExpectLayout: "monolithic", Logf: silentLogf}); err == nil {
-		t.Fatal("flat snapshot accepted with ExpectLayout=monolithic")
+	if _, err := New(Config{IndexPath: single, ExpectLayout: "sharded", Logf: silentLogf}); err == nil {
+		t.Fatal("single-partition snapshot accepted with ExpectLayout=sharded")
 	}
-	if _, err := New(Config{IndexPath: flat, ExpectLayout: "zoned", Logf: silentLogf}); err == nil {
+	sharded := filepath.Join(dir, "sharded.idx")
+	buildShardedSnapshot(t, sharded, 4, 2)
+	for _, layout := range []string{"monolithic", "flat"} {
+		if _, err := New(Config{IndexPath: sharded, ExpectLayout: layout, Logf: silentLogf}); err == nil {
+			t.Fatalf("sharded snapshot accepted with ExpectLayout=%s", layout)
+		}
+	}
+	if _, err := New(Config{IndexPath: single, ExpectLayout: "zoned", Logf: silentLogf}); err == nil {
 		t.Fatal("unknown ExpectLayout accepted")
 	}
 }

@@ -21,9 +21,9 @@ func (s *Server) Reload() error {
 		return fmt.Errorf("server: reload applies to static snapshot mode only")
 	}
 	mtime, size := statFile(s.cfg.IndexPath)
-	ix, err := xseq.LoadFile(s.cfg.IndexPath)
+	ix, err := openSnapshot(s.cfg.IndexPath, s.cfg.ExpectLayout == xseq.LayoutFlat)
 	if err == nil {
-		// prepareSnapshot verifies integrity (flat snapshots fully, before
+		// prepareSnapshot verifies integrity (mapped snapshots fully, before
 		// any query can hit the damage) and re-instruments the replacement:
 		// a fresh, empty query cache — the swap itself is the invalidation;
 		// readers on the old snapshot keep its cache, whose entries are

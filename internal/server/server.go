@@ -104,10 +104,13 @@ type Config struct {
 	ExpectShards int
 	// ExpectLayout, when non-empty, requires every snapshot — initial and
 	// reloaded — to have this storage layout: "monolithic", "sharded", or
-	// "flat". Like ExpectShards, a mismatched initial snapshot fails
-	// startup and a mismatched replacement is rejected on reload. Flat
-	// snapshots additionally get page-level accounting attached, so /stats
-	// reports resident-vs-mapped bytes and disk accesses.
+	// "flat". For a single-partition snapshot it also chooses how the
+	// snapshot is held: "flat" maps it in place and attaches page-level
+	// accounting, so /stats reports resident-vs-mapped bytes and disk
+	// accesses; otherwise it is read into memory and verified in full as it
+	// loads. Like ExpectShards, a mismatched initial snapshot (sharded where
+	// "monolithic" or "flat" is expected, or the reverse) fails startup and
+	// a mismatched replacement is rejected on reload.
 	ExpectLayout string
 	// QueryCacheEntries, when > 0, wraps every served snapshot — initial
 	// and reloaded — in a result cache of this many entries. A reload swaps
@@ -320,7 +323,7 @@ func New(cfg Config) (*Server, error) {
 		var seedErr error
 		if cfg.CheckpointPath != "" {
 			if _, statErr := os.Stat(cfg.CheckpointPath); statErr == nil {
-				ix, err := xseq.LoadFile(cfg.CheckpointPath)
+				ix, err := openSnapshot(cfg.CheckpointPath, false)
 				if err == nil {
 					seed, err = ix.StoredDocuments()
 				}
@@ -372,7 +375,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.IndexPath == "" {
 			return nil, fmt.Errorf("server: one of Config.IndexPath, WALPath, FollowURL is required")
 		}
-		ix, err := xseq.LoadFile(cfg.IndexPath)
+		ix, err := openSnapshot(cfg.IndexPath, cfg.ExpectLayout == xseq.LayoutFlat)
 		if err != nil {
 			return nil, fmt.Errorf("server: initial snapshot: %w", err)
 		}
@@ -760,6 +763,22 @@ func checkLayout(expect string, ix *xseq.Index) error {
 	return nil
 }
 
+// openSnapshot opens the snapshot at path. mapped maps a single-partition
+// snapshot in place (xseq.LoadFile: the flat layout, whose bulk sections
+// prepareSnapshot verifies); otherwise the file is read into memory and
+// verified in full (xseq.Load).
+func openSnapshot(path string, mapped bool) (*xseq.Index, error) {
+	if mapped {
+		return xseq.LoadFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return xseq.Load(f)
+}
+
 // prepareSnapshot validates a freshly loaded static-mode snapshot against
 // the configured expectations and instruments it for serving. It must run
 // before the snapshot is published; on error the caller closes ix and keeps
@@ -771,9 +790,9 @@ func prepareSnapshot(cfg *Config, ix *xseq.Index) error {
 	if err := checkLayout(cfg.ExpectLayout, ix); err != nil {
 		return err
 	}
-	// Opening a flat snapshot verifies only its dictionary head; the full
-	// checksum sweep runs here so damage in the bulk sections rejects the
-	// snapshot up front instead of surfacing mid-query. No-op for heap
+	// Opening a mapped snapshot verifies only its dictionary head; the full
+	// verification runs here so damage in the bulk sections rejects the
+	// snapshot up front instead of surfacing mid-query. No-op for the other
 	// layouts (their load already verified everything).
 	if err := ix.VerifyIntegrity(); err != nil {
 		return err
@@ -781,7 +800,7 @@ func prepareSnapshot(cfg *Config, ix *xseq.Index) error {
 	if cfg.QueryCacheEntries > 0 {
 		ix.EnableQueryCache(cfg.QueryCacheEntries)
 	}
-	// A flat snapshot serves with page accounting attached, the pool sized
+	// The flat layout serves with page accounting attached, the pool sized
 	// to hold every page: /stats then reports how much of the mapped file
 	// queries actually touch (resident vs mapped) and the disk-access count.
 	// A pool that size selects flat's lock-free touched-page bitmap, so the

@@ -11,19 +11,21 @@ import (
 	"os"
 
 	"xseq/internal/engine"
+	"xseq/internal/flat"
 	"xseq/internal/index"
 )
 
-// Sharded snapshot format: a manifest followed by one ordinary v2 index
-// stream per shard, all in a single file so the existing snapshot plumbing
-// (atomic rename, mtime watching, hot swap) keeps working unchanged.
+// Sharded snapshot format: a manifest followed by one XSEQFLAT snapshot
+// per non-empty shard, all in a single file so the existing snapshot
+// plumbing (atomic rename, mtime watching, hot swap) keeps working
+// unchanged.
 //
 //	offset          size  field
 //	0               8     magic "XSEQSHRD"
 //	8               8     manifest length m, big-endian uint64
 //	16              m     manifest: gob(manifest)
 //	16+m            4     CRC-32 (IEEE) of the manifest payload, big-endian
-//	20+m            L0    shard 0: a v2 index.Save stream (absent when empty)
+//	20+m            L0    shard 0: an XSEQFLAT snapshot (absent when empty)
 //	20+m+L0         L1    shard 1 ...
 //
 // The manifest records the shard count, the partition hash seed, and each
@@ -31,12 +33,13 @@ import (
 // exact shard that carries it — a damaged shard fails the load with a
 // *index.CorruptError naming the shard, and a manifest/stream mix-up is
 // caught by re-checking the partitioning invariant on the decoded ids
-// (every document must hash back to the shard that claims it). Shards load
-// and decode in parallel on a GOMAXPROCS-bounded pool.
+// (every document must hash back to the shard that claims it). Each shard
+// is opened in place over the bytes read, with flat's full verification;
+// shards load in parallel on a GOMAXPROCS-bounded pool.
 
-// shardMagic opens every sharded snapshot. It differs from the monolithic
-// v2 magic ("XSEQIDX2") in the trailing bytes, so an 8-byte sniff
-// distinguishes the two formats.
+// shardMagic opens every sharded snapshot. It differs from the flat magic
+// ("XSEQFLAT") in the trailing bytes, so an 8-byte sniff distinguishes the
+// two formats.
 var shardMagic = [8]byte{'X', 'S', 'E', 'Q', 'S', 'H', 'R', 'D'}
 
 // IsShardedHeader reports whether the first bytes of a stream name the
@@ -52,8 +55,8 @@ const manifestVersion = 1
 // manifests are a few bytes per shard.
 const maxManifestPayload = int64(1) << 28 // 256 MiB
 
-// maxShardPayload bounds one shard's stream length field (matching the
-// monolithic persistence sanity cap).
+// maxShardPayload bounds one shard's stream length field, a sanity cap
+// against corrupt length fields.
 const maxShardPayload = int64(1) << 36 // 64 GiB
 
 // maxShardCount bounds the shard count a manifest may declare — a sanity
@@ -71,8 +74,8 @@ type manifest struct {
 }
 
 // corrupt builds the package's uniform corruption error; keeping the type
-// identical to the monolithic loader's means errors.As(*index.CorruptError)
-// detects damage in either snapshot format.
+// identical to flat's means errors.As(*index.CorruptError) detects damage
+// in either snapshot format.
 func corrupt(format string, args ...any) *index.CorruptError {
 	return &index.CorruptError{Reason: fmt.Sprintf(format, args...)}
 }
@@ -82,8 +85,8 @@ func corruptWrap(err error, format string, args ...any) *index.CorruptError {
 	return &index.CorruptError{Reason: fmt.Sprintf(format, args...), Err: err}
 }
 
-// Save serializes the sharded index: shards are encoded to their v2
-// streams in parallel, then written behind the manifest.
+// Save serializes the sharded index: shards are encoded to their XSEQFLAT
+// snapshots in parallel, then written behind the manifest.
 func (s *Index) Save(w io.Writer) error {
 	n := len(s.shards)
 	streams := make([][]byte, n)
@@ -141,7 +144,7 @@ func (s *Index) Save(w io.Writer) error {
 }
 
 // SaveFile is Save to a file through engine.SaveFile, the one crash-safe
-// snapshot writer, exactly like the monolithic SaveFile.
+// snapshot writer, exactly like a single-partition SaveFile.
 func (s *Index) SaveFile(path string) error {
 	return engine.SaveFile(path, s.Save)
 }
@@ -201,7 +204,7 @@ func readManifest(r io.Reader) (*manifest, error) {
 	return &m, nil
 }
 
-// decodeShard validates and decodes one shard's raw stream bytes,
+// decodeShard validates and opens one shard's raw snapshot bytes in place,
 // attributing any failure to the shard. It also re-checks the partitioning
 // invariant: every document id the shard carries must hash back to this
 // shard, so a manifest/stream mix-up can never silently misattribute
@@ -211,11 +214,15 @@ func decodeShard(m *manifest, i int, raw []byte) (*index.Index, error) {
 		return nil, corrupt("shard %d of %d: checksum mismatch (stored %08x, computed %08x)",
 			i, m.Shards, m.ShardCRCs[i], sum)
 	}
-	ix, err := index.Load(bytes.NewReader(raw))
+	ix, err := flat.OpenBytes(raw, flat.Options{Verify: true})
 	if err != nil {
-		return nil, &index.CorruptError{Reason: fmt.Sprintf("shard %d of %d", i, m.Shards), Err: err}
+		return nil, corruptWrap(err, "shard %d of %d", i, m.Shards)
 	}
-	for _, id := range ix.DocsInPreRange(0, ix.MaxSerial(), nil) {
+	ids, err := ix.CollectDocs(0, ix.MaxSerial(), nil, nil)
+	if err != nil {
+		return nil, corruptWrap(err, "shard %d of %d", i, m.Shards)
+	}
+	for _, id := range ids {
 		if id > m.MaxDocID {
 			return nil, corrupt("shard %d of %d: document id %d exceeds manifest max %d",
 				i, m.Shards, id, m.MaxDocID)

@@ -98,7 +98,11 @@ func (v *Index) Query(pat *query.Pattern) ([]int32, error) {
 		if root < 0 {
 			continue
 		}
-		for _, id := range v.docsFor(inst, children, root, 1, v.ix.MaxSerial()) {
+		docs, err := v.docsFor(inst, children, root, 1, v.ix.MaxSerial())
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range docs {
 			candSet[id] = true
 		}
 	}
@@ -128,18 +132,27 @@ func (v *Index) Query(pat *query.Pattern) ([]int32, error) {
 // rooted at node, anchored within [lo, hi] of the trie: the union over
 // matching link entries of the intersection (JOIN) of the children's
 // document sets.
-func (v *Index) docsFor(inst query.Instance, children [][]int, node int, lo, hi int32) []int32 {
-	entries := v.ix.LinkEntriesInRange(inst.Paths[node], lo, hi)
+func (v *Index) docsFor(inst query.Instance, children [][]int, node int, lo, hi int32) ([]int32, error) {
+	l := v.ix.Link(inst.Paths[node])
 	var union map[int32]bool
-	for _, e := range entries {
+	for k := l.LowerBound(lo, nil); k < l.Len() && l.Pre(k) <= hi; k++ {
+		pre, max := l.Pre(k), l.Max(k)
 		var docs []int32
 		if len(children[node]) == 0 {
-			docs = v.ix.DocsInPreRange(e.Pre, e.Max, nil)
+			var err error
+			if docs, err = v.ix.CollectDocs(pre, max, nil, nil); err != nil {
+				return nil, err
+			}
 		} else {
-			// Match each branch independently within e's range, then join.
+			// Match each branch independently within the entry's range, then
+			// join.
 			sets := make([][]int32, 0, len(children[node]))
 			for _, c := range children[node] {
-				sets = append(sets, v.docsFor(inst, children, c, e.Pre+1, e.Max))
+				set, err := v.docsFor(inst, children, c, pre+1, max)
+				if err != nil {
+					return nil, err
+				}
+				sets = append(sets, set)
 			}
 			docs = v.joinDocSets(sets)
 		}
@@ -155,7 +168,7 @@ func (v *Index) docsFor(inst query.Instance, children [][]int, node int, lo, hi 
 		out = append(out, id)
 	}
 	slices.Sort(out)
-	return out
+	return out, nil
 }
 
 // joinDocSets intersects sorted document id sets, tracking join work.

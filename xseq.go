@@ -58,9 +58,10 @@ import (
 // (ParseOptions.MaxDepth/MaxNodes/MaxInputBytes); detect it with errors.As.
 type LimitError = xmltree.LimitError
 
-// CorruptError reports a Save stream that failed validation on Load —
-// truncated, bit-flipped, checksum mismatch, or structurally inconsistent;
-// detect it with errors.As.
+// CorruptError reports a snapshot that failed validation on Load or
+// LoadFile, or damage a query met in a mapped snapshot — truncated,
+// bit-flipped, checksum mismatch, or structurally inconsistent; detect it
+// with errors.As.
 type CorruptError = index.CorruptError
 
 // CompactionError reports a failed DynamicIndex compaction. The index keeps
@@ -86,7 +87,7 @@ type WALCorruptError = wal.CorruptError
 var ErrWALRotated = wal.ErrRotated
 
 // ErrUnsupported reports an operation the index's storage layout cannot
-// perform — paged I/O simulation on a sharded index, SchemaOutline where no
+// perform — paged I/O accounting on a sharded index, SchemaOutline where no
 // schema was retained. Detect it with errors.Is; the returned error names
 // the operation and the layout.
 var ErrUnsupported = engine.ErrUnsupported
@@ -234,7 +235,7 @@ type Config struct {
 	// exactly the ids (same set, same ascending order) the monolithic index
 	// returns. Each shard infers its own schema from its partition, so
 	// SchemaOutline reports ErrUnsupported for sharded indexes, as does
-	// paged I/O simulation. BuildDynamic honours Shards too: compaction
+	// paged I/O accounting. BuildDynamic honours Shards too: compaction
 	// rebuilds run through the sharded build path.
 	Shards int
 	// BuildWorkers bounds how many shards build concurrently
@@ -261,11 +262,11 @@ type Config struct {
 	// one fsync covers a whole batch. 0 fsyncs per insert (still sharing
 	// fsyncs between concurrent inserters).
 	WALSyncWindow time.Duration
-	// Layout selects the storage organization. "" (with Shards) picks the
-	// heap layouts as before; LayoutFlat ("flat") converts the built index
-	// to the flat single-file format and serves it query-in-place — the
-	// layout Load gives a SaveFlat snapshot. Flat is a single-partition
-	// layout: combining it with Shards > 1 is a configuration error.
+	// Layout chooses how a single-partition index is held; every one is
+	// the same XSEQFLAT image. "" is the monolithic layout; LayoutFlat
+	// ("flat") is the layout LoadFile gives a mapped snapshot: Stats
+	// carries the Flat storage figures. Combining it with Shards > 1 is a
+	// configuration error.
 	Layout string
 }
 
@@ -278,6 +279,9 @@ type Index struct {
 	queryable
 	sch  *schema.Schema
 	pool *pager.Pool
+	// flat marks the flat layout (Layout): a single-partition index served
+	// in place, whose Stats carry the Flat figures.
+	flat bool
 }
 
 // newIndex wraps a loaded or built engine in the facade type.
@@ -321,12 +325,8 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 	if cfg.Layout == LayoutFlat && cfg.Shards > 1 {
 		return nil, fmt.Errorf("xseq: Layout %q is a single-partition layout; it cannot combine with Shards %d", LayoutFlat, cfg.Shards)
 	}
-	strategyName, err := sequence.CanonicalName(cfg.Strategy)
-	if err != nil {
+	if _, err := sequence.CanonicalName(cfg.Strategy); err != nil {
 		return nil, fmt.Errorf("xseq: %w", err)
-	}
-	if cfg.Layout == LayoutFlat && (strategyName == StrategyDepthFirst || strategyName == StrategyBreadthFirst) {
-		return nil, fmt.Errorf("xseq: strategy %q cannot build the flat layout (flat snapshots reconstruct g_best priorities from the schema, which would not match the positional data order)", strategyName)
 	}
 	inner := make([]*xmltree.Document, len(docs))
 	for i, d := range docs {
@@ -335,7 +335,7 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 		}
 		inner[i] = &xmltree.Document{ID: d.id, Root: d.root}
 	}
-	out := &Index{}
+	out := &Index{flat: cfg.Layout == LayoutFlat}
 	if cfg.Shards > 1 {
 		sh, err := shard.BuildContext(ctx, inner, func(ctx context.Context, part []*xmltree.Document) (*index.Index, error) {
 			ix, _, err := buildPartition(ctx, part, cfg, true)
@@ -351,24 +351,6 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 			return nil, fmt.Errorf("xseq: build: %w", err)
 		}
 		out.eng, out.sch = ix, sch
-		if cfg.Layout == LayoutFlat {
-			// Convert in memory: lay the built index out in the flat format
-			// and serve the bytes query-in-place, exactly as a loaded
-			// SaveFlat snapshot would be.
-			ex, err := ix.Export()
-			if err != nil {
-				return nil, fmt.Errorf("xseq: build flat: %w", err)
-			}
-			var buf bytes.Buffer
-			if err := flat.Write(&buf, ex); err != nil {
-				return nil, fmt.Errorf("xseq: build flat: %w", err)
-			}
-			f, err := flat.OpenBytes(buf.Bytes(), flat.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("xseq: build flat: %w", err)
-			}
-			out.eng = f
-		}
 	}
 	if cfg.QueryCacheEntries > 0 {
 		out.EnableQueryCache(cfg.QueryCacheEntries)
@@ -555,7 +537,7 @@ type Stats struct {
 	// installed.
 	QueryCache *QueryCacheStats
 	// Flat reports the flat layout's real storage figures (mapped vs
-	// resident bytes, page-touch counters), nil for heap layouts.
+	// resident bytes, page-touch counters), nil for other layouts.
 	Flat *FlatStats
 }
 
@@ -605,7 +587,6 @@ func (x *queryable) Stats() Stats {
 		Links:              x.eng.NumLinks(),
 		EstimatedDiskBytes: x.eng.EstimatedDiskBytes(),
 		QueryCache:         cacheStats(x.eng),
-		Flat:               flatStats(x.baseEngine()),
 	}
 	if per := x.eng.Shards(); per != nil {
 		st.Shards = len(per)
@@ -692,16 +673,16 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 		KeepDocuments: true,
 		BulkLoad:      true,
 	}
+	if ix.flat {
+		cfg.Layout = LayoutFlat
+	}
 	switch e := ix.baseEngine().(type) {
-	case *index.Index:
+	case *flat.Index:
 		cfg.ValueSpace, cfg.TextValues = e.Encoder().ValueSpace(), e.Encoder().TextValues()
 	case *shard.Index:
 		enc := e.Shard(0).Encoder()
 		cfg.ValueSpace, cfg.TextValues = enc.ValueSpace(), enc.TextValues()
 		cfg.Shards = e.NumShards()
-	case *flat.Index:
-		cfg.ValueSpace, cfg.TextValues = e.Encoder().ValueSpace(), e.Encoder().TextValues()
-		cfg.Layout = LayoutFlat
 	default:
 		return nil, fmt.Errorf("xseq: resequencing rebuild on layout %q: %w", ix.Layout(), ErrUnsupported)
 	}
@@ -721,7 +702,7 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 func (ix *Index) persistable() error {
 	var name string
 	switch e := ix.baseEngine().(type) {
-	case *index.Index:
+	case *flat.Index:
 		if s := e.Strategy(); s != nil {
 			name = s.Name()
 		}
@@ -741,11 +722,12 @@ func (ix *Index) persistable() error {
 
 // Save serializes the index (designator tables, links, document lists,
 // inferred schema, and — when built with KeepDocuments — the corpus) so it
-// can be reloaded with Load without re-parsing or re-sequencing anything.
-// A monolithic index writes the v2 format (magic header, version, gob
-// payload, CRC-32 trailer); a sharded index writes the sharded container: a
-// checksummed manifest (shard count, partition seed, per-shard length and
-// CRC) followed by one v2 stream per shard.
+// can be reloaded with Load or LoadFile without re-parsing or re-sequencing
+// anything. A single-partition index writes one XSEQFLAT snapshot
+// (checksummed sections that are queried in place); a sharded index writes
+// the sharded container: a checksummed manifest (shard count, partition
+// seed, per-shard length and CRC) followed by one XSEQFLAT snapshot per
+// non-empty shard.
 func (ix *Index) Save(w io.Writer) (err error) {
 	defer guard(&err)
 	if err := ix.persistable(); err != nil {
@@ -766,13 +748,15 @@ func (ix *Index) SaveFile(path string) (err error) {
 	return engine.SaveFile(path, ix.eng.Save)
 }
 
-// Load reconstructs an index written by Save, sniffing the stream's magic
-// bytes to accept monolithic, sharded and flat streams alike. The loaded
+// Load reads an index written by Save into memory, sniffing the stream's
+// magic bytes to accept single-partition and sharded snapshots alike; a
+// single-partition snapshot gets the monolithic layout. Every checksum and
+// the structural invariants are verified before Load returns. The loaded
 // index answers queries identically to the original; it is immutable.
-// Corruption — an unknown magic, truncation, bit flips, checksum or
-// invariant failures, a damaged shard — is reported as a *CorruptError,
-// never a panic or a silently wrong index; for sharded streams the error
-// names the damaged shard.
+// Corruption — an unknown magic or a retired format, truncation, bit flips,
+// checksum or invariant failures, a damaged shard — is reported as a
+// *CorruptError, never a panic or a silently wrong index; for sharded
+// streams the error names the damaged shard.
 func Load(r io.Reader) (_ *Index, err error) {
 	defer guard(&err)
 	var hdr [8]byte
@@ -788,13 +772,6 @@ func Load(r io.Reader) (_ *Index, err error) {
 		}
 		return newIndex(sh), nil
 	}
-	if flat.IsFlatHeader(hdr[:n]) {
-		f, err := flat.Open(replay, flat.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return newIndex(f), nil
-	}
 	inner, err := index.Load(replay)
 	if err != nil {
 		return nil, err
@@ -802,64 +779,37 @@ func Load(r io.Reader) (_ *Index, err error) {
 	return newIndex(inner), nil
 }
 
-// LoadFile is Load from a file written by SaveFile (or any Save stream on
-// disk). Sharded snapshots load their shards in parallel on a
-// GOMAXPROCS-bounded worker pool. A flat snapshot (SaveFlatFile) is
-// memory-mapped and opened in O(dictionary) time — the corpus-sized
-// sections are addressed, not decoded, so opening is independent of corpus
-// size and the file may exceed RAM; call Close when done with it.
+// LoadFile opens an index written by SaveFile. A single-partition snapshot
+// is memory-mapped and opened in O(dictionary) time as the flat layout: the
+// corpus-sized sections are addressed, not decoded, so opening is
+// independent of corpus size and the file may exceed RAM; VerifyIntegrity
+// checks the rest, and Close releases the mapping. A sharded snapshot loads
+// its shards into memory in parallel on a GOMAXPROCS-bounded worker pool,
+// verified in full. For a single-partition snapshot read into memory and
+// verified in full, use Load.
 func LoadFile(path string) (_ *Index, err error) {
 	defer guard(&err)
-	kind, err := sniffFile(path)
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xseq: load %s: %w", path, err)
 	}
-	switch kind {
-	case snapSharded:
+	var hdr [8]byte
+	n, _ := io.ReadFull(f, hdr[:])
+	f.Close()
+	if shard.IsShardedHeader(hdr[:n]) {
 		sh, err := shard.LoadFile(path)
 		if err != nil {
 			return nil, err
 		}
 		return newIndex(sh), nil
-	case snapFlat:
-		f, err := flat.OpenFile(path, flat.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return newIndex(f), nil
 	}
-	inner, err := index.LoadFile(path)
+	fl, err := flat.OpenFile(path, flat.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return newIndex(inner), nil
-}
-
-type snapKind int
-
-const (
-	snapMonolithic snapKind = iota
-	snapSharded
-	snapFlat
-)
-
-// sniffFile reads path's first bytes and classifies the snapshot format.
-func sniffFile(path string) (snapKind, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return snapMonolithic, fmt.Errorf("xseq: load %s: %w", path, err)
-	}
-	defer f.Close()
-	var hdr [8]byte
-	n, _ := io.ReadFull(f, hdr[:])
-	switch {
-	case shard.IsShardedHeader(hdr[:n]):
-		return snapSharded, nil
-	case flat.IsFlatHeader(hdr[:n]):
-		return snapFlat, nil
-	default:
-		return snapMonolithic, nil
-	}
+	out := newIndex(fl)
+	out.flat = true
+	return out, nil
 }
 
 // Swapper publishes the live snapshot of an index and atomically swaps in
@@ -898,14 +848,15 @@ func (s *Swapper) Swap(ix *Index) (prev *Index) {
 	return s.p.Swap(ix)
 }
 
-// SwapFromFile loads path (a SaveFile snapshot) and, only on success, swaps
-// it in. On any failure — missing file, *CorruptError, short read — the
-// previous snapshot stays published and keeps serving; the error is
-// returned alongside it. The returned index is whatever is current after
-// the call: the fresh snapshot on success, the surviving old one on error.
+// SwapFromFile loads path (a SaveFile snapshot) with LoadFile and, only on
+// success, swaps it in. On any failure — missing file, *CorruptError, short
+// read — the previous snapshot stays published and keeps serving; the
+// error is returned alongside it. The returned index is whatever is current
+// after the call: the fresh snapshot on success, the surviving old one on
+// error.
 //
-// Flat snapshots get the full integrity sweep (VerifyIntegrity) before
-// being published: their bulk sections are not checksummed by the O(1)
+// A mapped snapshot gets the full integrity pass (VerifyIntegrity) before
+// being published: its bulk sections are not checked by the O(dictionary)
 // open, and a serving swap is exactly the moment to pay for the scan —
 // damage keeps the old snapshot serving instead of surfacing mid-query.
 func (s *Swapper) SwapFromFile(path string) (*Index, error) {
@@ -1355,7 +1306,7 @@ func (d *DynamicIndex) Health() Health {
 }
 
 // IOStats reports page-level I/O counters (all zero until EnablePagedIO):
-// simulated for a monolithic index, real page touches for a flat one.
+// the pages of the XSEQFLAT image a query touches.
 type IOStats struct {
 	Reads        int64
 	Hits         int64
@@ -1363,7 +1314,7 @@ type IOStats struct {
 }
 
 // pagedEngine is the capability a layout must have for page-level I/O
-// accounting; the monolithic and flat indexes each have one page image.
+// accounting: one page image, as every single-partition index has.
 type pagedEngine interface {
 	AttachPager(*pager.Pool) (int64, error)
 	DetachPager()
@@ -1380,18 +1331,17 @@ func (ix *Index) pagedEngine() pagedEngine {
 }
 
 // EnablePagedIO starts counting disk accesses behind a buffer pool of
-// poolPages 4 KiB pages (<= 0: 256) and returns the on-disk page count. A
-// monolithic index is laid out on simulated pages behind an LRU pool. A
-// flat index charges the real pages of its file: a pool at least as large
-// as the file can never evict, so its counts are kept exactly by a
-// lock-free touched-page bitmap (what xseqd attaches); a smaller pool is an
-// LRU that queries share under a mutex. Paged I/O is a single-index
-// instrument; layouts without one page image (sharded indexes) return an
-// error wrapping ErrUnsupported.
+// poolPages 4 KiB pages (<= 0: 256) and returns the image's page count.
+// Queries charge the real pages of the XSEQFLAT image: a pool at least as
+// large as the image can never evict, so its counts are kept exactly by a
+// lock-free touched-page bitmap (what xseqd attaches to the flat layout); a
+// smaller pool is an LRU that queries share under a mutex. Paged I/O is a
+// single-index instrument; layouts without one page image (sharded
+// indexes) return an error wrapping ErrUnsupported.
 func (ix *Index) EnablePagedIO(poolPages int) (int64, error) {
 	pe := ix.pagedEngine()
 	if pe == nil {
-		return 0, fmt.Errorf("xseq: paged I/O simulation on a sharded index: %w", ErrUnsupported)
+		return 0, fmt.Errorf("xseq: paged I/O accounting on a sharded index: %w", ErrUnsupported)
 	}
 	ix.pool = pager.NewPool(poolPages)
 	return pe.AttachPager(ix.pool)
