@@ -93,15 +93,18 @@ const (
 	exitCorrupt = 4
 )
 
-// exitCode classifies a startup error: corruption (a bad snapshot, or a
-// torn/corrupt WAL under -wal-strict) is permanent and gets its own code so
-// supervisors don't restart-loop over a log that needs operator attention.
+// exitCode classifies a startup error: a flag combination server.New
+// rejects is usage; corruption (a bad snapshot, or a torn/corrupt WAL under
+// -wal-strict) is permanent and gets its own code so supervisors don't
+// restart-loop over a log that needs operator attention.
 func exitCode(err error) int {
 	var walCorrupt *xseq.WALCorruptError
 	var snapCorrupt *xseq.CorruptError
 	switch {
 	case err == nil:
 		return exitOK
+	case errors.Is(err, server.ErrConfig):
+		return exitUsage
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return exitTimeout
 	case errors.As(err, &walCorrupt), errors.As(err, &snapCorrupt):
@@ -147,43 +150,15 @@ func main() {
 		chaosPanicEvery   = flag.Int("chaos-panic-every", 0, "chaos: panic on every nth /query, contained to a 500 (0 = off)")
 	)
 	flag.Parse()
-	if err := validateMode(*index, *walPath, *follow); err != nil {
-		fmt.Fprintf(os.Stderr, "xseqd: %v\n", err)
-		os.Exit(exitUsage)
-	}
+	// Mode rules and value ranges are server.New's to enforce (ErrConfig,
+	// exit 2); only what never reaches it is checked here.
 	ckptEntries, ckptBytes, err := parseCheckpointEvery(*ckptEvery)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "xseqd: %v\n", err)
 		os.Exit(exitUsage)
 	}
-	if *ckptEvery != "" && *walPath == "" {
-		fmt.Fprintln(os.Stderr, "xseqd: -checkpoint-every requires -wal (the policy rotates the log it checkpoints)")
-		os.Exit(exitUsage)
-	}
-	if *ckptPath != "" && *walPath == "" && *follow == "" {
-		fmt.Fprintln(os.Stderr, "xseqd: -checkpoint requires -wal or -follow")
-		os.Exit(exitUsage)
-	}
-	if *shards < 0 || *workers < 0 || *qcache < 0 {
-		fmt.Fprintln(os.Stderr, "xseqd: -shards, -workers, and -query-cache must be >= 0")
-		os.Exit(exitUsage)
-	}
-	if *adaptive && *follow != "" {
-		fmt.Fprintln(os.Stderr, "xseqd: -adaptive is incompatible with -follow (a follower serves the primary's sequencing)")
-		os.Exit(exitUsage)
-	}
-	if !*adaptive && (*adaptPoll != 0 || *adaptDrift != 0 || *adaptMinIval != 0) {
-		fmt.Fprintln(os.Stderr, "xseqd: -adaptive-poll, -adaptive-drift, and -adaptive-min-interval require -adaptive")
-		os.Exit(exitUsage)
-	}
-	if *adaptDrift < 0 || *adaptDrift > 1 {
-		fmt.Fprintln(os.Stderr, "xseqd: -adaptive-drift must be in (0, 1]")
-		os.Exit(exitUsage)
-	}
-	switch *layout {
-	case "", "monolithic", "sharded", "flat":
-	default:
-		fmt.Fprintf(os.Stderr, "xseqd: -layout %q (want monolithic, sharded, or flat)\n", *layout)
+	if *workers < 0 {
+		fmt.Fprintln(os.Stderr, "xseqd: -workers must be >= 0")
 		os.Exit(exitUsage)
 	}
 	if *workers > 0 {
@@ -363,17 +338,4 @@ func parseCheckpointEvery(s string) (entries int, bytes int64, err error) {
 		return 0, 0, fmt.Errorf("bad -checkpoint-every %q: want a positive entry count or a size like 64MB", s)
 	}
 	return n, 0, nil
-}
-
-// validateMode enforces that exactly one serving mode is selected: -index
-// (static), -wal (primary), or -follow (follower, optionally with -wal for
-// a durable local copy of the replicated stream).
-func validateMode(index, walPath, follow string) error {
-	switch {
-	case index == "" && walPath == "" && follow == "":
-		return errors.New("one of -index (static), -wal (primary), or -follow (follower) is required")
-	case index != "" && (walPath != "" || follow != ""):
-		return errors.New("-index serves an immutable snapshot; it cannot be combined with -wal or -follow")
-	}
-	return nil
 }

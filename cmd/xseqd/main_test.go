@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xseq"
+	"xseq/internal/server"
 )
 
 func TestExitCodeClassification(t *testing.T) {
@@ -17,6 +18,7 @@ func TestExitCodeClassification(t *testing.T) {
 	}{
 		{"success", nil, exitOK},
 		{"generic", errors.New("bind: address already in use"), exitFailure},
+		{"config", fmt.Errorf("startup: %w", server.ErrConfig), exitUsage},
 		{"deadline", context.DeadlineExceeded, exitTimeout},
 		{"wrapped cancel", fmt.Errorf("startup: %w", context.Canceled), exitTimeout},
 		{"snapshot corrupt", fmt.Errorf("server: initial snapshot: %w",
@@ -73,27 +75,6 @@ func TestParseCheckpointEvery(t *testing.T) {
 		if entries != c.wantEntries || bytes != c.wantBytes {
 			t.Errorf("parseCheckpointEvery(%q) = (%d, %d), want (%d, %d)",
 				c.in, entries, bytes, c.wantEntries, c.wantBytes)
-		}
-	}
-}
-
-func TestValidateMode(t *testing.T) {
-	cases := []struct {
-		index, wal, follow string
-		ok                 bool
-	}{
-		{"", "", "", false},
-		{"snap.idx", "", "", true},
-		{"", "ingest.wal", "", true},
-		{"", "", "http://primary:8080", true},
-		{"", "ingest.wal", "http://primary:8080", true}, // durable follower
-		{"snap.idx", "ingest.wal", "", false},
-		{"snap.idx", "", "http://primary:8080", false},
-	}
-	for _, c := range cases {
-		err := validateMode(c.index, c.wal, c.follow)
-		if (err == nil) != c.ok {
-			t.Errorf("validateMode(%q, %q, %q) = %v, want ok=%v", c.index, c.wal, c.follow, err, c.ok)
 		}
 	}
 }

@@ -8,10 +8,7 @@
 // resident, which is exactly what a page-level I/O count needs.
 package pager
 
-import (
-	"container/list"
-	"fmt"
-)
+import "container/list"
 
 // PageSize is the default page size in bytes (4 KiB).
 const PageSize = 4096
@@ -105,65 +102,3 @@ func (p *Pool) Drop() {
 	p.lru.Init()
 	p.index = make(map[PageID]*list.Element)
 }
-
-// ---------------------------------------------------------------------------
-// Layout
-// ---------------------------------------------------------------------------
-
-// Region is a contiguous run of pages holding an array of fixed-size items.
-type Region struct {
-	Start        PageID
-	Pages        int
-	ItemsPerPage int
-}
-
-// PageOf maps an item slot to its page.
-func (r Region) PageOf(slot int) PageID {
-	if r.ItemsPerPage <= 0 {
-		return r.Start
-	}
-	return r.Start + PageID(slot/r.ItemsPerPage)
-}
-
-// Allocator hands out page ranges for regions of a simulated file.
-type Allocator struct {
-	pageSize int
-	next     PageID
-}
-
-// NewAllocator creates an allocator with the given page size (<= 0 uses
-// PageSize).
-func NewAllocator(pageSize int) *Allocator {
-	if pageSize <= 0 {
-		pageSize = PageSize
-	}
-	return &Allocator{pageSize: pageSize}
-}
-
-// PageSize reports the allocator's page size in bytes.
-func (a *Allocator) PageSize() int { return a.pageSize }
-
-// Alloc reserves pages for nItems items of itemBytes each and returns the
-// region. Zero-item regions still occupy one page (a header).
-func (a *Allocator) Alloc(nItems, itemBytes int) (Region, error) {
-	if itemBytes <= 0 {
-		return Region{}, fmt.Errorf("pager: item size %d invalid", itemBytes)
-	}
-	if itemBytes > a.pageSize {
-		return Region{}, fmt.Errorf("pager: item size %d exceeds page size %d", itemBytes, a.pageSize)
-	}
-	per := a.pageSize / itemBytes
-	pages := (nItems + per - 1) / per
-	if pages == 0 {
-		pages = 1
-	}
-	r := Region{Start: a.next, Pages: pages, ItemsPerPage: per}
-	a.next += PageID(pages)
-	return r, nil
-}
-
-// TotalPages reports how many pages have been allocated so far.
-func (a *Allocator) TotalPages() int64 { return int64(a.next) }
-
-// TotalBytes reports the simulated file size.
-func (a *Allocator) TotalBytes() int64 { return int64(a.next) * int64(a.pageSize) }

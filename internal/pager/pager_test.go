@@ -75,67 +75,6 @@ func TestPoolDefaults(t *testing.T) {
 	}
 }
 
-func TestAllocatorRegions(t *testing.T) {
-	a := NewAllocator(4096)
-	r1, err := a.Alloc(1000, 16) // 256 items/page -> 4 pages
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Pages != 4 || r1.ItemsPerPage != 256 || r1.Start != 0 {
-		t.Fatalf("r1 = %+v", r1)
-	}
-	r2, err := a.Alloc(1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Start != 4 || r2.Pages != 1 {
-		t.Fatalf("r2 = %+v", r2)
-	}
-	r3, err := a.Alloc(0, 8) // empty region still gets a header page
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r3.Pages != 1 {
-		t.Fatalf("r3 = %+v", r3)
-	}
-	if a.TotalPages() != 6 {
-		t.Fatalf("total pages = %d", a.TotalPages())
-	}
-	if a.TotalBytes() != 6*4096 {
-		t.Fatalf("total bytes = %d", a.TotalBytes())
-	}
-}
-
-func TestAllocatorErrors(t *testing.T) {
-	a := NewAllocator(0)
-	if a.PageSize() != PageSize {
-		t.Fatalf("default page size = %d", a.PageSize())
-	}
-	if _, err := a.Alloc(10, 0); err == nil {
-		t.Fatal("zero item size should fail")
-	}
-	if _, err := a.Alloc(10, PageSize+1); err == nil {
-		t.Fatal("oversized item should fail")
-	}
-}
-
-func TestRegionPageOf(t *testing.T) {
-	a := NewAllocator(64)
-	r, err := a.Alloc(10, 16) // 4 items/page -> 3 pages
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		slot int
-		page PageID
-	}{{0, 0}, {3, 0}, {4, 1}, {7, 1}, {8, 2}, {9, 2}}
-	for _, c := range cases {
-		if got := r.PageOf(c.slot); got != c.page {
-			t.Errorf("PageOf(%d) = %d want %d", c.slot, got, c.page)
-		}
-	}
-}
-
 // Property: the pool never exceeds capacity, hits+misses == reads, and a
 // page touched twice in a row is always a hit.
 func TestQuickPoolInvariants(t *testing.T) {
@@ -165,21 +104,18 @@ func TestQuickPoolInvariants(t *testing.T) {
 	}
 }
 
-// Property: scanning a region sequentially costs exactly Pages misses on a
-// cold pool with sufficient capacity.
+// Property: scanning n fixed-size items laid out back to back costs exactly
+// one miss per page they span on a cold pool with sufficient capacity.
 func TestQuickSequentialScanCost(t *testing.T) {
+	const itemBytes = 16
 	f := func(nRaw uint16) bool {
 		n := int(nRaw%5000) + 1
-		a := NewAllocator(4096)
-		r, err := a.Alloc(n, 16)
-		if err != nil {
-			return false
-		}
-		p := NewPool(r.Pages + 1)
+		pages := (n*itemBytes + PageSize - 1) / PageSize
+		p := NewPool(pages + 1)
 		for slot := 0; slot < n; slot++ {
-			p.Touch(r.PageOf(slot))
+			p.Touch(PageID(slot * itemBytes / PageSize))
 		}
-		return int(p.Stats().Misses) == r.Pages
+		return int(p.Stats().Misses) == pages
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

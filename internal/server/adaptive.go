@@ -13,24 +13,31 @@ package server
 //	         dynamic mode — DynamicIndex.Resequence (compaction-grade
 //	         containment: a failure is a counted CompactionError)
 //
-// Failure containment mirrors the checkpoint loop exactly: a failed
-// rebuild is counted, surfaced in /stats and /healthz (degraded), retried
-// with capped exponential backoff — and never disturbs serving, because
-// the new index only replaces the old one after it is fully built and
-// validated.
+// The loop is a supervised task (task.go), so a failed rebuild is counted,
+// surfaced in /stats and /healthz (degraded), and retried with capped
+// backoff — and never disturbs serving, because the new index only
+// replaces the old one after it is fully built and validated. A static
+// rebuild whose base snapshot a reload replaced meanwhile is discarded.
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
+	"xseq"
 	"xseq/internal/adapt"
+	"xseq/internal/telemetry"
 )
+
+// errSuperseded reports a static rebuild discarded unpublished because a
+// reload replaced the snapshot it was rebuilt from.
+var errSuperseded = errors.New("a reload replaced the rebuild's base snapshot")
 
 // resequencer runs the adaptive-resequencing policy for one server.
 type resequencer struct {
 	s    *Server
-	done chan struct{}
+	task *task
 
 	mu           sync.Mutex
 	weights      map[string]float64 // derived from the live mix at the last poll
@@ -38,108 +45,91 @@ type resequencer struct {
 	drift        float64            // adapt.Drift(weights, builtWeights)
 	samples      int64              // frequency-table mass at the last poll
 	rebuilds     int64
-	failures     int64
-	lastErr      error
-	streak       int       // consecutive failures, drives the backoff
-	nextTry      time.Time // earliest next attempt after a failure
 	lastRebuild  time.Time
 	lastDur      time.Duration
 }
 
 func newResequencer(s *Server) *resequencer {
-	return &resequencer{s: s, done: make(chan struct{})}
+	a := &resequencer{s: s}
+	poll := s.cfg.AdaptivePoll
+	lo, hi := pollBackoff(poll)
+	a.task = &task{
+		name: "adaptive rebuild", step: a.step,
+		pause: poll, minBackoff: lo, maxBackoff: hi, logf: s.cfg.Logf,
+		report: func(h *healthResponse, lastErr string) { h.AdaptiveError = lastErr },
+		metrics: func(e *telemetry.Emit) {
+			as := a.stat()
+			e.Counter("xseq_adaptive_rebuilds_total", "", "Completed adaptive re-sequenced rebuilds.", as.Rebuilds)
+			e.Counter("xseq_adaptive_rebuild_failures_total", "", "Failed adaptive rebuild attempts.", as.Failures)
+			e.Gauge("xseq_adaptive_drift", "", "Weight-vector drift between the live mix and the serving index.", as.Drift)
+		},
+	}
+	return a
 }
 
-func (a *resequencer) wait() { <-a.done }
-
-// run polls the query mix every AdaptivePoll and rebuilds when the drift
-// policy fires; it exits when ctx (the server's base context) is cancelled.
-func (a *resequencer) run(ctx context.Context) {
-	defer close(a.done)
-	t := time.NewTicker(a.s.cfg.AdaptivePoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if a.observe() {
-			a.rebuild(ctx)
-		}
+// step samples the query mix and rebuilds when the drift policy fires.
+func (a *resequencer) step(ctx context.Context) error {
+	if !a.observe() {
+		return nil
 	}
+	return a.rebuild(ctx)
 }
 
 // observe ages the frequency table, re-derives the weight vector, updates
 // the drift gauge, and reports whether a rebuild is due: drift at or past
-// the threshold, a minimum of signal in the table, any failure backoff
-// elapsed, and the rate limit between successful rebuilds respected.
+// the threshold, a minimum of signal in the table, and the rate limit
+// between successful rebuilds respected.
 func (a *resequencer) observe() bool {
 	cfg := &a.s.cfg
-	a.s.patterns.Decay(cfg.AdaptiveDecay)
+	a.s.patterns.Decay(cfg.adaptiveDecay)
 	samples := a.s.patterns.Total()
-	w := adapt.DeriveWeights(a.s.patterns.Snapshot(), cfg.AdaptiveBoost)
+	w := adapt.DeriveWeights(a.s.patterns.Snapshot(), adapt.DefaultBoost)
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.weights = w
 	a.samples = samples
 	a.drift = adapt.Drift(w, a.builtWeights)
-	if a.drift < cfg.AdaptiveDrift || samples < int64(cfg.AdaptiveMinSamples) {
+	if a.drift < cfg.AdaptiveDrift || samples < int64(cfg.adaptiveMinSamples) {
 		return false
 	}
-	now := time.Now()
-	if now.Before(a.nextTry) {
-		return false
-	}
-	if !a.lastRebuild.IsZero() && now.Sub(a.lastRebuild) < cfg.AdaptiveMinInterval {
-		return false
-	}
-	return true
+	return a.lastRebuild.IsZero() || time.Since(a.lastRebuild) >= cfg.AdaptiveMinInterval
 }
 
 // rebuild re-sequences the serving index around the current weight vector.
 // Serving is never disturbed: the old index answers queries throughout, and
-// on failure it simply keeps doing so while the policy backs off.
-func (a *resequencer) rebuild(ctx context.Context) {
+// on failure it simply keeps doing so while the task backs off.
+func (a *resequencer) rebuild(ctx context.Context) error {
 	a.mu.Lock()
 	w, drift := a.weights, a.drift
 	a.mu.Unlock()
 
 	start := time.Now()
-	err := a.doRebuild(ctx, w)
-
+	if err := a.doRebuild(ctx, w); errors.Is(err, errSuperseded) {
+		// Not a failure: the next poll rebuilds from the new snapshot.
+		a.s.cfg.Logf("server: adaptive rebuild discarded: %v", err)
+		return nil
+	} else if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err != nil {
-		if ctx.Err() != nil {
-			return // shutdown interrupted the rebuild; not a failure
-		}
-		a.failures++
-		a.lastErr = err
-		a.streak++
-		backoff := a.s.cfg.AdaptivePoll * (1 << min(a.streak, 5))
-		if backoff > 30*time.Second {
-			backoff = 30 * time.Second
-		}
-		a.nextTry = time.Now().Add(backoff)
-		a.s.cfg.Logf("server: adaptive rebuild failed (retrying in %v): %v", backoff, err)
-		return
-	}
 	a.builtWeights = w
 	a.drift = adapt.Drift(a.weights, w)
 	a.rebuilds++
-	a.lastErr = nil
-	a.streak = 0
-	a.nextTry = time.Time{}
 	a.lastRebuild = time.Now()
 	a.lastDur = a.lastRebuild.Sub(start)
 	a.s.cfg.Logf("server: adaptive rebuild #%d re-sequenced around %d weighted paths in %v (drift was %.3f)",
 		a.rebuilds, len(w), a.lastDur.Round(time.Millisecond), drift)
+	return nil
 }
 
 // doRebuild performs the layout-appropriate re-sequenced rebuild.
 func (a *resequencer) doRebuild(ctx context.Context, w map[string]float64) error {
+	var base *xseq.Index
+	if a.s.swap != nil {
+		base = a.s.swap.Current()
+	}
 	if fail := a.s.cfg.testRebuildFail; fail != nil {
 		if err := fail(); err != nil {
 			return err
@@ -153,14 +143,22 @@ func (a *resequencer) doRebuild(ctx context.Context, w map[string]float64) error
 	}
 	// Static mode: build the re-sequenced index in the background off the
 	// retained corpus, validate it like any other snapshot, and only then
-	// publish it. Readers on the old index are unaffected at every step.
-	ix, err := a.s.swap.Current().RebuildWithWeights(ctx, w)
+	// publish it — unless a reload replaced its base meanwhile, which the
+	// rebuild must not revert. Readers on the old index are unaffected at
+	// every step.
+	ix, err := base.RebuildWithWeights(ctx, w)
 	if err != nil {
 		return err
 	}
 	if err := prepareSnapshot(&a.s.cfg, ix); err != nil {
 		_ = ix.Close()
 		return err
+	}
+	a.s.publishMu.Lock()
+	defer a.s.publishMu.Unlock()
+	if a.s.swap.Current() != base {
+		_ = ix.Close()
+		return errSuperseded
 	}
 	a.s.swap.Swap(ix)
 	return nil
@@ -187,6 +185,7 @@ type adaptiveStat struct {
 }
 
 func (a *resequencer) stat() *adaptiveStat {
+	failures, lastErr := a.task.health()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := &adaptiveStat{
@@ -195,12 +194,10 @@ func (a *resequencer) stat() *adaptiveStat {
 		DriftThreshold: a.s.cfg.AdaptiveDrift,
 		Samples:        a.samples,
 		Rebuilds:       a.rebuilds,
-		Failures:       a.failures,
+		Failures:       failures,
+		LastError:      lastErr,
 		Weights:        a.weights,
 		BuiltWeights:   a.builtWeights,
-	}
-	if a.lastErr != nil {
-		st.LastError = a.lastErr.Error()
 	}
 	if a.lastDur > 0 {
 		st.LastRebuildMS = float64(a.lastDur) / float64(time.Millisecond)

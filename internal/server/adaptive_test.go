@@ -24,8 +24,8 @@ func newAdaptiveServer(t *testing.T, ndocs int, mutate func(*Config)) (*Server, 
 		cfg.AdaptivePoll = 10 * time.Millisecond
 		cfg.AdaptiveDrift = 0.05
 		cfg.AdaptiveMinInterval = time.Millisecond
-		cfg.AdaptiveMinSamples = 4
-		cfg.AdaptiveDecay = 0.8
+		cfg.adaptiveMinSamples = 4
+		cfg.adaptiveDecay = 0.8
 		if mutate != nil {
 			mutate(cfg)
 		}
@@ -206,6 +206,62 @@ func TestAdaptiveRebuildFailureContained(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRebuildYieldsToReload holds an adaptive rebuild after it has
+// read its base snapshot, reloads a snapshot with different documents, and
+// releases the rebuild. It was sequenced from the old corpus, so publishing
+// it would silently revert the reload: it must be discarded, and served
+// answers must stay the reloaded snapshot's — through later rebuilds too.
+func TestAdaptiveRebuildYieldsToReload(t *testing.T) {
+	entered := make(chan struct{}, 1)
+	release := make(chan struct{})
+	var calls atomic.Int64
+	srv, ts := newAdaptiveServer(t, 3, func(cfg *Config) {
+		cfg.testRebuildFail = func() error {
+			if calls.Add(1) == 1 {
+				entered <- struct{}{}
+				<-release
+			}
+			return nil
+		}
+	})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // runs before the server's Close, which waits for the rebuild
+
+	drive := func() {
+		if code, _, body := getQuery(t, ts.URL, "q="+matchAll); code != http.StatusOK {
+			t.Fatalf("query = %d: %s", code, body)
+		}
+	}
+	waitFor(t, func() bool {
+		drive()
+		select {
+		case <-entered:
+			return true
+		default:
+			return false
+		}
+	})
+	buildSnapshot(t, srv.cfg.IndexPath, 7, true)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+
+	// The held rebuild must not count; the first that does is sequenced
+	// from the reloaded snapshot.
+	waitFor(t, func() bool {
+		drive()
+		return adaptiveStats(t, ts.URL).Rebuilds >= 1
+	})
+	if code, qr, _ := getQuery(t, ts.URL, "q="+matchAll); code != http.StatusOK || qr.Count != 7 {
+		t.Fatalf("after the reload and a rebuild: %d, %+v; want the reloaded 7 documents", code, qr)
+	}
+	if st := adaptiveStats(t, ts.URL); st.Failures != 0 {
+		t.Fatalf("a discarded rebuild counted as a failure: %+v", st)
+	}
+}
+
 // TestAdaptiveDynamicResequence runs the loop against a WAL-backed dynamic
 // primary: the rebuild path is the engine's forced in-place rebuild, which
 // must preserve every answer and keep accepting inserts afterwards.
@@ -217,8 +273,8 @@ func TestAdaptiveDynamicResequence(t *testing.T) {
 		AdaptivePoll:        10 * time.Millisecond,
 		AdaptiveDrift:       0.05,
 		AdaptiveMinInterval: time.Millisecond,
-		AdaptiveMinSamples:  4,
-		AdaptiveDecay:       0.8,
+		adaptiveMinSamples:  4,
+		adaptiveDecay:       0.8,
 		Logf:                silentLogf,
 	})
 	if err != nil {

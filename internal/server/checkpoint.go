@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"xseq/internal/telemetry"
 )
 
 // Snapshot transfer headers: the serving side advertises the WAL sequence
@@ -35,32 +37,39 @@ type snapshotMeta struct {
 	at   time.Time
 }
 
-// checkpointer runs the automatic checkpoint policy: a background loop
-// samples the WAL and, once it grows past the configured entry or byte
-// bound, compacts the index, snapshots it to CheckpointPath, and rotates
-// the log. Failure containment: a failed checkpoint is logged, counted,
-// backed off exponentially, and surfaced in /stats and /healthz — it
-// never disturbs serving, which continues over the unrotated log.
+// checkpointer runs the automatic checkpoint policy as a supervised
+// task: it samples the WAL and, once it grows past the configured entry or
+// byte bound, compacts the index, snapshots it to CheckpointPath, and
+// rotates the log. A failed round leaves serving on the unrotated log.
 type checkpointer struct {
 	s    *Server
-	done chan struct{}
+	task *task
 
 	snapReqs atomic.Int64 // GET /snapshot requests over the server's life
 
-	mu       sync.Mutex
-	meta     *snapshotMeta
-	count    int64
-	failures int64
-	lastErr  error
-	streak   int       // consecutive failures, drives the backoff
-	nextTry  time.Time // earliest next attempt after a failure
+	mu    sync.Mutex
+	meta  *snapshotMeta
+	count int64
 }
 
 func newCheckpointer(s *Server) *checkpointer {
-	return &checkpointer{s: s, done: make(chan struct{})}
+	c := &checkpointer{s: s}
+	poll := s.cfg.checkpointPoll
+	lo, hi := pollBackoff(poll)
+	c.task = &task{
+		name: "checkpoint to " + s.cfg.CheckpointPath, step: c.step,
+		pause: poll, minBackoff: lo, maxBackoff: hi, logf: s.cfg.Logf,
+		report: func(h *healthResponse, lastErr string) { h.CheckpointError = lastErr },
+		metrics: func(e *telemetry.Emit) {
+			cs := c.stat()
+			e.Counter("xseq_checkpoints_total", "", "Completed automatic checkpoints.", cs.Checkpoints)
+			e.Counter("xseq_checkpoint_failures_total", "", "Failed checkpoint rounds.", cs.Failures)
+			e.Gauge("xseq_checkpoint_snapshot_bytes", "", "Size of the last checkpoint snapshot.", float64(cs.SnapshotBytes))
+			e.Counter("xseq_snapshot_requests_total", "", "GET /snapshot downloads served or shed.", cs.SnapshotRequests)
+		},
+	}
+	return c
 }
-
-func (c *checkpointer) wait() { <-c.done }
 
 // describeSnapshot records the identity of the snapshot at path for
 // /snapshot serving: size, content CRC, and file identity.
@@ -97,83 +106,35 @@ func (c *checkpointer) seed(path string, seq uint64) {
 	c.mu.Unlock()
 }
 
-// run samples the WAL every CheckpointPoll and checkpoints when the
-// policy says the log has grown too far; it exits when ctx (the server's
-// base context) is cancelled.
-func (c *checkpointer) run(ctx context.Context) {
-	defer close(c.done)
-	t := time.NewTicker(c.s.cfg.CheckpointPoll)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		if c.due() {
-			c.checkpoint(ctx)
-		}
-	}
-}
-
-// due reports whether the log has outgrown the policy bounds and any
-// failure backoff has elapsed.
-func (c *checkpointer) due() bool {
-	c.mu.Lock()
-	waiting := time.Now().Before(c.nextTry)
-	c.mu.Unlock()
-	if waiting {
-		return false
-	}
+// step performs one compact+snapshot+rotate round once the log has
+// outgrown the policy bounds, and publishes the result for /snapshot.
+func (c *checkpointer) step(ctx context.Context) error {
 	st := c.s.dyn.WALStats()
-	if st == nil || st.Entries == 0 {
-		return false
-	}
-	if st.LastError != "" {
+	if st == nil || st.Entries == 0 || st.LastError != "" {
 		// A log with a sticky fsync failure refuses rotation; don't burn
 		// checkpoint attempts against it.
-		return false
+		return nil
 	}
-	cfg := c.s.cfg
-	return (cfg.CheckpointEveryEntries > 0 && st.Entries >= cfg.CheckpointEveryEntries) ||
-		(cfg.CheckpointEveryBytes > 0 && st.SizeBytes >= cfg.CheckpointEveryBytes)
-}
-
-// checkpoint performs one compact+snapshot+rotate round and publishes the
-// result for /snapshot. Serving is never disturbed: on failure the old
-// snapshot (if any) keeps being served and the log keeps growing until
-// the backed-off retry succeeds.
-func (c *checkpointer) checkpoint(ctx context.Context) {
-	path := c.s.cfg.CheckpointPath
-	seq, err := c.s.dyn.CheckpointAt(ctx, path)
-	var meta *snapshotMeta
-	if err == nil {
-		meta, err = describeSnapshot(path, seq)
+	cfg := &c.s.cfg
+	if (cfg.CheckpointEveryEntries <= 0 || st.Entries < cfg.CheckpointEveryEntries) &&
+		(cfg.CheckpointEveryBytes <= 0 || st.SizeBytes < cfg.CheckpointEveryBytes) {
+		return nil
+	}
+	seq, err := c.s.dyn.CheckpointAt(ctx, cfg.CheckpointPath)
+	if err != nil {
+		return err
+	}
+	meta, err := describeSnapshot(cfg.CheckpointPath, seq)
+	if err != nil {
+		return err
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err != nil {
-		if ctx.Err() != nil {
-			return // shutdown interrupted the compaction; not a failure
-		}
-		c.failures++
-		c.lastErr = err
-		c.streak++
-		backoff := c.s.cfg.CheckpointPoll * (1 << min(c.streak, 5))
-		if backoff > 30*time.Second {
-			backoff = 30 * time.Second
-		}
-		c.nextTry = time.Now().Add(backoff)
-		c.s.cfg.Logf("server: checkpoint to %s failed (retrying in %v): %v", path, backoff, err)
-		return
-	}
 	c.meta = meta
 	c.count++
-	c.lastErr = nil
-	c.streak = 0
-	c.nextTry = time.Time{}
-	c.s.cfg.Logf("server: checkpoint #%d at seq %d -> %s (%d bytes, crc %08x)",
-		c.count, seq, path, meta.size, meta.crc)
+	n := c.count
+	c.mu.Unlock()
+	cfg.Logf("server: checkpoint #%d at seq %d -> %s (%d bytes, crc %08x)", n, seq, cfg.CheckpointPath, meta.size, meta.crc)
+	return nil
 }
 
 // currentMeta returns the latest published snapshot's identity, nil
@@ -200,6 +161,7 @@ type checkpointStat struct {
 }
 
 func (c *checkpointer) stat() *checkpointStat {
+	failures, lastErr := c.task.health()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &checkpointStat{
@@ -207,11 +169,9 @@ func (c *checkpointer) stat() *checkpointStat {
 		EveryEntries:     c.s.cfg.CheckpointEveryEntries,
 		EveryBytes:       c.s.cfg.CheckpointEveryBytes,
 		Checkpoints:      c.count,
-		Failures:         c.failures,
+		Failures:         failures,
+		LastError:        lastErr,
 		SnapshotRequests: c.snapReqs.Load(),
-	}
-	if c.lastErr != nil {
-		st.LastError = c.lastErr.Error()
 	}
 	if c.meta != nil {
 		st.SnapshotSeq = c.meta.seq
@@ -238,7 +198,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.snapSem <- struct{}{}:
 	default:
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfterSecs)
 		writeError(w, http.StatusTooManyRequests, "too many concurrent snapshot downloads")
 		return
 	}
@@ -273,7 +233,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		f.Close()
 		return
 	}
-	w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+	w.Header().Set("Retry-After", retryAfterSecs)
 	writeError(w, http.StatusServiceUnavailable, "checkpoint is being replaced; retry")
 }
 

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"os"
@@ -18,6 +17,7 @@ import (
 	"time"
 
 	"xseq"
+	"xseq/internal/telemetry"
 	"xseq/internal/wal"
 )
 
@@ -62,38 +62,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad id %q", idStr))
 		return
 	}
-	timeout, terr := requestTimeout(params, s.cfg)
-	if terr != nil {
-		writeError(w, http.StatusBadRequest, terr.Error())
+
+	ctx, adm, ok := s.admit(w, r, params)
+	if !ok {
 		return
 	}
-
-	if !s.dr.enter() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer s.dr.exit()
-
-	ctx, cancelReq := context.WithTimeout(r.Context(), timeout)
-	defer cancelReq()
-	stopAfter := context.AfterFunc(s.baseCtx, cancelReq)
-	defer stopAfter()
-
-	if err := s.gate.acquire(ctx); err != nil {
-		if errors.Is(err, errOverloaded) {
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission")
-		} else {
-			writeError(w, http.StatusServiceUnavailable, "cancelled while queued for admission")
-		}
-		return
-	}
-	defer s.gate.release()
+	defer s.release(adm)
 
 	doc, err := xseq.ParseDocument(int32(id64), http.MaxBytesReader(w, r.Body, 32<<20))
 	if err != nil {
@@ -166,10 +140,10 @@ const (
 
 // handleWAL streams framed log entries to followers: GET /wal?from=N
 // returns durable entries with seq >= N (up to ?max bytes, default 1 MiB).
-// When nothing qualifies yet it long-polls up to ?wait (capped by
-// Config.WALPollWait) and may answer an empty 200 — the follower just asks
-// again. Entries rotated into a checkpoint answer 410 Gone: the follower
-// needs a snapshot, not the log.
+// When nothing qualifies yet it long-polls up to ?wait (capped at 25s) and
+// may answer an empty 200 — the follower just asks again. Entries rotated
+// into a checkpoint answer 410 Gone: the follower needs a snapshot, not the
+// log.
 func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -201,7 +175,7 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		maxBytes = n
 	}
-	wait := s.cfg.WALPollWait
+	wait := s.cfg.walPollWait
 	if v := params.Get("wait"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d < 0 {
@@ -273,10 +247,6 @@ func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("primary answered %s (retry after %v)", e.status, e.after)
 }
 
-// maxRetryAfter caps how long a primary's Retry-After hint can stall the
-// follower — a corrupted or hostile header must not park replication.
-const maxRetryAfter = 30 * time.Second
-
 // headerUint parses a required uint64 response header; a missing or
 // malformed value is a protocol error, never a silent zero (a zero head
 // would masquerade as "primary is empty" and trip data-loss detection).
@@ -292,26 +262,22 @@ func headerUint(h http.Header, key string) (uint64, error) {
 	return n, nil
 }
 
-// retryAfterHint reads a Retry-After header as integer seconds, 0 when
-// absent or malformed (the caller falls back to its own backoff).
-func retryAfterHint(h http.Header) time.Duration {
-	v := h.Get("Retry-After")
-	if v == "" {
-		return 0
+// primaryError describes a primary's non-200 answer to route. A 429 or
+// 503 whose Retry-After gives whole seconds becomes a *retryAfterError.
+func primaryError(resp *http.Response, route string) error {
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if (resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) && err == nil && secs > 0 {
+		return &retryAfterError{status: resp.Status, after: time.Duration(secs) * time.Second}
 	}
-	secs, err := strconv.Atoi(v)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return fmt.Errorf("primary answered %s to %s", resp.Status, route)
 }
 
 // replicator tails a primary's /wal endpoint and applies every entry to
-// the local dynamic index. It reconnects with exponential backoff plus
-// jitter, resumes from the last applied sequence number (which a local WAL
-// preserves across restarts), and degrades gracefully: while the primary
-// is unreachable the follower keeps serving reads and reports the
-// condition through /healthz. When the primary rotates its log past the
+// the local dynamic index. It runs as a supervised task, reconnecting with
+// the task's backoff or after the primary's Retry-After hint; resumes from
+// the last applied sequence number (which a local WAL preserves across
+// restarts); and degrades gracefully: while the primary is unreachable the
+// follower keeps serving reads and reports the condition through /healthz. When the primary rotates its log past the
 // follower's position (410 Gone), the loop switches to re-seeding: it
 // downloads the primary's latest checkpoint from /snapshot, verifies
 // length and CRC, swaps it in atomically, and resumes tailing from the
@@ -320,10 +286,9 @@ func retryAfterHint(h http.Header) time.Duration {
 type replicator struct {
 	s      *Server
 	client *http.Client
-	done   chan struct{}
+	task   *task
 
 	mu            sync.Mutex
-	lastErr       error
 	lastContact   time.Time
 	primaryHead   uint64
 	gone          bool // primary rotated past our position; log cannot catch us up
@@ -338,85 +303,56 @@ type replicator struct {
 }
 
 func newReplicator(s *Server) *replicator {
-	return &replicator{
+	r := &replicator{
 		s: s,
 		// No overall request timeout: /wal long-polls by design. Dial and
 		// header timeouts keep a dead primary from hanging a poll forever.
 		client: &http.Client{Transport: &http.Transport{
-			ResponseHeaderTimeout: s.cfg.WALPollWait + 10*time.Second,
+			ResponseHeaderTimeout: s.cfg.walPollWait + 10*time.Second,
 		}},
-		done: make(chan struct{}),
 	}
+	// No pause: the primary's long-poll paces successful rounds.
+	r.task = &task{
+		name: "follower", step: r.step,
+		minBackoff: s.cfg.followMinBackoff, maxBackoff: s.cfg.followMaxBackoff, logf: s.cfg.Logf,
+		report: func(h *healthResponse, _ string) {
+			h.Replication = r.status()
+			if h.Replication.Gone {
+				h.Status = "degraded"
+			}
+		},
+		metrics: func(e *telemetry.Emit) {
+			rs := r.status()
+			e.Counter("xseq_replication_entries_applied_total", "", "WAL entries applied from the primary.", rs.EntriesApplied)
+			e.Counter("xseq_reseeds_total", "", "Completed snapshot re-seeds after rotation outran this follower.", rs.Reseeds)
+			e.Counter("xseq_reseed_attempts_total", "", "Snapshot re-seed attempts, including failures.", rs.ReseedAttempts)
+			e.Gauge("xseq_replication_lag", "", "Entries between the primary's head and this follower.", float64(rs.Lag))
+		},
+	}
+	return r
 }
 
-func (r *replicator) wait() { <-r.done }
-
-// run is the replication loop; it exits when ctx (the server's base
-// context) is cancelled. Each round either tails the log (poll) or, after
-// the primary has rotated past us, re-seeds from its snapshot — the same
-// backoff ladder paces both, so a primary without a checkpoint yet is
-// retried gently instead of hammered.
-func (r *replicator) run(ctx context.Context) {
-	defer close(r.done)
-	backoff := r.s.cfg.FollowMinBackoff
-	for ctx.Err() == nil {
-		var err error
-		if r.isGone() {
-			err = r.reseed(ctx)
-		} else {
-			err = r.poll(ctx)
-		}
-		if err == nil {
-			backoff = r.s.cfg.FollowMinBackoff
-			continue // the primary's long-poll paces the loop
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		var perr *replProtocolError
-		if errors.As(err, &perr) {
-			r.mu.Lock()
-			r.protocolErrs++
-			r.mu.Unlock()
-		}
-		r.mu.Lock()
-		r.lastErr = err
-		r.mu.Unlock()
-		var ra *retryAfterError
-		if errors.As(err, &ra) {
-			// The primary said when to come back; honour it (bounded) and
-			// do not escalate the ladder — this is flow control, not failure.
-			d := min(ra.after, maxRetryAfter)
-			if d < r.s.cfg.FollowMinBackoff {
-				d = r.s.cfg.FollowMinBackoff
-			}
-			r.s.cfg.Logf("server: follower: %v", err)
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(d):
-			}
-			continue
-		}
-		r.s.cfg.Logf("server: follower: %v (retrying in ~%v)", err, backoff)
-		// Full jitter around the current backoff step: between 50% and
-		// 150% of it, so a fleet of followers does not reconnect in sync.
-		d := backoff/2 + rand.N(backoff+1)
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(d):
-		}
-		if backoff *= 2; backoff > r.s.cfg.FollowMaxBackoff {
-			backoff = r.s.cfg.FollowMaxBackoff
-		}
-	}
-}
-
-func (r *replicator) isGone() bool {
+// step runs one replication round: it tails the log or, after the primary
+// has rotated past us, re-seeds from its snapshot. The same backoff paces
+// both, so a primary without a checkpoint yet is retried gently instead of
+// hammered.
+func (r *replicator) step(ctx context.Context) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gone
+	gone := r.gone
+	r.mu.Unlock()
+	var err error
+	if gone {
+		err = r.reseed(ctx)
+	} else {
+		err = r.poll(ctx)
+	}
+	var perr *replProtocolError
+	if errors.As(err, &perr) {
+		r.mu.Lock()
+		r.protocolErrs++
+		r.mu.Unlock()
+	}
+	return err
 }
 
 // poll performs one GET /wal round: request entries after the last applied
@@ -426,7 +362,7 @@ func (r *replicator) poll(ctx context.Context) error {
 	from := r.s.dyn.AppliedSeq() + 1
 	u := strings.TrimSuffix(r.s.cfg.FollowURL, "/") + "/wal?" + url.Values{
 		"from": {strconv.FormatUint(from, 10)},
-		"wait": {r.s.cfg.WALPollWait.String()},
+		"wait": {r.s.cfg.walPollWait.String()},
 	}.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -450,13 +386,8 @@ func (r *replicator) poll(ctx context.Context) error {
 		r.gone = true
 		r.mu.Unlock()
 		return fmt.Errorf("primary rotated its log past seq %d; re-seeding from its latest snapshot", from)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		if after := retryAfterHint(resp.Header); after > 0 {
-			return &retryAfterError{status: resp.Status, after: after}
-		}
-		return fmt.Errorf("primary answered %s to /wal", resp.Status)
 	default:
-		return fmt.Errorf("primary answered %s to /wal", resp.Status)
+		return primaryError(resp, "/wal")
 	}
 
 	head, err := headerUint(resp.Header, headerWALHead)
@@ -507,16 +438,13 @@ func (r *replicator) poll(ctx context.Context) error {
 			"body carried %d entries to seq %d, headers promised %d to seq %d",
 			got, lastSeq, wantCount, wantLast)}
 	}
-	r.mu.Lock()
-	r.lastErr = nil
-	r.mu.Unlock()
 	return nil
 }
 
 // reseed performs one snapshot re-seed round: download the primary's
 // latest checkpoint, verify it end to end, swap it in, resume tailing.
 // Until fetchAndSwap commits the swap, the follower keeps answering
-// queries from its old state; any failure is retried by run's backoff.
+// queries from its old state; any failure is retried by the task.
 func (r *replicator) reseed(ctx context.Context) error {
 	r.mu.Lock()
 	r.reseedTries++
@@ -530,7 +458,6 @@ func (r *replicator) reseed(ctx context.Context) error {
 	}
 	r.mu.Lock()
 	r.gone = false
-	r.lastErr = nil
 	r.lastReseedErr = nil
 	r.reseeds++
 	r.seedSeq = seq
@@ -564,13 +491,8 @@ func (r *replicator) fetchAndSwap(ctx context.Context) (seq uint64, n int64, err
 	case http.StatusOK:
 	case http.StatusNotFound:
 		return 0, 0, fmt.Errorf("primary has no snapshot to seed from (arm -checkpoint-every on it): %s", resp.Status)
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		if after := retryAfterHint(resp.Header); after > 0 {
-			return 0, 0, &retryAfterError{status: resp.Status, after: after}
-		}
-		return 0, 0, fmt.Errorf("primary answered %s to /snapshot", resp.Status)
 	default:
-		return 0, 0, fmt.Errorf("primary answered %s to /snapshot", resp.Status)
+		return 0, 0, primaryError(resp, "/snapshot")
 	}
 	seq, err = headerUint(resp.Header, headerSnapSeq)
 	if err != nil {
@@ -695,6 +617,7 @@ type replicationStatus struct {
 
 func (r *replicator) status() *replicationStatus {
 	applied := r.s.dyn.AppliedSeq()
+	_, lastErr := r.task.health()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := &replicationStatus{
@@ -710,6 +633,7 @@ func (r *replicator) status() *replicationStatus {
 		SeedSeq:              r.seedSeq,
 		SnapshotBytesFetched: r.seedBytes,
 		LastContactMS:        -1,
+		LastError:            lastErr,
 		Gone:                 r.gone,
 	}
 	if r.gone {
@@ -721,29 +645,8 @@ func (r *replicator) status() *replicationStatus {
 	if !r.lastContact.IsZero() {
 		st.LastContactMS = float64(time.Since(r.lastContact)) / float64(time.Millisecond)
 	}
-	if r.lastErr != nil {
-		st.LastError = r.lastErr.Error()
-	}
 	if r.lastReseedErr != nil {
 		st.LastReseedError = r.lastReseedErr.Error()
 	}
 	return st
-}
-
-// requestTimeout resolves the per-request deadline: the ?timeout parameter
-// when present (capped at Config.MaxTimeout), Config.DefaultTimeout
-// otherwise.
-func requestTimeout(params url.Values, cfg Config) (time.Duration, error) {
-	timeout := cfg.DefaultTimeout
-	if v := params.Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return 0, fmt.Errorf("bad timeout %q", v)
-		}
-		if d > cfg.MaxTimeout {
-			d = cfg.MaxTimeout
-		}
-		timeout = d
-	}
-	return timeout, nil
 }

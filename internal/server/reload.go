@@ -20,6 +20,8 @@ func (s *Server) Reload() error {
 	if s.swap == nil {
 		return fmt.Errorf("server: reload applies to static snapshot mode only")
 	}
+	s.publishMu.Lock()
+	defer s.publishMu.Unlock()
 	mtime, size := statFile(s.cfg.IndexPath)
 	ix, err := openSnapshot(s.cfg.IndexPath, s.cfg.ExpectLayout == xseq.LayoutFlat)
 	if err == nil {
@@ -61,30 +63,26 @@ func (s *Server) WatchFile(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		return
 	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		mtime, size := statFile(s.cfg.IndexPath)
-		if mtime.IsZero() {
-			continue // transiently missing (mid-rename); keep serving
-		}
-		s.mu.Lock()
-		changed := !mtime.Equal(s.snapMTime) || size != s.snapSize
-		if changed {
-			// Record what we observed even if the reload fails, so one
-			// bad file version is attempted once, not every tick.
-			s.snapMTime, s.snapSize = mtime, size
-		}
-		s.mu.Unlock()
-		if changed {
-			_ = s.Reload() // failure recorded in health; old snapshot serves
-		}
+	w := &task{name: "watch " + s.cfg.IndexPath, step: s.watchStep, pause: interval, logf: s.cfg.Logf}
+	w.run(ctx)
+}
+
+// watchStep reloads the snapshot if it changed since the last look. It
+// never fails: Reload records its own failures, and one bad file version
+// is attempted once, not every tick.
+func (s *Server) watchStep(context.Context) error {
+	mtime, size := statFile(s.cfg.IndexPath)
+	if mtime.IsZero() {
+		return nil // transiently missing (mid-rename); keep serving
 	}
+	s.mu.Lock()
+	changed := !mtime.Equal(s.snapMTime) || size != s.snapSize
+	s.snapMTime, s.snapSize = mtime, size
+	s.mu.Unlock()
+	if changed {
+		_ = s.Reload()
+	}
+	return nil
 }
 
 // statFile reports path's mtime and size, zero values when unreadable.

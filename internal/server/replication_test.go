@@ -25,7 +25,7 @@ func newPrimary(t *testing.T, walPath string, mutate func(*Config)) (*Server, *h
 	cfg := Config{
 		WALPath:        walPath,
 		DefaultTimeout: 30 * time.Second,
-		WALPollWait:    200 * time.Millisecond,
+		walPollWait:    200 * time.Millisecond,
 		Logf:           silentLogf,
 	}
 	if mutate != nil {
@@ -47,9 +47,9 @@ func newFollower(t *testing.T, primaryURL string, mutate func(*Config)) (*Server
 	cfg := Config{
 		FollowURL:        primaryURL,
 		DefaultTimeout:   30 * time.Second,
-		WALPollWait:      200 * time.Millisecond,
-		FollowMinBackoff: 10 * time.Millisecond,
-		FollowMaxBackoff: 100 * time.Millisecond,
+		walPollWait:      200 * time.Millisecond,
+		followMinBackoff: 10 * time.Millisecond,
+		followMaxBackoff: 100 * time.Millisecond,
 		Logf:             silentLogf,
 	}
 	if mutate != nil {
@@ -451,7 +451,7 @@ func TestFollowerBackoffAndResumeAcrossPrimaryRestart(t *testing.T) {
 		srv, err := New(Config{
 			WALPath:        pwal,
 			DefaultTimeout: 30 * time.Second,
-			WALPollWait:    100 * time.Millisecond,
+			walPollWait:    100 * time.Millisecond,
 			Logf:           silentLogf,
 		})
 		if err != nil {

@@ -24,7 +24,7 @@ func newCheckpointingPrimary(t *testing.T, dir string, every int, mutate func(*C
 	t.Helper()
 	return newPrimary(t, filepath.Join(dir, "p.wal"), func(c *Config) {
 		c.CheckpointEveryEntries = every
-		c.CheckpointPoll = 10 * time.Millisecond
+		c.checkpointPoll = 10 * time.Millisecond
 		if mutate != nil {
 			mutate(c)
 		}
@@ -126,7 +126,7 @@ func TestSnapshotEndpointWithoutCheckpoints(t *testing.T) {
 func TestSnapshotGateShedsExcessDownloads(t *testing.T) {
 	dir := t.TempDir()
 	psrv, pts := newCheckpointingPrimary(t, dir, 2, func(c *Config) {
-		c.SnapshotMaxConcurrent = 1
+		c.snapshotMaxConcurrent = 1
 	})
 	for i := 0; i < 3; i++ {
 		postInsert(t, pts.URL, i, docXML(i))
@@ -249,7 +249,7 @@ func TestReseedSurvivesCorruptDownloads(t *testing.T) {
 	p1, err := New(Config{
 		WALPath:        filepath.Join(dir, "p1.wal"),
 		DefaultTimeout: 30 * time.Second,
-		WALPollWait:    100 * time.Millisecond,
+		walPollWait:    100 * time.Millisecond,
 		Logf:           silentLogf,
 	})
 	if err != nil {
@@ -435,8 +435,8 @@ func TestFollowerHonorsRetryAfter(t *testing.T) {
 	}))
 	t.Cleanup(busy.Close)
 	fsrv, _ := newFollower(t, busy.URL, func(c *Config) {
-		c.FollowMinBackoff = 5 * time.Millisecond
-		c.FollowMaxBackoff = 20 * time.Millisecond
+		c.followMinBackoff = 5 * time.Millisecond
+		c.followMaxBackoff = 20 * time.Millisecond
 	})
 	waitUntil(t, 5*time.Second, "first shed poll", func() bool { return polls.Load() >= 1 })
 	time.Sleep(500 * time.Millisecond)

@@ -18,6 +18,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -25,7 +26,6 @@ import (
 	"time"
 
 	"xseq"
-	"xseq/internal/adapt"
 	"xseq/internal/query"
 	"xseq/internal/telemetry"
 )
@@ -63,28 +63,14 @@ type Config struct {
 	// WALPath + ".ckpt" when the checkpoint policy is armed or the server
 	// is a durable follower.
 	CheckpointPath string
-	// CheckpointPoll is how often the checkpoint policy samples the WAL
-	// (default 1s).
-	CheckpointPoll time.Duration
-	// SnapshotMaxConcurrent bounds concurrent GET /snapshot downloads
-	// (default 2); excess requests get 429 + Retry-After.
-	SnapshotMaxConcurrent int
 	// FollowURL makes the server a read-only follower of the primary at
 	// this base URL (e.g. "http://primary:8080"): it tails GET /wal,
 	// applies every entry, answers queries, and rejects POST /insert with
 	// 403. With WALPath also set the follower persists what it applies and
-	// resumes from its own log after a restart.
+	// resumes from its own log after a restart. While the primary is
+	// unreachable the follower keeps serving reads and /healthz reports
+	// degraded with the error.
 	FollowURL string
-	// FollowMinBackoff and FollowMaxBackoff bound the exponential backoff
-	// (with jitter) between failed attempts to reach the primary
-	// (defaults 100ms and 5s). The follower keeps serving reads while the
-	// primary is unreachable; /healthz reports degraded with the error.
-	FollowMinBackoff time.Duration
-	FollowMaxBackoff time.Duration
-	// WALPollWait caps how long GET /wal may long-poll for entries beyond
-	// the head before answering empty (default 25s), and how long this
-	// server's own follower loop asks a primary to hold.
-	WALPollWait time.Duration
 	// MaxConcurrent bounds queries executing at once (default 32).
 	MaxConcurrent int
 	// MaxQueue bounds queries waiting for a slot (default 2*MaxConcurrent);
@@ -95,8 +81,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the client-requested ?timeout (default 60s).
 	MaxTimeout time.Duration
-	// RetryAfter is the hint sent with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// ExpectShards, when > 0, requires every snapshot — initial and
 	// reloaded — to be sharded with exactly this many shards. A mismatched
 	// initial snapshot fails startup; a mismatched replacement is rejected
@@ -131,9 +115,10 @@ type Config struct {
 	PatternTopK int
 	// Adaptive turns on online adaptive resequencing: a background loop
 	// derives the paper's Eq 6 weight vector w(C) from the live pattern
-	// table, and when the serving index's sequencing has drifted past
-	// AdaptiveDrift it rebuilds the index re-sequenced around the mix and
-	// hot-swaps it in — reads keep serving the old index throughout.
+	// table (aged each poll so the weights track the recent mix), and when
+	// the serving index's sequencing has drifted past AdaptiveDrift it
+	// rebuilds the index re-sequenced around the mix and hot-swaps it in —
+	// reads keep serving the old index throughout.
 	// Static mode requires a snapshot built with KeepDocuments (the corpus
 	// to rebuild from); incompatible with FollowURL (a follower's index is
 	// the primary's log, not its own to re-sequence).
@@ -141,32 +126,78 @@ type Config struct {
 	// AdaptivePoll is how often the loop samples the pattern table
 	// (default 2s).
 	AdaptivePoll time.Duration
-	// AdaptiveDrift is the drift threshold in [0, 1] that triggers a
-	// rebuild (default 0.25).
+	// AdaptiveDrift is the drift threshold in (0, 1] that triggers a
+	// rebuild (default 0.25). AdaptivePoll, AdaptiveDrift and
+	// AdaptiveMinInterval require Adaptive.
 	AdaptiveDrift float64
 	// AdaptiveMinInterval rate-limits successful rebuilds (default 30s).
 	AdaptiveMinInterval time.Duration
-	// AdaptiveMinSamples is the minimum decayed mass the pattern table must
-	// hold before a rebuild may trigger (default 32) — protects against
-	// tuning to a handful of stray queries.
-	AdaptiveMinSamples int
-	// AdaptiveBoost scales the hottest path's weight to 1+boost
-	// (default adapt.DefaultBoost).
-	AdaptiveBoost float64
-	// AdaptiveDecay geometrically ages the pattern table each poll so the
-	// weights track the recent mix (default 0.98; must be in (0, 1)).
-	AdaptiveDecay float64
 	// Logf receives operational log lines (default log.Printf).
 	Logf func(format string, args ...any)
+
+	// Fixed in production; tests shorten them. checkpointPoll is how often
+	// the checkpoint policy samples the WAL (1s); snapshotMaxConcurrent
+	// bounds concurrent GET /snapshot downloads (2); followMinBackoff and
+	// followMaxBackoff bound the follower's retry backoff (100ms, 5s);
+	// walPollWait caps a GET /wal long-poll and is what the follower asks a
+	// primary to hold (25s); adaptiveMinSamples is the decayed pattern-table
+	// mass a rebuild needs, against tuning to stray queries (32);
+	// adaptiveDecay ages the table each poll (0.98).
+	checkpointPoll        time.Duration
+	snapshotMaxConcurrent int
+	followMinBackoff      time.Duration
+	followMaxBackoff      time.Duration
+	walPollWait           time.Duration
+	adaptiveMinSamples    int
+	adaptiveDecay         float64
 
 	// testSnapshotBody, when set, wraps the snapshot download stream a
 	// re-seeding follower reads — the chaos tests' corruption injection
 	// point. Called once per download attempt.
 	testSnapshotBody func(io.Reader) io.Reader
-	// testRebuildFail, when set, runs before every adaptive rebuild; a
-	// non-nil return fails the rebuild — the failure-containment tests'
-	// injection point.
+	// testRebuildFail, when set, runs before every adaptive rebuild, after
+	// a static rebuild has read its base snapshot; a non-nil return fails
+	// the rebuild — the failure-containment tests' injection point.
 	testRebuildFail func() error
+}
+
+// ErrConfig is wrapped by every error New returns for a Config that
+// selects no serving mode or an impossible one, or holds an out-of-range
+// value. cmd/xseqd maps it to its usage exit code.
+var ErrConfig = errors.New("server: invalid configuration")
+
+// validate enforces the mode rules and value ranges New relies on. It runs
+// before applyDefaults, so a zero still means "unset".
+func (c *Config) validate() error {
+	dynamic := c.WALPath != "" || c.FollowURL != ""
+	ckptArmed := c.CheckpointEveryEntries > 0 || c.CheckpointEveryBytes > 0
+	var problem string
+	switch {
+	case c.IndexPath == "" && !dynamic:
+		problem = "one of Config.IndexPath, WALPath, FollowURL is required"
+	case c.IndexPath != "" && dynamic:
+		problem = "Config.IndexPath is mutually exclusive with WALPath/FollowURL"
+	case c.ExpectLayout != "" && c.ExpectLayout != "monolithic" && c.ExpectLayout != "sharded" && c.ExpectLayout != "flat":
+		problem = fmt.Sprintf("Config.ExpectLayout %q (want monolithic, sharded, or flat)", c.ExpectLayout)
+	case c.ExpectLayout != "" && dynamic:
+		problem = "Config.ExpectLayout applies to static snapshot mode only"
+	case c.ExpectShards < 0 || c.QueryCacheEntries < 0:
+		problem = "Config.ExpectShards and QueryCacheEntries must be >= 0"
+	case ckptArmed && c.WALPath == "":
+		problem = "the checkpoint policy requires Config.WALPath (nothing to rotate without a log)"
+	case c.CheckpointPath != "" && !dynamic:
+		problem = "Config.CheckpointPath requires WALPath or FollowURL"
+	case c.Adaptive && c.FollowURL != "":
+		problem = "Config.Adaptive is incompatible with FollowURL (a follower serves the primary's sequencing)"
+	case !c.Adaptive && (c.AdaptivePoll != 0 || c.AdaptiveDrift != 0 || c.AdaptiveMinInterval != 0):
+		problem = "Config.AdaptivePoll, AdaptiveDrift, and AdaptiveMinInterval require Adaptive"
+	case c.AdaptiveDrift < 0 || c.AdaptiveDrift > 1:
+		problem = "Config.AdaptiveDrift must be in (0, 1]"
+	}
+	if problem == "" {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrConfig, problem)
 }
 
 func (c *Config) applyDefaults() {
@@ -182,26 +213,20 @@ func (c *Config) applyDefaults() {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
+	if c.followMinBackoff <= 0 {
+		c.followMinBackoff = 100 * time.Millisecond
 	}
-	if c.FollowMinBackoff <= 0 {
-		c.FollowMinBackoff = 100 * time.Millisecond
+	if c.followMaxBackoff <= 0 {
+		c.followMaxBackoff = 5 * time.Second
 	}
-	if c.FollowMaxBackoff <= 0 {
-		c.FollowMaxBackoff = 5 * time.Second
+	if c.walPollWait <= 0 {
+		c.walPollWait = 25 * time.Second
 	}
-	if c.FollowMaxBackoff < c.FollowMinBackoff {
-		c.FollowMaxBackoff = c.FollowMinBackoff
+	if c.checkpointPoll <= 0 {
+		c.checkpointPoll = time.Second
 	}
-	if c.WALPollWait <= 0 {
-		c.WALPollWait = 25 * time.Second
-	}
-	if c.CheckpointPoll <= 0 {
-		c.CheckpointPoll = time.Second
-	}
-	if c.SnapshotMaxConcurrent <= 0 {
-		c.SnapshotMaxConcurrent = 2
+	if c.snapshotMaxConcurrent <= 0 {
+		c.snapshotMaxConcurrent = 2
 	}
 	if c.AdaptivePoll <= 0 {
 		c.AdaptivePoll = 2 * time.Second
@@ -212,14 +237,11 @@ func (c *Config) applyDefaults() {
 	if c.AdaptiveMinInterval <= 0 {
 		c.AdaptiveMinInterval = 30 * time.Second
 	}
-	if c.AdaptiveMinSamples <= 0 {
-		c.AdaptiveMinSamples = 32
+	if c.adaptiveMinSamples <= 0 {
+		c.adaptiveMinSamples = 32
 	}
-	if c.AdaptiveBoost <= 0 {
-		c.AdaptiveBoost = adapt.DefaultBoost
-	}
-	if c.AdaptiveDecay <= 0 || c.AdaptiveDecay >= 1 {
-		c.AdaptiveDecay = 0.98
+	if c.adaptiveDecay <= 0 || c.adaptiveDecay >= 1 {
+		c.adaptiveDecay = 0.98
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -236,6 +258,7 @@ type Server struct {
 	repl    *replicator        // follower mode only
 	ckpt    *checkpointer      // checkpoint policy, when armed
 	adapt   *resequencer       // adaptive resequencing, when enabled
+	tasks   []*task            // the policies' background loops, started by New
 	snapSem chan struct{}      // bounds concurrent /snapshot downloads
 	gate    *gate
 	dr      *drainer
@@ -243,7 +266,7 @@ type Server struct {
 	started time.Time
 
 	// baseCtx is cancelled to abort every in-flight query once the drain
-	// budget is exhausted (and to stop the follower's replication loop).
+	// budget is exhausted, and by Close to stop the background tasks.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
@@ -260,6 +283,10 @@ type Server struct {
 	latMu       sync.Mutex
 	latency     map[string]*telemetry.Histogram
 	traceMu     sync.Mutex // serializes Config.TraceLog writes
+
+	// publishMu serializes Reload with the adaptive rebuild's publish, so a
+	// rebuild never reverts a reload that replaced its base snapshot.
+	publishMu sync.Mutex
 
 	mu             sync.Mutex
 	loadedAt       time.Time
@@ -278,30 +305,14 @@ type Server struct {
 // (IndexPath), a durable dynamic primary (WALPath), or a follower replica
 // (FollowURL). A static server never starts without a valid snapshot (later
 // reload failures degrade instead); a primary never starts over a WAL it
-// cannot replay.
+// cannot replay. A Config that breaks the mode rules fails with an error
+// matching ErrConfig.
 func New(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg.applyDefaults()
-	if cfg.IndexPath != "" && (cfg.WALPath != "" || cfg.FollowURL != "") {
-		return nil, fmt.Errorf("server: Config.IndexPath is mutually exclusive with WALPath/FollowURL")
-	}
-	switch cfg.ExpectLayout {
-	case "", "monolithic", "sharded", "flat":
-	default:
-		return nil, fmt.Errorf("server: Config.ExpectLayout %q (want monolithic, sharded, or flat)", cfg.ExpectLayout)
-	}
-	if cfg.ExpectLayout != "" && (cfg.WALPath != "" || cfg.FollowURL != "") {
-		return nil, fmt.Errorf("server: Config.ExpectLayout applies to static snapshot mode only")
-	}
-	if cfg.Adaptive && cfg.FollowURL != "" {
-		return nil, fmt.Errorf("server: Config.Adaptive is incompatible with FollowURL (a follower serves the primary's sequencing)")
-	}
 	ckptArmed := cfg.CheckpointEveryEntries > 0 || cfg.CheckpointEveryBytes > 0
-	if ckptArmed && cfg.WALPath == "" {
-		return nil, fmt.Errorf("server: the checkpoint policy requires Config.WALPath (nothing to rotate without a log)")
-	}
-	if cfg.CheckpointPath != "" && cfg.WALPath == "" && cfg.FollowURL == "" {
-		return nil, fmt.Errorf("server: Config.CheckpointPath requires WALPath or FollowURL")
-	}
 	if cfg.CheckpointPath == "" && cfg.WALPath != "" && (ckptArmed || cfg.FollowURL != "") {
 		// Armed primaries need somewhere to write; durable followers need
 		// somewhere to keep a downloaded seed across restarts.
@@ -370,11 +381,8 @@ func New(cfg Config) (*Server, error) {
 				}
 			}
 		}
-		s.snapSem = make(chan struct{}, cfg.SnapshotMaxConcurrent)
+		s.snapSem = make(chan struct{}, cfg.snapshotMaxConcurrent)
 	default:
-		if cfg.IndexPath == "" {
-			return nil, fmt.Errorf("server: one of Config.IndexPath, WALPath, FollowURL is required")
-		}
 		ix, err := openSnapshot(cfg.IndexPath, cfg.ExpectLayout == xseq.LayoutFlat)
 		if err != nil {
 			return nil, fmt.Errorf("server: initial snapshot: %w", err)
@@ -398,14 +406,14 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	if cfg.FollowURL != "" {
 		s.repl = newReplicator(s)
-		go s.repl.run(s.baseCtx)
+		s.startTask(s.repl.task)
 	}
 	if s.ckpt != nil {
-		go s.ckpt.run(s.baseCtx)
+		s.startTask(s.ckpt.task)
 	}
 	if cfg.Adaptive {
 		s.adapt = newResequencer(s)
-		go s.adapt.run(s.baseCtx)
+		s.startTask(s.adapt.task)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -419,19 +427,14 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close releases the server's background resources: the follower's
-// replication loop and the dynamic index's write-ahead log. Queries already
-// admitted finish; call Drain first for a graceful stop. Idempotent.
+// Close releases the server's background resources: it stops the
+// background tasks, waiting for any step in progress, and closes the
+// dynamic index's write-ahead log. Queries already admitted finish; call
+// Drain first for a graceful stop. Idempotent.
 func (s *Server) Close() error {
 	s.cancel()
-	if s.repl != nil {
-		s.repl.wait()
-	}
-	if s.ckpt != nil {
-		s.ckpt.wait()
-	}
-	if s.adapt != nil {
-		s.adapt.wait()
+	for _, t := range s.tasks {
+		<-t.done
 	}
 	if s.dyn != nil {
 		return s.dyn.Close()
@@ -503,41 +506,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	verify := params.Get("verify") == "1" || params.Get("verify") == "true"
-	timeout, terr := requestTimeout(params, s.cfg)
-	if terr != nil {
-		writeError(w, http.StatusBadRequest, terr.Error())
+
+	ctx, adm, ok := s.admit(w, r, params)
+	if !ok {
 		return
 	}
-
-	if !s.dr.enter() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	defer s.dr.exit()
-
-	// The query context ends at the first of: client disconnect, the
-	// per-request deadline, or the server's drain-budget cancellation.
-	ctx, cancelReq := context.WithTimeout(r.Context(), timeout)
-	defer cancelReq()
-	stopAfter := context.AfterFunc(s.baseCtx, cancelReq)
-	defer stopAfter()
-
-	if err := s.gate.acquire(ctx); err != nil {
-		if errors.Is(err, errOverloaded) {
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
-			writeError(w, http.StatusTooManyRequests, err.Error())
-			return
-		}
-		// Context ended while queued: deadline or disconnect/drain.
-		if errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission")
-		} else {
-			writeError(w, http.StatusServiceUnavailable, "cancelled while queued for admission")
-		}
-		return
-	}
-	defer s.gate.release()
+	defer s.release(adm)
 	if hook := s.testHookAdmitted; hook != nil {
 		hook(ctx)
 	}
@@ -597,6 +571,65 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		IDs:       ids,
 		ElapsedMS: float64(elapsed) / float64(time.Millisecond),
 	})
+}
+
+// admission is what an admitted request holds until release: its context's
+// cancel and the hook tying that context to the server's drain budget.
+type admission struct {
+	cancel context.CancelFunc
+	stop   func() bool
+}
+
+// admit is the preamble /query and /insert share: resolve the deadline
+// (?timeout, capped at Config.MaxTimeout, else Config.DefaultTimeout),
+// register with the drainer, end the request's context at the first of
+// the deadline, the client disconnecting, or the server's drain-budget
+// cancellation, and take an admission slot. On failure it has answered —
+// 400 for a bad timeout, 503 draining, 429 + Retry-After when overloaded,
+// 504 or 503 when the context ends while queued — and released
+// everything; on success the caller must release(adm).
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, params url.Values) (context.Context, admission, bool) {
+	timeout := s.cfg.DefaultTimeout
+	if v := params.Get("timeout"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d <= 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", v))
+			return nil, admission{}, false
+		}
+		timeout = min(d, s.cfg.MaxTimeout)
+	}
+	if !s.dr.enter() {
+		w.Header().Set("Retry-After", retryAfterSecs)
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return nil, admission{}, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	adm := admission{cancel: cancel, stop: context.AfterFunc(s.baseCtx, cancel)}
+	err := s.gate.acquire(ctx)
+	if err == nil {
+		return ctx, adm, true
+	}
+	switch {
+	case errors.Is(err, errOverloaded):
+		w.Header().Set("Retry-After", retryAfterSecs)
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "deadline exceeded while queued for admission")
+	default: // disconnect or drain
+		writeError(w, http.StatusServiceUnavailable, "cancelled while queued for admission")
+	}
+	adm.stop()
+	cancel()
+	s.dr.exit()
+	return nil, admission{}, false
+}
+
+// release returns what admit took, in reverse order.
+func (s *Server) release(adm admission) {
+	s.gate.release()
+	adm.stop()
+	adm.cancel()
+	s.dr.exit()
 }
 
 // querier is the query surface every serving mode exposes: a static
@@ -730,14 +763,6 @@ func (s *Server) ingestStat() *ingestStat {
 	}
 }
 
-// replicationStat snapshots the follower's state, nil otherwise.
-func (s *Server) replicationStat() *replicationStatus {
-	if s.repl == nil {
-		return nil
-	}
-	return s.repl.status()
-}
-
 // checkShards enforces Config.ExpectShards against a loaded snapshot.
 func checkShards(expect int, ix *xseq.Index) error {
 	if expect <= 0 {
@@ -863,7 +888,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.ckpt != nil {
 		resp.Checkpoint = s.ckpt.stat()
 	}
-	resp.Replication = s.replicationStat()
+	if s.repl != nil {
+		resp.Replication = s.repl.status()
+	}
 	if s.adapt != nil {
 		resp.Adaptive = s.adapt.stat()
 	}
@@ -900,11 +927,10 @@ type healthResponse struct {
 	// keeps serving and retries).
 	CompactionError string `json:"compaction_error,omitempty"`
 	// CheckpointError is the most recent automatic-checkpoint failure
-	// (serving continues over the unrotated log; the policy retries with
-	// backoff).
+	// (serving continues over the unrotated log; the task retries).
 	CheckpointError string `json:"checkpoint_error,omitempty"`
 	// AdaptiveError is the most recent adaptive-rebuild failure (the old
-	// index keeps serving; the loop retries with backoff).
+	// index keeps serving; the task retries).
 	AdaptiveError string `json:"adaptive_error,omitempty"`
 	// Replication carries the follower's lag and connection condition.
 	Replication *replicationStatus `json:"replication,omitempty"`
@@ -936,24 +962,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	if s.ckpt != nil {
-		if st := s.ckpt.stat(); st.LastError != "" {
-			resp.CheckpointError = st.LastError
+	for _, t := range s.tasks {
+		_, lastErr := t.health()
+		if lastErr != "" {
 			resp.Status = "degraded"
 		}
-	}
-	if s.adapt != nil {
-		if st := s.adapt.stat(); st.LastError != "" {
-			resp.AdaptiveError = st.LastError
-			resp.Status = "degraded"
-		}
-	}
-	if s.repl != nil {
-		rs := s.repl.status()
-		resp.Replication = rs
-		if rs.LastError != "" || rs.Gone {
-			resp.Status = "degraded"
-		}
+		t.report(&resp, lastErr)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -984,10 +998,5 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfterSecs is the Retry-After hint every 429 and 503 carries.
+const retryAfterSecs = "1"

@@ -189,6 +189,48 @@ func TestNewRejectsMissingOrCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadConfig: New is the one place the serving-mode rules and
+// value ranges are enforced, and every violation matches ErrConfig (xseqd's
+// usage exit). Combinations it accepts may still fail for other reasons —
+// here a snapshot that does not exist — but never with ErrConfig.
+func TestNewRejectsBadConfig(t *testing.T) {
+	wal := filepath.Join(t.TempDir(), "p.wal")
+	const snap, follow = "absent.idx", "http://127.0.0.1:1"
+	cases := []struct {
+		name string
+		cfg  Config
+		bad  bool
+	}{
+		{"no mode", Config{}, true},
+		{"static", Config{IndexPath: snap}, false},
+		{"primary", Config{WALPath: wal}, false},
+		{"follower", Config{FollowURL: follow}, false},
+		{"durable follower", Config{WALPath: wal, FollowURL: follow}, false},
+		{"static + primary", Config{IndexPath: snap, WALPath: wal}, true},
+		{"static + follower", Config{IndexPath: snap, FollowURL: follow}, true},
+		{"unknown layout", Config{IndexPath: snap, ExpectLayout: "columnar"}, true},
+		{"layout on a primary", Config{WALPath: wal, ExpectLayout: "flat"}, true},
+		{"negative shards", Config{IndexPath: snap, ExpectShards: -1}, true},
+		{"negative cache", Config{IndexPath: snap, QueryCacheEntries: -1}, true},
+		{"checkpoint policy without a log", Config{FollowURL: follow, CheckpointEveryBytes: 1 << 20}, true},
+		{"checkpoint path on a static server", Config{IndexPath: snap, CheckpointPath: "x.ckpt"}, true},
+		{"adaptive follower", Config{FollowURL: follow, Adaptive: true}, true},
+		{"adaptive knob without adaptive", Config{IndexPath: snap, AdaptivePoll: time.Second}, true},
+		{"drift above 1", Config{IndexPath: snap, Adaptive: true, AdaptiveDrift: 1.5}, true},
+		{"negative drift", Config{IndexPath: snap, Adaptive: true, AdaptiveDrift: -0.1}, true},
+	}
+	for _, c := range cases {
+		c.cfg.Logf = silentLogf
+		srv, err := New(c.cfg)
+		if srv != nil {
+			srv.Close()
+		}
+		if got := errors.Is(err, ErrConfig); got != c.bad {
+			t.Errorf("%s: New = %v, want ErrConfig %v", c.name, err, c.bad)
+		}
+	}
+}
+
 func TestGateAdmissionAndOverflow(t *testing.T) {
 	g := newGate(2, 1)
 	ctx := context.Background()

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -54,14 +55,33 @@ func keysAt(v any, path ...any) []string {
 	return keys
 }
 
+// metricFamilies returns the sorted family names srv's /metrics declares.
+func metricFamilies(t *testing.T, srv *Server) []string {
+	t.Helper()
+	ms := httptest.NewServer(srv.MetricsHandler())
+	defer ms.Close()
+	_, body := get(t, ms.URL)
+	var names []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
 // TestStatsWireFormat pins the /stats key spelling and nesting of every
-// section assembled from the facade's stats records, on each serving shape
-// that emits it. Dashboards and benchmark/ decode these keys; a change to
-// where the records are declared must not move one.
+// section, on each serving shape that emits it, plus the /healthz keys of
+// degraded servers and the /metrics families each shape declares.
+// Dashboards and benchmark/ decode these keys; a change to where the
+// records are declared must not move one.
 func TestStatsWireFormat(t *testing.T) {
 	index := []string{"documents", "estimated_disk_bytes", "index_nodes", "links", "shards"}
 	sharded := append([]string{"per_shard"}, index...)
 	sort.Strings(sharded)
+	replication := []string{"applied_seq", "attempts", "entries_applied", "lag", "last_contact_ms", "primary",
+		"primary_head_seq", "state"}
 
 	dir := t.TempDir()
 	static := func(path, layout string) any {
@@ -85,6 +105,43 @@ func TestStatsWireFormat(t *testing.T) {
 		t.Fatalf("insert = %d: %s", code, body)
 	}
 	stats["primary"] = fetchStats(t, pts.URL)
+	// Armed but never due: the checkpoint section without a failure.
+	csrv, cts := newCheckpointingPrimary(t, t.TempDir(), 1000, nil)
+	stats["checkpointing"] = fetchStats(t, cts.URL)
+	fsrv, fts := newFollower(t, pts.URL, nil)
+	waitUntil(t, 5*time.Second, "follower catch-up", func() bool { return fsrv.dyn.AppliedSeq() == 1 })
+	stats["follower"] = fetchStats(t, fts.URL)
+	// A poll interval longer than the test: no weights derived yet.
+	asrv, ats := newAdaptiveServer(t, 2, func(c *Config) { c.AdaptivePoll = time.Hour })
+	stats["adaptive"] = fetchStats(t, ats.URL)
+	families := map[string][]string{}
+	for shape, srv := range map[string]*Server{"checkpointing": csrv, "follower": fsrv, "adaptive": asrv} {
+		families[shape] = metricFamilies(t, srv)
+	}
+
+	// Degraded /healthz bodies: a primary whose checkpoints cannot be
+	// written, and a follower whose primary is gone.
+	_, dpts := newCheckpointingPrimary(t, t.TempDir(), 1, func(c *Config) {
+		c.CheckpointPath = filepath.Join(dir, "missing", "p.ckpt")
+	})
+	if code, _, body := postInsert(t, dpts.URL, 1, docXML(1)); code != http.StatusOK {
+		t.Fatalf("insert = %d: %s", code, body)
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	_, dfts := newFollower(t, dead.URL, nil)
+	health := map[string]any{}
+	for shape, base := range map[string]string{"degraded primary": dpts.URL, "degraded follower": dfts.URL} {
+		waitUntil(t, 5*time.Second, shape, func() bool {
+			_, body := get(t, base+"/healthz")
+			var v map[string]any
+			if err := json.Unmarshal(body, &v); err != nil {
+				t.Fatalf("bad /healthz body %s: %v", body, err)
+			}
+			health[shape] = v
+			return v["status"] == "degraded"
+		})
+	}
 
 	cases := []struct {
 		shape string
@@ -107,10 +164,56 @@ func TestStatsWireFormat(t *testing.T) {
 			"inserts", "pending"}},
 		{"primary", []any{"durability"}, []string{"appends", "base_seq", "entries", "last_seq", "path",
 			"replay_truncated_bytes", "replayed_entries", "rotations", "size_bytes", "synced_seq", "syncs"}},
+		{"mono", []any{"snapshot"}, []string{"loaded_at", "path", "reload_failures", "reloads"}},
+		{"primary", []any{"checkpoint"}, nil},
+		{"checkpointing", []any{"checkpoint"}, []string{"checkpoints", "every_entries", "failures", "path",
+			"snapshot_bytes", "snapshot_crc32", "snapshot_requests", "snapshot_seq"}},
+		{"follower", []any{"replication"}, replication},
+		{"follower", []any{"snapshot"}, nil},
+		{"adaptive", []any{"adaptive"}, []string{"drift", "drift_threshold", "enabled", "failures", "rebuilds", "samples"}},
+		{"mono", []any{"adaptive"}, nil},
 	}
 	for _, c := range cases {
 		if got := keysAt(stats[c.shape], c.path...); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: /stats keys at %v\n got %v\nwant %v", c.shape, c.path, got, c.want)
+		}
+	}
+
+	// /metrics: every shape declares the common families; the background
+	// tasks add their own.
+	common := []string{"xseq_admission_active", "xseq_admission_admitted_total", "xseq_admission_queue",
+		"xseq_admission_rejected_total", "xseq_admission_slots", "xseq_admission_waiting", "xseq_index_documents",
+		"xseq_index_links", "xseq_index_nodes", "xseq_index_shards", "xseq_insert_errors_total", "xseq_inserts_total",
+		"xseq_queries_total", "xseq_query_errors_total", "xseq_query_patterns_tracked", "xseq_shard_query_duration_seconds"}
+	for shape, extra := range map[string][]string{
+		"checkpointing": {"xseq_checkpoint_failures_total", "xseq_checkpoint_snapshot_bytes", "xseq_checkpoints_total",
+			"xseq_snapshot_requests_total", "xseq_wal_appends_total", "xseq_wal_last_seq", "xseq_wal_rotations_total",
+			"xseq_wal_size_bytes", "xseq_wal_syncs_total"},
+		"follower": {"xseq_replication_entries_applied_total", "xseq_replication_lag", "xseq_reseed_attempts_total",
+			"xseq_reseeds_total"},
+		"adaptive": {"xseq_adaptive_drift", "xseq_adaptive_rebuild_failures_total", "xseq_adaptive_rebuilds_total"},
+	} {
+		want := append(append([]string(nil), common...), extra...)
+		sort.Strings(want)
+		if got := families[shape]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: /metrics families\n got %v\nwant %v", shape, got, want)
+		}
+	}
+
+	healthCases := []struct {
+		shape string
+		path  []any
+		want  []string
+	}{
+		{"degraded primary", nil, []string{"applied_seq", "checkpoint_error", "documents", "draining", "mode", "status"}},
+		{"degraded follower", nil, []string{"documents", "draining", "mode", "replication", "status"}},
+		{"degraded follower", []any{"replication"}, append([]string{"last_error"}, replication...)},
+	}
+	for _, c := range healthCases {
+		want := append([]string(nil), c.want...)
+		sort.Strings(want)
+		if got := keysAt(health[c.shape], c.path...); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: /healthz keys at %v\n got %v\nwant %v", c.shape, c.path, got, want)
 		}
 	}
 }

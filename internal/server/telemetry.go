@@ -29,7 +29,7 @@ const defaultPatternTopK = 64
 
 // initTelemetry builds the registry and the server-owned metrics. Called
 // once from New before any handler can run; collectors registered here
-// read mode-dependent state (s.dyn, s.ckpt, s.repl) lazily at scrape
+// read mode-dependent state (s.dyn, s.tasks) lazily at scrape
 // time, so registration order against mode setup does not matter.
 func (s *Server) initTelemetry() {
 	r := telemetry.NewRegistry()
@@ -116,24 +116,8 @@ func (s *Server) collect(e *telemetry.Emit) {
 		e.Gauge("xseq_wal_size_bytes", "", "Current WAL file size.", float64(d.SizeBytes))
 		e.Gauge("xseq_wal_last_seq", "", "Last sequence number appended to the WAL.", float64(d.LastSeq))
 	}
-	if s.ckpt != nil {
-		cs := s.ckpt.stat()
-		e.Counter("xseq_checkpoints_total", "", "Completed automatic checkpoints.", cs.Checkpoints)
-		e.Counter("xseq_checkpoint_failures_total", "", "Failed checkpoint rounds.", cs.Failures)
-		e.Gauge("xseq_checkpoint_snapshot_bytes", "", "Size of the last checkpoint snapshot.", float64(cs.SnapshotBytes))
-		e.Counter("xseq_snapshot_requests_total", "", "GET /snapshot downloads served or shed.", cs.SnapshotRequests)
-	}
-	if rs := s.replicationStat(); rs != nil {
-		e.Counter("xseq_replication_entries_applied_total", "", "WAL entries applied from the primary.", rs.EntriesApplied)
-		e.Counter("xseq_reseeds_total", "", "Completed snapshot re-seeds after rotation outran this follower.", rs.Reseeds)
-		e.Counter("xseq_reseed_attempts_total", "", "Snapshot re-seed attempts, including failures.", rs.ReseedAttempts)
-		e.Gauge("xseq_replication_lag", "", "Entries between the primary's head and this follower.", float64(rs.Lag))
-	}
-	if s.adapt != nil {
-		as := s.adapt.stat()
-		e.Counter("xseq_adaptive_rebuilds_total", "", "Completed adaptive re-sequenced rebuilds.", as.Rebuilds)
-		e.Counter("xseq_adaptive_rebuild_failures_total", "", "Failed adaptive rebuild attempts.", as.Failures)
-		e.Gauge("xseq_adaptive_drift", "", "Weight-vector drift between the live mix and the serving index.", as.Drift)
+	for _, t := range s.tasks {
+		t.metrics(e)
 	}
 	e.Gauge("xseq_query_patterns_tracked", "", "Resident entries in the top-K pattern-frequency table.", float64(s.patterns.Len()))
 }
