@@ -16,8 +16,8 @@ package pathenc
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -154,22 +154,36 @@ func (e *Encoder) LookupElementSymbol(name string) (Symbol, bool) {
 // post-verification helpers in the query layer when required.
 func (e *Encoder) ValueSymbol(value string) Symbol {
 	bucket := e.HashValue(value)
-	key := fmt.Sprintf("%s%d", valPrefix, bucket)
-	return e.intern(key, fmt.Sprintf("v%d", bucket), KindValue)
+	var buf [24]byte
+	key := appendValueKey(buf[:0], bucket)
+	if s, ok := e.syms[string(key)]; ok {
+		return s
+	}
+	return e.intern(string(key), "v"+strconv.Itoa(bucket), KindValue)
 }
 
 // LookupValueSymbol returns the designator a value would hash to, without
 // interning. The second result reports whether that bucket has been seen.
 func (e *Encoder) LookupValueSymbol(value string) (Symbol, bool) {
-	s, ok := e.syms[fmt.Sprintf("%s%d", valPrefix, e.HashValue(value))]
+	var buf [24]byte
+	s, ok := e.syms[string(appendValueKey(buf[:0], e.HashValue(value)))]
 	return s, ok
 }
 
-// HashValue reports the hash bucket h(value) in [0, ValueSpace).
+// appendValueKey renders the interning key of a value bucket into b.
+func appendValueKey(b []byte, bucket int) []byte {
+	return strconv.AppendInt(append(b, valPrefix...), int64(bucket), 10)
+}
+
+// HashValue reports the hash bucket h(value) in [0, ValueSpace): 32-bit
+// FNV-1a (hash/fnv's New32a), inlined so that hashing allocates nothing.
 func (e *Encoder) HashValue(value string) int {
-	h := fnv.New32a()
-	h.Write([]byte(value))
-	return int(h.Sum32() % uint32(e.valSpace))
+	h := uint32(2166136261)
+	for i := 0; i < len(value); i++ {
+		h ^= uint32(value[i])
+		h *= 16777619
+	}
+	return int(h % uint32(e.valSpace))
 }
 
 // CharSymbols interns the paper's second value representation: the value as
@@ -427,45 +441,130 @@ func FromSnapshot(s Snapshot) (*Encoder, error) {
 	return e, nil
 }
 
-// ChildIndex is a frozen adjacency view of the path table, used by wildcard
-// expansion to enumerate extensions of a path quickly.
+// ChildIndex is a frozen, interval-labelled view of the path table — the
+// path table is a DataGuide, so it takes the same (n⊢, n⊣) labels as the
+// sequence trie (Section 4.1). Each path has a pre-order position pre[p]
+// and the position end[p] of its last descendant, so "every path under p"
+// is the position range (pre[p], end[p]]. The pre-order visits children
+// in descending PathID, and every descendant list the index hands out is
+// in that order: it decides which instances survive an instantiation
+// limit.
+//
+// All arrays are flat (CSR): the children of p are kids[kidOff[p]:
+// kidOff[p+1]] in ascending PathID; the paths ending in symbol s are
+// bySym[symOff[s]:symOff[s+1]] and the paths ending in an element
+// designator are elems, both in pre-order, so a name test under p is one
+// binary search per end of p's range.
 type ChildIndex struct {
-	enc      *Encoder
-	children [][]PathID
+	kidOff []int32
+	kids   []PathID
+	pre    []int32
+	end    []int32
+	symOff []int32
+	bySym  []PathID
+	elems  []PathID
 }
 
-// BuildChildIndex snapshots the current path table. Paths interned afterwards
-// are not visible.
+// BuildChildIndex snapshots the current path table. Paths and symbols
+// interned afterwards are not visible.
 func (e *Encoder) BuildChildIndex() *ChildIndex {
-	ci := &ChildIndex{enc: e, children: make([][]PathID, len(e.parent))}
-	for i := 1; i < len(e.parent); i++ {
-		p := e.parent[i]
-		ci.children[p] = append(ci.children[p], PathID(i))
+	n := len(e.parent)
+	ci := &ChildIndex{
+		kidOff: make([]int32, n+1),
+		kids:   make([]PathID, n-1),
+		pre:    make([]int32, n),
+		end:    make([]int32, n),
+		symOff: make([]int32, len(e.symName)+1),
+		bySym:  make([]PathID, n-1),
 	}
-	for _, c := range ci.children {
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	// Children by counting sort on the parent; ascending PathID falls out.
+	for i := 1; i < n; i++ {
+		ci.kidOff[e.parent[i]+1]++
+	}
+	for p := 0; p < n; p++ {
+		ci.kidOff[p+1] += ci.kidOff[p]
+	}
+	next := append([]int32(nil), ci.kidOff[:n]...)
+	for i := 1; i < n; i++ {
+		p := e.parent[i]
+		ci.kids[next[p]] = PathID(i)
+		next[p]++
+	}
+	// Subtree sizes: parents precede their children, so one backward pass.
+	size := make([]int32, n)
+	for i := n - 1; i > 0; i-- {
+		size[e.parent[i]] += size[i] + 1
+	}
+	// Pre-order: pushing children ascending pops them descending.
+	order := make([]PathID, 0, n)
+	stack := []PathID{EmptyPath}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		ci.pre[p] = int32(len(order))
+		ci.end[p] = ci.pre[p] + size[p]
+		order = append(order, p)
+		stack = append(stack, ci.Children(p)...)
+	}
+	// Postings in pre-order; EmptyPath (position 0) ends in no designator.
+	nElem := 0
+	for _, p := range order[1:] {
+		s := e.last[p]
+		ci.symOff[s+1]++
+		if e.symKind[s] == KindElement {
+			nElem++
+		}
+	}
+	for s := 1; s < len(ci.symOff); s++ {
+		ci.symOff[s] += ci.symOff[s-1]
+	}
+	next = append(next[:0], ci.symOff...)
+	ci.elems = make([]PathID, 0, nElem)
+	for _, p := range order[1:] {
+		s := e.last[p]
+		ci.bySym[next[s]] = p
+		next[s]++
+		if e.symKind[s] == KindElement {
+			ci.elems = append(ci.elems, p)
+		}
 	}
 	return ci
 }
 
-// Children returns the interned extensions of p at snapshot time.
+// Children returns the interned extensions of p at snapshot time, in
+// ascending PathID.
 func (ci *ChildIndex) Children(p PathID) []PathID {
-	if p < 0 || int(p) >= len(ci.children) {
+	if p < 0 || int(p) >= len(ci.pre) {
 		return nil
 	}
-	return ci.children[p]
+	return ci.kids[ci.kidOff[p]:ci.kidOff[p+1]]
 }
 
-// Descendants returns every interned path that has p as a strict prefix,
-// in no particular order.
-func (ci *ChildIndex) Descendants(p PathID) []PathID {
-	var out []PathID
-	stack := append([]PathID(nil), ci.Children(p)...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, n)
-		stack = append(stack, ci.Children(n)...)
+// DescendantsEnding returns the strict descendants of p whose last
+// designator is sym, in the index's pre-order. The slice aliases the index
+// and must not be modified.
+func (ci *ChildIndex) DescendantsEnding(p PathID, sym Symbol) []PathID {
+	if int(sym)+1 >= len(ci.symOff) {
+		return nil
 	}
-	return out
+	return ci.within(p, ci.bySym[ci.symOff[sym]:ci.symOff[sym+1]])
+}
+
+// ElementDescendants returns the strict descendants of p whose last
+// designator is an element or attribute name — the candidates of a `//*`
+// step — in the index's pre-order. The slice aliases the index and must not
+// be modified.
+func (ci *ChildIndex) ElementDescendants(p PathID) []PathID {
+	return ci.within(p, ci.elems)
+}
+
+// within clips a pre-ordered posting list to p's descendant range.
+func (ci *ChildIndex) within(p PathID, list []PathID) []PathID {
+	if p < 0 || int(p) >= len(ci.pre) {
+		return nil
+	}
+	lo, hi := ci.pre[p], ci.end[p]
+	i := sort.Search(len(list), func(k int) bool { return ci.pre[list[k]] > lo })
+	j := i + sort.Search(len(list)-i, func(k int) bool { return ci.pre[list[i+k]] > hi })
+	return list[i:j]
 }

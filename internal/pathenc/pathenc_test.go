@@ -237,11 +237,14 @@ func TestChildIndex(t *testing.T) {
 	if len(kids) != 3 { // Pv0, PR, PD
 		t.Fatalf("children of P = %d want 3", len(kids))
 	}
-	desc := ci.Descendants(m["PR"])
+	desc := descendantsWalk(ci, m["PR"])
 	if len(desc) != 2 { // PRL, PRLv1
 		t.Fatalf("descendants of PR = %d want 2", len(desc))
 	}
-	all := ci.Descendants(EmptyPath)
+	if got := ci.ElementDescendants(m["PR"]); len(got) != 1 || got[0] != m["PRL"] {
+		t.Fatalf("element descendants of PR = %v want [%d]", got, m["PRL"])
+	}
+	all := descendantsWalk(ci, EmptyPath)
 	if len(all) != e.NumPaths()-1 {
 		t.Fatalf("descendants of ε = %d want %d", len(all), e.NumPaths()-1)
 	}

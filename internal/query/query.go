@@ -411,7 +411,11 @@ func instantiateChildren(enc *pathenc.Encoder, ci *pathenc.ChildIndex, pn *PNode
 // instantiateNode returns concrete subtrees for one pattern node anchored
 // under the given parent path.
 func instantiateNode(enc *pathenc.Encoder, ci *pathenc.ChildIndex, pn *PNode, parent pathenc.PathID, limit int) []instTree {
-	var candidates []pathenc.PathID
+	var (
+		one        [1]pathenc.PathID
+		candidates []pathenc.PathID
+		elemsOnly  bool // candidates still need the '*' element filter
+	)
 	switch pn.Axis {
 	case AxisChild:
 		if pn.IsValue {
@@ -428,30 +432,23 @@ func instantiateNode(enc *pathenc.Encoder, ci *pathenc.ChildIndex, pn *PNode, pa
 				return nil
 			}
 			if sym, ok := enc.LookupValueSymbol(pn.Value); ok {
-				if p := enc.Lookup(parent, sym); p != pathenc.InvalidPath {
-					candidates = append(candidates, p)
-				}
+				one[0] = enc.Lookup(parent, sym)
+				candidates = one[:]
 			}
 		} else if pn.Wildcard {
-			for _, c := range ci.Children(parent) {
-				if enc.SymbolKind(enc.LastSymbol(c)) == pathenc.KindElement {
-					candidates = append(candidates, c)
-				}
-			}
+			candidates, elemsOnly = ci.Children(parent), true
 		} else if sym, ok := enc.LookupElementSymbol(pn.Name); ok {
-			if p := enc.Lookup(parent, sym); p != pathenc.InvalidPath {
-				candidates = append(candidates, p)
-			}
+			one[0] = enc.Lookup(parent, sym)
+			candidates = one[:]
 		}
 	case AxisDescendant:
-		for _, c := range ci.Descendants(parent) {
-			if stepMatchesPath(enc, pn, c) {
-				candidates = append(candidates, c)
-			}
-		}
+		candidates = descendantCandidates(enc, ci, pn, parent)
 	}
 	var out []instTree
 	for _, c := range candidates {
+		if c == pathenc.InvalidPath || elemsOnly && enc.SymbolKind(enc.LastSymbol(c)) != pathenc.KindElement {
+			continue
+		}
 		subs := instantiateChildren(enc, ci, pn, c, limit)
 		for _, sub := range subs {
 			out = append(out, instTree{path: c, children: sub})
@@ -492,22 +489,36 @@ func charChain(enc *pathenc.Encoder, pn *PNode, parent pathenc.PathID, limit int
 	return []instTree{node}
 }
 
-// stepMatchesPath reports whether a pattern node's name test matches the
-// last designator of a path. Value tests resolve through the atomic value
-// hash; with the text-sequence representation, descendant-axis value tests
-// are not supported (values have no single designator) and match nothing.
-func stepMatchesPath(enc *pathenc.Encoder, pn *PNode, p pathenc.PathID) bool {
-	sym := enc.LastSymbol(p)
-	kind := enc.SymbolKind(sym)
-	if pn.IsValue {
-		if kind != pathenc.KindValue || enc.TextValues() || pn.Prefix {
-			return false
+// nameTest resolves a root or descendant step's name test once: the
+// designator a candidate path must end in, or any element designator for
+// '*'; ok is false when no path can pass. Value tests resolve through the
+// atomic value hash; with the text-sequence representation, and for prefix
+// tests, they match nothing (values have no single designator).
+func nameTest(enc *pathenc.Encoder, pn *PNode) (sym pathenc.Symbol, wildcard, ok bool) {
+	switch {
+	case pn.IsValue:
+		if enc.TextValues() || pn.Prefix {
+			return 0, false, false
 		}
-		vs, ok := enc.LookupValueSymbol(pn.Value)
-		return ok && vs == sym
+		sym, ok = enc.LookupValueSymbol(pn.Value)
+		return sym, false, ok
+	case pn.Wildcard:
+		return 0, true, true
 	}
-	if kind != pathenc.KindElement {
-		return false
+	sym, ok = enc.LookupElementSymbol(pn.Name)
+	return sym, false, ok
+}
+
+// descendantCandidates returns the strict descendants of parent that pass
+// pn's name test, in the child index's pre-order; see pathenc.ChildIndex.
+// The slice aliases the index.
+func descendantCandidates(enc *pathenc.Encoder, ci *pathenc.ChildIndex, pn *PNode, parent pathenc.PathID) []pathenc.PathID {
+	sym, wildcard, ok := nameTest(enc, pn)
+	switch {
+	case !ok:
+		return nil
+	case wildcard:
+		return ci.ElementDescendants(parent)
 	}
-	return pn.Wildcard || enc.SymbolName(sym) == pn.Name
+	return ci.DescendantsEnding(parent, sym)
 }

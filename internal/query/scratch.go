@@ -50,23 +50,25 @@ func (p *Pattern) InstantiateScratch(enc *pathenc.Encoder, ci *pathenc.ChildInde
 	if p == nil || p.Root == nil {
 		return nil
 	}
-	// Anchor candidates for the root.
-	anchors := scr.anchors[:0]
+	// Anchor candidates for the root: a descendant-axis root reads them
+	// straight out of the child index, a child-axis root filters the few
+	// top-level paths into the scratch.
+	var anchors []pathenc.PathID
 	switch p.Root.Axis {
 	case AxisChild:
-		for _, c := range ci.Children(pathenc.EmptyPath) {
-			if stepMatchesPath(enc, p.Root, c) {
-				anchors = append(anchors, c)
+		anchors = scr.anchors[:0]
+		if sym, wildcard, ok := nameTest(enc, p.Root); ok {
+			for _, c := range ci.Children(pathenc.EmptyPath) {
+				last := enc.LastSymbol(c)
+				if wildcard && enc.SymbolKind(last) == pathenc.KindElement || !wildcard && last == sym {
+					anchors = append(anchors, c)
+				}
 			}
 		}
+		scr.anchors = anchors
 	case AxisDescendant:
-		for _, c := range ci.Descendants(pathenc.EmptyPath) {
-			if stepMatchesPath(enc, p.Root, c) {
-				anchors = append(anchors, c)
-			}
-		}
+		anchors = descendantCandidates(enc, ci, p.Root, pathenc.EmptyPath)
 	}
-	scr.anchors = anchors
 	out := scr.insts[:0]
 	if scr.seen == nil {
 		scr.seen = make(map[string]bool)
