@@ -54,9 +54,10 @@ type Dynamic struct {
 	gen atomic.Uint64
 
 	// buildMu serializes the builds that replace published engines (merges,
-	// compactions, rebuilds) and ResetTo. Only its holder removes segments,
-	// so a build that snapshotted segments [i, j) finds them at the same
-	// positions when it publishes. Lock order: buildMu, then mu.
+	// compactions, rebuilds, recovery) and ResetTo. Only its holder removes
+	// segments or replaces main, so a build that snapshotted segments [i, j)
+	// finds them at the same positions when it publishes. Lock order:
+	// buildMu, then mu.
 	buildMu sync.Mutex
 
 	mu       sync.RWMutex
@@ -139,31 +140,88 @@ const DefaultCompactThreshold = 1024
 // empty) with one Builder call. threshold <= 0 uses
 // DefaultCompactThreshold.
 func NewDynamic(build Builder, initial []*xmltree.Document, threshold int) (*Dynamic, error) {
+	d, err := newDynamic(build, threshold)
+	if err != nil {
+		return nil, err
+	}
+	seen, err := corpusIDs(initial)
+	if err != nil {
+		return nil, fmt.Errorf("engine: initial corpus: %w", err)
+	}
+	var main Engine
+	if len(initial) > 0 {
+		if main, err = d.safeBuild(context.Background(), initial); err != nil {
+			return nil, err
+		}
+	}
+	d.install(main, initial, seen, 0)
+	return d, nil
+}
+
+// ResumeDynamic returns a dynamic engine whose main engine is main, a frozen
+// engine loaded from a snapshot, over its corpus docs — the restart
+// counterpart of NewDynamic. It calls no Builder: nothing the snapshot
+// indexed is indexed again. Documents a log holds beyond the snapshot follow
+// through Recover. main may be nil only with an empty corpus.
+func ResumeDynamic(build Builder, main Engine, docs []*xmltree.Document, threshold int) (*Dynamic, error) {
+	d, err := newDynamic(build, threshold)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.ResetTo(main, docs, 0); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// newDynamic returns an empty dynamic engine over build.
+func newDynamic(build Builder, threshold int) (*Dynamic, error) {
 	if build == nil {
-		return nil, fmt.Errorf("engine: NewDynamic requires a Builder")
+		return nil, fmt.Errorf("engine: a dynamic engine requires a Builder")
 	}
 	if threshold <= 0 {
 		threshold = DefaultCompactThreshold
 	}
-	d := &Dynamic{build: build, seen: map[int32]bool{}, threshold: threshold, compactAt: threshold}
-	for _, doc := range initial {
-		if doc == nil {
-			return nil, fmt.Errorf("engine: nil initial document")
+	return &Dynamic{build: build, seen: map[int32]bool{}, threshold: threshold, compactAt: threshold}, nil
+}
+
+// corpusIDs checks that a corpus holds no nil document and no repeated id,
+// and returns its id set.
+func corpusIDs(docs []*xmltree.Document) (map[int32]bool, error) {
+	seen := make(map[int32]bool, len(docs))
+	for _, doc := range docs {
+		if doc == nil || doc.Root == nil {
+			return nil, fmt.Errorf("nil document")
 		}
-		if d.seen[doc.ID] {
-			return nil, fmt.Errorf("engine: duplicate document id %d", doc.ID)
+		if seen[doc.ID] {
+			return nil, fmt.Errorf("duplicate document id %d", doc.ID)
 		}
-		d.seen[doc.ID] = true
+		seen[doc.ID] = true
 	}
-	if len(initial) > 0 {
-		main, err := d.safeBuild(context.Background(), initial)
-		if err != nil {
-			return nil, err
-		}
-		d.main = main
-		d.mainDocs = append(d.mainDocs, initial...)
-	}
-	return d, nil
+	return seen, nil
+}
+
+// install replaces the entire serving state with main over docs (id set
+// seen) at WAL sequence number seq. It takes buildMu, so it waits for any
+// in-flight build and none can publish over the new state, then swaps under
+// mu, so a reader sees either the complete old state or the complete new
+// one. A compaction failure that the old state reported no longer describes
+// the served state, so install clears it; the failure count stays.
+func (d *Dynamic) install(main Engine, docs []*xmltree.Document, seen map[int32]bool, seq uint64) {
+	d.buildMu.Lock()
+	defer d.buildMu.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	// Invalidate before the swap becomes visible, same rule as inserts.
+	d.gen.Add(1)
+	d.main = main
+	d.mainDocs = append([]*xmltree.Document(nil), docs...)
+	d.segs = nil
+	d.pending = 0
+	d.seen = seen
+	d.appliedSeq = seq
+	d.compactAt = d.threshold
+	d.lastErr = nil
 }
 
 // safeBuild runs the Builder, converting a panic into an error so a faulty
@@ -402,41 +460,75 @@ func (d *Dynamic) Contains(id int32) bool {
 }
 
 // ResetTo replaces the entire serving state with a frozen engine and its
-// corpus — the re-seed primitive for a follower installing a primary
-// checkpoint it can no longer reach through the log. It waits for any
-// in-flight build, so none can publish over the new state. The swap is
-// atomic with respect to queries and inserts: a reader sees either the
-// complete old state or the complete new one, and the generation bump
-// invalidates any result cache layered above. seq is the WAL sequence
-// number the snapshot covers; replication resumes at seq+1. main may be
-// nil only with an empty corpus.
+// corpus — the one seeding step behind ResumeDynamic and a follower
+// installing a primary checkpoint it can no longer reach through the log.
+// It waits for any in-flight build, so none can publish over the new state.
+// The swap is atomic with respect to queries and inserts: a reader sees
+// either the complete old state or the complete new one, and the generation
+// bump invalidates any result cache layered above. seq is the WAL sequence
+// number the snapshot covers; replication resumes at seq+1. main may be nil
+// only with an empty corpus. LastCompactionError reads nil afterwards;
+// FailedCompactions keeps counting.
 func (d *Dynamic) ResetTo(main Engine, docs []*xmltree.Document, seq uint64) error {
-	seen := make(map[int32]bool, len(docs))
-	for _, doc := range docs {
-		if doc == nil || doc.Root == nil {
-			return fmt.Errorf("engine: nil document in reset corpus")
-		}
-		if seen[doc.ID] {
-			return fmt.Errorf("engine: duplicate document id %d in reset corpus", doc.ID)
-		}
-		seen[doc.ID] = true
-	}
 	if main == nil && len(docs) > 0 {
 		return fmt.Errorf("engine: reset with %d documents but no engine", len(docs))
 	}
+	seen, err := corpusIDs(docs)
+	if err != nil {
+		return fmt.Errorf("engine: reset corpus: %w", err)
+	}
+	d.install(main, docs, seen, seq)
+	return nil
+}
+
+// Recover indexes the documents a log replay found beyond the corpus — the
+// restart step after ResumeDynamic — with at most one Builder call: none
+// for an empty tail; while the pending documents stay below the compaction
+// threshold, one build over the tail alone, published as one pending
+// segment; once they reach it, one build over the main engine's corpus and
+// the tail into a fresh main engine — on a freshly resumed engine, the
+// build NewDynamic makes. A failed build is returned and changes nothing.
+// Call it before serving begins.
+func (d *Dynamic) Recover(ctx context.Context, tail []*xmltree.Document) error {
+	if len(tail) == 0 {
+		return nil
+	}
+	ids, err := corpusIDs(tail)
+	if err != nil {
+		return fmt.Errorf("engine: recover: %w", err)
+	}
 	d.buildMu.Lock()
 	defer d.buildMu.Unlock()
+	d.mu.RLock()
+	for id := range ids {
+		if d.seen[id] {
+			d.mu.RUnlock()
+			return fmt.Errorf("engine: recover: duplicate document id %d", id)
+		}
+	}
+	docs, asSegment := tail, d.pending+len(tail) < d.compactAt
+	if !asSegment {
+		docs = make([]*xmltree.Document, 0, len(d.mainDocs)+len(tail))
+		docs = append(append(docs, d.mainDocs...), tail...)
+	}
+	d.mu.RUnlock()
+
+	eng, err := d.safeBuild(ctx, docs)
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Invalidate before the swap becomes visible, same rule as inserts.
 	d.gen.Add(1)
-	d.main = main
-	d.mainDocs = append([]*xmltree.Document(nil), docs...)
-	d.segs = nil
-	d.pending = 0
-	d.seen = seen
-	d.appliedSeq = seq
-	d.compactAt = d.threshold
+	for id := range ids {
+		d.seen[id] = true
+	}
+	if asSegment {
+		d.segs = append(d.segs, segment{eng: eng, docs: tail})
+		d.pending += len(tail)
+	} else {
+		d.main, d.mainDocs = eng, docs
+	}
 	return nil
 }
 
@@ -587,7 +679,7 @@ func (d *Dynamic) FailedCompactions() int {
 }
 
 // LastCompactionError returns the most recent compaction failure, or nil
-// after a successful compaction (or if none ever failed).
+// after a successful compaction or a ResetTo (or if none ever failed).
 func (d *Dynamic) LastCompactionError() error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -82,6 +82,68 @@ func TestDynamicErrors(t *testing.T) {
 	}
 }
 
+// TestDynamicResumeRecover: ResumeDynamic serves a frozen engine without a
+// Builder call; Recover indexes a tail below the threshold as one pending
+// segment and, at the threshold, folds main and the tail into a fresh main
+// engine, leaving existing segments pending. A rejected or failed Recover
+// changes nothing.
+func TestDynamicResumeRecover(t *testing.T) {
+	docs := testCorpus(t, 9)
+	var builds []int
+	failing := false
+	build := func(ctx context.Context, ds []*xmltree.Document) (engine.Engine, error) {
+		if failing {
+			return nil, faultio.ErrInjected
+		}
+		builds = append(builds, len(ds))
+		return csBuilder()(ctx, ds)
+	}
+	d, err := engine.ResumeDynamic(build, mustBuild(t, docs[:4]), docs[:4], 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := []*query.Pattern{query.MustParse("//A"), query.MustParse("/R/B"), query.MustParse("//C[text='A']")}
+	if len(builds) != 0 || d.NumDocuments() != 4 || d.PendingDocuments() != 0 {
+		t.Fatalf("resume: builds %v, docs %d, pending %d", builds, d.NumDocuments(), d.PendingDocuments())
+	}
+	sameAnswers(t, d, docs[:4], pats)
+
+	if err := d.Recover(context.Background(), docs[4:6]); err != nil {
+		t.Fatal(err)
+	}
+	if len(builds) != 1 || builds[0] != 2 || d.PendingDocuments() != 2 {
+		t.Fatalf("recover below threshold: builds %v, pending %d", builds, d.PendingDocuments())
+	}
+	sameAnswers(t, d, docs[:6], pats)
+
+	gen := d.Generation()
+	if err := d.Recover(context.Background(), docs[3:7]); err == nil {
+		t.Fatal("recover of an id the corpus holds succeeded")
+	}
+	failing = true
+	if err := d.Recover(context.Background(), docs[6:8]); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("recover with a failing Builder = %v", err)
+	}
+	failing = false
+	if d.Generation() != gen || d.NumDocuments() != 6 || d.Contains(docs[6].ID) {
+		t.Fatal("a refused or failed recover changed the state")
+	}
+
+	// Pending 2 + tail 2 reaches the threshold of 4: main and the tail
+	// rebuild into one main engine; the earlier segment stays pending.
+	if err := d.Recover(context.Background(), docs[6:8]); err != nil {
+		t.Fatal(err)
+	}
+	if len(builds) != 2 || builds[1] != 6 || d.PendingDocuments() != 2 || d.NumDocuments() != 8 {
+		t.Fatalf("recover at threshold: builds %v, pending %d, docs %d", builds, d.PendingDocuments(), d.NumDocuments())
+	}
+	sameAnswers(t, d, docs[:8], pats)
+	if err := d.Insert(docs[8]); err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, d, docs, pats)
+}
+
 func TestDynamicAutoCompact(t *testing.T) {
 	d, err := engine.NewDynamic(csBuilder(), nil, 3)
 	if err != nil {

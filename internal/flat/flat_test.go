@@ -254,6 +254,67 @@ func TestFlatSaveCopies(t *testing.T) {
 	}
 }
 
+// TestFlatReleaseEncodedHead: a heap-held snapshot that releases its
+// encoded head keeps answering every query mode, still passes the
+// invariant check, and saves the identical snapshot by encoding the head
+// again. A mapped snapshot keeps its image whole.
+func TestFlatReleaseEncodedHead(t *testing.T) {
+	docs := corpus(t, "xmark", 80)
+	built := buildMono(t, docs, true)
+	f, blob := flatten(t, built, Options{})
+	if err := f.ReleaseEncodedHead(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := f.MappedBytes(), int64(f.sections[secEnds].off+f.sections[secEnds].len); got != want {
+		t.Fatalf("image holds %d bytes after the release, want the %d up to the end of ENDS", got, want)
+	}
+	if err := f.ReleaseEncodedHead(); err != nil {
+		t.Fatalf("second release: %v", err)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Documents(); len(got) != len(docs) {
+		t.Fatalf("%d documents after the release, want %d", len(got), len(docs))
+	}
+	ctx := context.Background()
+	for _, q := range testQueries["xmark"] {
+		pat := query.MustParse(q)
+		for _, qo := range []engine.QueryOptions{{}, {Verify: true}} {
+			want, err := built.QueryWithContext(ctx, pat, qo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := f.QueryWithContext(ctx, pat, qo); err != nil || !equalIDs(got, want) {
+				t.Fatalf("%s (verify %v) = %v (%v), want %v", q, qo.Verify, got, err, want)
+			}
+		}
+	}
+	var out bytes.Buffer
+	if err := f.Save(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), blob) {
+		t.Fatal("Save after the release did not reproduce the snapshot bytes")
+	}
+
+	path := filepath.Join(t.TempDir(), "snap.flat")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if err := mapped.ReleaseEncodedHead(); err != nil {
+		t.Fatal(err)
+	}
+	if mapped.Mmapped() && mapped.MappedBytes() != int64(len(blob)) {
+		t.Fatalf("mapped image holds %d bytes after the release, want all %d", mapped.MappedBytes(), len(blob))
+	}
+}
+
 // TestFlatPagerAccounting: with a pool attached, queries charge page
 // touches; resident pages grow and stay within the snapshot's page count;
 // detaching restores the untracked fast path.

@@ -307,7 +307,7 @@ func (ix *Index) initLinks() error {
 	}
 	arena := ix.sectionBytes(secLinks)
 	arenaFileOff := ix.sections[secLinks].off
-	ix.links = make([]match.Link, numPaths)
+	ix.links, ix.numLinks = make([]match.Link, numPaths), 0
 	prevEnd := uint64(0)
 	for p := 0; p < numPaths; p++ {
 		row := dir[p*linkDirEntryLen:]
@@ -428,4 +428,33 @@ func (ix *Index) LoadDocuments() ([]*xmltree.Document, error) {
 		ix.docs = docs
 	})
 	return ix.docs, ix.docsErr
+}
+
+// ReleaseEncodedHead decodes the corpus of a heap-held opened snapshot and
+// then keeps only its bulk sections (LINKDIR, LINKS, ENDS), at the offsets
+// they already have: the form Build produces. The encoded head (META, DICT,
+// DOCS) is not held any more, so a corpus adopted from a snapshot is not
+// kept twice, once encoded and once decoded; Save encodes the head again
+// from the decoded values, as it does for a built index. A mapped snapshot
+// is left as it is (the kernel may evict its pages), and so is a built
+// index. The links and ends are re-addressed onto the new image, so no
+// query may run concurrently.
+func (ix *Index) ReleaseEncodedHead() error {
+	if !ix.file || ix.unmap != nil {
+		return nil
+	}
+	if _, err := ix.LoadDocuments(); err != nil {
+		return err
+	}
+	ends := ix.sections[secEnds]
+	ix.data = append([]byte(nil), ix.data[:ends.off+ends.len]...)
+	ix.file = false
+	for id := secMeta; id <= secDocs; id++ {
+		ix.sections[id] = section{}
+	}
+	if err := ix.initLinks(); err != nil {
+		return err
+	}
+	ix.initEnds()
+	return nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -520,8 +523,14 @@ func TestPrimaryRestartSeedsFromOwnCheckpoint(t *testing.T) {
 	if got := psrv2.dyn.NumDocuments(); got != 7 {
 		t.Fatalf("restarted primary has %d documents, want 7", got)
 	}
-	if replayed := psrv2.dyn.WALStats().ReplayedEntries; replayed >= 7 {
+	replayed := psrv2.dyn.WALStats().ReplayedEntries
+	if replayed >= 7 {
 		t.Fatalf("restart replayed %d entries despite the checkpoint seed", replayed)
+	}
+	// The checkpoint's index is adopted, not rebuilt: only the replayed
+	// documents are new, and they wait in one segment for compaction.
+	if got := psrv2.dyn.PendingDocuments(); got != replayed {
+		t.Fatalf("restarted primary has %d pending documents, want the %d replayed", got, replayed)
 	}
 	// The pre-restart checkpoint is served immediately, before any new
 	// checkpoint fires.
@@ -531,4 +540,71 @@ func TestPrimaryRestartSeedsFromOwnCheckpoint(t *testing.T) {
 	if code, qr, _ := getQuery(t, pts2.URL, "q="+matchAll); code != 200 || qr.Count != 7 {
 		t.Fatalf("restarted query = %d, %+v", code, qr)
 	}
+}
+
+// TestCheckpointShardMismatchIsUnreadable: ExpectShards applies to the
+// checkpoint a restart seeds from. A mismatched one is treated like an
+// unreadable checkpoint: startup fails when the log was rotated against it,
+// and otherwise the log is replayed alone.
+func TestCheckpointShardMismatchIsUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	psrv, pts := newCheckpointingPrimary(t, dir, 5, nil)
+	for i := 0; i < 7; i++ {
+		postInsert(t, pts.URL, i, docXML(i))
+	}
+	waitForCheckpoint(t, psrv, 5)
+	pts.Close()
+	psrv.Close()
+	rotated := Config{
+		WALPath:        filepath.Join(dir, "p.wal"),
+		CheckpointPath: filepath.Join(dir, "p.wal.ckpt"),
+		ExpectShards:   2,
+		Logf:           silentLogf,
+	}
+	if srv, err := New(rotated); err == nil {
+		srv.Close()
+		t.Fatal("restart over a rotated log and a monolithic checkpoint with ExpectShards=2 succeeded")
+	}
+
+	// A log that still holds history from seq 1 recovers on its own.
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}
+	full := filepath.Join(dir, "full.wal")
+	fsrv, fts := newPrimary(t, full, nil)
+	for i := 0; i < 4; i++ {
+		postInsert(t, fts.URL, i, docXML(i))
+	}
+	fts.Close()
+	fsrv.Close()
+	if err := copyFile(filepath.Join(dir, "p.wal.ckpt"), full+".ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newPrimary(t, full, func(c *Config) {
+		c.CheckpointPath, c.ExpectShards, c.Logf = full+".ckpt", 2, logf
+	})
+	if code, qr, _ := getQuery(t, ts.URL, "q="+matchAll); code != 200 || qr.Count != 4 {
+		t.Fatalf("query after replaying the log alone = %d, %+v", code, qr)
+	}
+	if st := srv.dyn.Stats(); st.Shards != 2 {
+		t.Fatalf("replayed index has %d shards, want 2", st.Shards)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(logs.String(), "ignoring unreadable checkpoint") {
+		t.Fatalf("startup log does not report the ignored checkpoint:\n%s", logs.String())
+	}
+}
+
+// copyFile copies src to dst.
+func copyFile(src, dst string) error {
+	b, err := os.ReadFile(src)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(dst, b, 0o644)
 }

@@ -327,34 +327,47 @@ func New(cfg Config) (*Server, error) {
 	s.initTelemetry()
 	switch {
 	case cfg.FollowURL != "" || cfg.WALPath != "":
-		// A checkpoint on disk seeds the index before WAL replay: load it,
-		// start from its corpus, and let replay supply everything newer.
-		// Entries the snapshot already covers are skipped during replay.
-		var seed []*xseq.Document
+		// A checkpoint on disk seeds the index before WAL replay: its index
+		// becomes the main index as it is, and replay supplies everything
+		// newer. Entries the checkpoint already covers are skipped.
+		var ckpt *xseq.Index
+		var seeded []*xseq.Document
 		var seedErr error
 		if cfg.CheckpointPath != "" {
 			if _, statErr := os.Stat(cfg.CheckpointPath); statErr == nil {
 				ix, err := openSnapshot(cfg.CheckpointPath, false)
 				if err == nil {
-					seed, err = ix.StoredDocuments()
+					if err = checkShards(cfg.ExpectShards, ix); err == nil {
+						seeded, err = ix.StoredDocuments()
+					}
 				}
 				if err != nil {
 					seedErr = fmt.Errorf("checkpoint %s: %w", cfg.CheckpointPath, err)
 				} else {
-					cfg.Logf("server: seeded %d documents from checkpoint %s", len(seed), cfg.CheckpointPath)
+					ckpt = ix
 				}
 			}
 		}
-		dyn, err := xseq.BuildDynamic(seed, xseq.Config{
+		dcfg := xseq.Config{
 			Shards:            cfg.ExpectShards,
 			QueryCacheEntries: cfg.QueryCacheEntries,
 			KeepDocuments:     ckptArmed || cfg.CheckpointPath != "",
 			WALPath:           cfg.WALPath,
 			WALStrict:         cfg.WALStrict,
 			WALSyncWindow:     cfg.WALSyncWindow,
-		}, 0)
+		}
+		var dyn *xseq.DynamicIndex
+		var err error
+		if ckpt != nil {
+			dyn, err = xseq.ResumeDynamic(ckpt, dcfg, 0)
+		} else {
+			dyn, err = xseq.BuildDynamic(nil, dcfg, 0)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("server: dynamic index: %w", err)
+		}
+		if ckpt != nil {
+			cfg.Logf("server: adopted checkpoint %s as the main index (%d documents)", cfg.CheckpointPath, len(seeded))
 		}
 		if seedErr != nil {
 			if st := dyn.WALStats(); st != nil && st.BaseSeq > 0 {
@@ -375,7 +388,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		if ckptArmed {
 			s.ckpt = newCheckpointer(s)
-			if seed != nil && seedErr == nil {
+			if ckpt != nil {
 				if st := dyn.WALStats(); st != nil {
 					s.ckpt.seed(cfg.CheckpointPath, st.BaseSeq)
 				}

@@ -213,4 +213,3 @@ func Label(key, value string) string {
 	b.WriteString(`"`)
 	return b.String()
 }
-

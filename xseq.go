@@ -247,11 +247,12 @@ type Config struct {
 	// snapshot generation, so a DynamicIndex insert or compaction
 	// invalidates them exactly. Cache counters surface in Stats.QueryCache.
 	QueryCacheEntries int
-	// WALPath makes BuildDynamic durable: every insert is appended (framed
-	// and checksummed) to the write-ahead log at this path and fsynced
-	// before the insert is acknowledged, and on startup the log is replayed
-	// so a crash — kill -9 included — loses no acknowledged insert. Only
-	// BuildDynamic honours it; "" disables the log.
+	// WALPath makes a dynamic index durable: every insert is appended
+	// (framed and checksummed) to the write-ahead log at this path and
+	// fsynced before the insert is acknowledged, and on startup the log is
+	// replayed so a crash — kill -9 included — loses no acknowledged
+	// insert. Only BuildDynamic and ResumeDynamic honour it; "" disables
+	// the log.
 	WALPath string
 	// WALStrict makes startup fail with a *WALCorruptError on a torn or
 	// checksum-bad log tail instead of truncating the log at the tear (the
@@ -635,9 +636,11 @@ func (ix *Index) FetchDocuments(ids []int32) ([]*Document, error) {
 }
 
 // StoredDocuments returns every stored document, ids ascending by input
-// order — the restart seed for BuildDynamic after loading a Checkpoint
-// snapshot. Requires Config.KeepDocuments at build time (snapshots persist
-// the corpus only when it was kept).
+// order. Requires Config.KeepDocuments at build time (snapshots persist the
+// corpus only when it was kept). To restart an updatable index on a
+// Checkpoint snapshot, pass the snapshot itself to ResumeDynamic rather
+// than its documents to BuildDynamic: that keeps its index instead of
+// rebuilding it.
 func (ix *Index) StoredDocuments() ([]*Document, error) {
 	stored := ix.eng.Documents()
 	if stored == nil {
@@ -904,14 +907,11 @@ type DynamicIndex struct {
 //
 // Config.WALPath arms durable ingestion: the log at that path is replayed
 // on top of the initial corpus (entries whose document id the corpus
-// already holds are skipped — the overlap a crash between checkpointing
-// and log rotation leaves) and the initial and replayed documents are
-// indexed by one build; then every insert is logged and fsynced before
-// it is acknowledged. Close the index when done so the final group commit
-// lands. The restart recipe after a Checkpoint: load the snapshot (built
-// with Config.KeepDocuments), pass its StoredDocuments as the initial
-// corpus, and keep the same WALPath — replay supplies everything newer
-// than the snapshot.
+// already holds are skipped) and the initial and replayed documents are
+// indexed by one build; then every insert is logged and fsynced before it
+// is acknowledged. Close the index when done so the final group commit
+// lands. To restart after a Checkpoint, use ResumeDynamic on the loaded
+// snapshot: it keeps the snapshot's index instead of building it again.
 func BuildDynamic(initial []*Document, cfg Config, threshold int) (*DynamicIndex, error) {
 	return buildDynamic(initial, cfg, threshold, nil)
 }
@@ -920,6 +920,139 @@ func BuildDynamic(initial []*Document, cfg Config, threshold int) (*DynamicIndex
 // Builder, through which tests observe every build.
 func buildDynamic(initial []*Document, cfg Config, threshold int, wrap func(engine.Builder) engine.Builder) (_ *DynamicIndex, err error) {
 	defer guard(&err)
+	inner := make([]*xmltree.Document, len(initial))
+	held := make(map[int32]bool, len(initial))
+	for i, d := range initial {
+		if d == nil || d.root == nil {
+			return nil, fmt.Errorf("xseq: nil document at position %d", i)
+		}
+		inner[i] = &xmltree.Document{ID: d.id, Root: d.root}
+		held[d.id] = true
+	}
+	di, builder := newDynamicIndex(cfg, wrap)
+	tail, err := di.replayWAL(cfg, func(id int32) bool { return held[id] })
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			di.Close()
+		}
+	}()
+	dyn, err := engine.NewDynamic(builder, append(inner, tail...), threshold)
+	if err != nil {
+		return nil, err
+	}
+	return di.serve(dyn, cfg), nil
+}
+
+// ResumeDynamic restarts an updatable index on a checkpoint: the loaded
+// snapshot's engine becomes the main index as it is, so nothing the
+// checkpoint indexed is sequenced or indexed again, and its stored corpus
+// becomes the corpus later compactions rebuild from. threshold and cfg
+// govern every later build exactly as in BuildDynamic; cfg's value encoding
+// (ValueSpace, TextValues) must be the checkpoint's, or queries could
+// answer differently before and after a compaction.
+//
+// With Config.WALPath the log is replayed on top. Entries whose document the
+// checkpoint already holds are skipped (the overlap a crash between
+// checkpointing and log rotation leaves), and the rest are indexed by at
+// most one build: none when the log holds nothing newer; one over the newer
+// documents alone, served as one pending segment, while they stay below
+// threshold; one over the whole corpus once they reach it.
+//
+// The checkpoint must carry its corpus, as the Checkpoint of an index built
+// with Config.KeepDocuments does. checkpoint is consumed, including on
+// error: do not use or close it after the call. The restart recipe after a
+// Checkpoint: Load (or LoadFile) the snapshot, pass it here with the same
+// WALPath, and replay supplies everything newer.
+func ResumeDynamic(checkpoint *Index, cfg Config, threshold int) (*DynamicIndex, error) {
+	return resumeDynamic(checkpoint, cfg, threshold, nil)
+}
+
+// resumeDynamic is ResumeDynamic with buildDynamic's Builder wrapper.
+func resumeDynamic(checkpoint *Index, cfg Config, threshold int, wrap func(engine.Builder) engine.Builder) (_ *DynamicIndex, err error) {
+	defer guard(&err)
+	if checkpoint == nil {
+		return nil, fmt.Errorf("xseq: resume from nil checkpoint")
+	}
+	defer func() {
+		if err != nil {
+			checkpoint.Close()
+		}
+	}()
+	if parts := partitions(checkpoint.baseEngine()); len(parts) > 0 {
+		enc := parts[0].Encoder()
+		space := pathenc.NewEncoder(cfg.ValueSpace).ValueSpace()
+		if enc.TextValues() != cfg.TextValues || (!cfg.TextValues && enc.ValueSpace() != space) {
+			return nil, fmt.Errorf("xseq: checkpoint encodes values as (text %v, space %d), config as (text %v, space %d)",
+				enc.TextValues(), enc.ValueSpace(), cfg.TextValues, space)
+		}
+	}
+	main, docs, err := adoptSnapshot(checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("xseq: resume: %w", err)
+	}
+	di, builder := newDynamicIndex(cfg, wrap)
+	dyn, err := engine.ResumeDynamic(builder, main, docs, threshold)
+	if err != nil {
+		return nil, err
+	}
+	tail, err := di.replayWAL(cfg, dyn.Contains)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			di.Close()
+		}
+	}()
+	if err := dyn.Recover(context.Background(), tail); err != nil {
+		return nil, fmt.Errorf("xseq: index %d replayed documents: %w", len(tail), err)
+	}
+	return di.serve(dyn, cfg), nil
+}
+
+// adoptSnapshot takes a loaded snapshot's engine and corpus for a dynamic
+// index's main engine: the one seeding step of a restart (ResumeDynamic)
+// and of a follower re-seed (ReseedFromSnapshot). A heap-held image keeps
+// only its bulk sections once its corpus is decoded, so the corpus is not
+// held twice.
+func adoptSnapshot(ix *Index) (engine.Engine, []*xmltree.Document, error) {
+	eng := ix.baseEngine()
+	for _, p := range partitions(eng) {
+		if err := p.ReleaseEncodedHead(); err != nil {
+			return nil, nil, err
+		}
+	}
+	docs := eng.Documents()
+	if docs == nil && eng.NumDocuments() > 0 {
+		return nil, nil, fmt.Errorf("snapshot was built without Config.KeepDocuments")
+	}
+	return eng, docs, nil
+}
+
+// partitions lists a frozen engine's XSEQFLAT images: the one of a
+// single-partition index, or every non-empty shard's.
+func partitions(eng engine.Engine) []*flat.Index {
+	switch e := eng.(type) {
+	case *flat.Index:
+		return []*flat.Index{e}
+	case *shard.Index:
+		var parts []*flat.Index
+		for i := 0; i < e.NumShards(); i++ {
+			if sh := e.Shard(i); sh != nil {
+				parts = append(parts, sh)
+			}
+		}
+		return parts
+	}
+	return nil
+}
+
+// newDynamicIndex returns the facade of a dynamic index built by cfg and
+// the engine Builder its dynamic engine uses, wrapped by wrap when set.
+func newDynamicIndex(cfg Config, wrap func(engine.Builder) engine.Builder) (*DynamicIndex, engine.Builder) {
 	subCfg := cfg
 	// The cache layers over the dynamic engine as a whole, not inside the
 	// sub-engines it rebuilds.
@@ -943,50 +1076,47 @@ func buildDynamic(initial []*Document, cfg Config, threshold int, wrap func(engi
 	if wrap != nil {
 		builder = wrap(builder)
 	}
-	inner := make([]*xmltree.Document, len(initial))
-	for i, d := range initial {
-		if d == nil || d.root == nil {
-			return nil, fmt.Errorf("xseq: nil document at position %d", i)
-		}
-		inner[i] = &xmltree.Document{ID: d.id, Root: d.root}
+	return di, builder
+}
+
+// replayWAL opens the log at cfg.WALPath, if set, and returns the documents
+// it holds that held does not claim, in log order; an entry repeating an
+// earlier one's id is skipped too. The log stays open on di.
+func (di *DynamicIndex) replayWAL(cfg Config, held func(int32) bool) ([]*xmltree.Document, error) {
+	if cfg.WALPath == "" {
+		return nil, nil
 	}
-	if cfg.WALPath != "" {
-		seen := make(map[int32]bool, len(inner))
-		for _, d := range inner {
-			seen[d.ID] = true
-		}
-		w, st, err := wal.Open(cfg.WALPath, wal.Options{
-			SyncWindow: cfg.WALSyncWindow,
-			Strict:     cfg.WALStrict,
-			Apply: func(seq uint64, payload []byte) error {
-				doc, err := wal.DecodeDocument(payload)
-				if err != nil {
-					return err
-				}
-				if seen[doc.ID] {
-					// Already covered by the initial corpus — the entry
-					// predates a checkpoint whose rotation didn't land.
-					return nil
-				}
-				seen[doc.ID] = true
-				inner = append(inner, doc)
-				return nil
-			},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("xseq: wal %s: %w", cfg.WALPath, err)
-		}
-		di.w, di.replay = w, st
-		defer func() {
+	var tail []*xmltree.Document
+	replayed := map[int32]bool{}
+	w, st, err := wal.Open(cfg.WALPath, wal.Options{
+		SyncWindow: cfg.WALSyncWindow,
+		Strict:     cfg.WALStrict,
+		Apply: func(seq uint64, payload []byte) error {
+			doc, err := wal.DecodeDocument(payload)
 			if err != nil {
-				w.Close()
+				return err
 			}
-		}()
-	}
-	dyn, err := engine.NewDynamic(builder, inner, threshold)
+			if held(doc.ID) || replayed[doc.ID] {
+				// Already covered — the entry predates a checkpoint whose
+				// rotation didn't land.
+				return nil
+			}
+			replayed[doc.ID] = true
+			tail = append(tail, doc)
+			return nil
+		},
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("xseq: wal %s: %w", cfg.WALPath, err)
 	}
+	di.w, di.replay = w, st
+	return tail, nil
+}
+
+// serve finishes a dynamic index around its engine: the log, if open,
+// continues at the replayed sequence number, and cfg's result cache wraps
+// the engine.
+func (di *DynamicIndex) serve(dyn *engine.Dynamic, cfg Config) *DynamicIndex {
 	if di.w != nil {
 		dyn.AttachWAL(di.w, wal.EncodeDocument, di.replay.LastSeq)
 	}
@@ -994,7 +1124,7 @@ func buildDynamic(initial []*Document, cfg Config, threshold int, wrap func(engi
 	if cfg.QueryCacheEntries > 0 {
 		di.eng = qcache.New(dyn, cfg.QueryCacheEntries)
 	}
-	return di, nil
+	return di
 }
 
 // Insert adds one document; ids must be unique across the index's life. It
@@ -1199,10 +1329,9 @@ func (d *DynamicIndex) ReseedFromSnapshot(ix *Index, seq uint64) (err error) {
 	if ix == nil {
 		return fmt.Errorf("xseq: reseed from nil snapshot")
 	}
-	eng := ix.baseEngine()
-	docs := eng.Documents()
-	if docs == nil && eng.NumDocuments() > 0 {
-		return fmt.Errorf("xseq: reseed snapshot was built without Config.KeepDocuments")
+	eng, docs, err := adoptSnapshot(ix)
+	if err != nil {
+		return fmt.Errorf("xseq: reseed: %w", err)
 	}
 	if d.w != nil {
 		// The log goes first: if the engine swap below then fails, the
@@ -1227,7 +1356,7 @@ func (d *DynamicIndex) Checkpoint(path string) error {
 // the WAL so entries the snapshot covers are dropped from the log. Inserts
 // arriving during the snapshot stay in the log. Build with
 // Config.KeepDocuments if the snapshot is meant to seed a restart (see
-// BuildDynamic). A crash between the snapshot and the rotation leaves an
+// ResumeDynamic). A crash between the snapshot and the rotation leaves an
 // overlap that replay skips; a crash before the snapshot leaves the full
 // log. Without a WAL, CheckpointContext is compact + save.
 func (d *DynamicIndex) CheckpointContext(ctx context.Context, path string) error {

@@ -73,12 +73,17 @@ func TestWALCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestWALRecoveryBuildsOnce: a restart indexes the initial corpus and the
-// replayed log with exactly one build, skipping log entries the initial
-// corpus already holds, and starts with nothing pending.
+// TestWALRecoveryBuildsOnce counts the Builder calls of a restart over a
+// log of 12 entries, whose first ones a checkpoint already holds (its
+// rotation never landed): replay skips those entries. A restart from raw
+// documents indexes them and the replayed ones in one build. A restart that
+// resumes on the checkpoint's index builds nothing when the log holds
+// nothing newer, builds only the newer documents, as one pending segment,
+// while they stay below the threshold, and builds the whole corpus once
+// they reach it.
 func TestWALRecoveryBuildsOnce(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "ingest.wal")
-	cfg := Config{WALPath: walPath}
+	cfg := Config{WALPath: walPath, KeepDocuments: true}
 	dyn, err := BuildDynamic(nil, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -92,28 +97,65 @@ func TestWALRecoveryBuildsOnce(t *testing.T) {
 	}
 	dyn.Close()
 
-	calls := 0
-	count := func(b engine.Builder) engine.Builder {
-		return func(ctx context.Context, ds []*xmltree.Document) (engine.Engine, error) {
-			calls++
-			return b(ctx, ds)
+	checkpoint := func(n int) *Index {
+		ix, err := Build(docs[:n], Config{KeepDocuments: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return back
 	}
-	// Documents 0-3 stand in for a checkpoint whose log rotation never
-	// landed: replay skips their entries.
-	back, err := buildDynamic(docs[:4], cfg, 0, count)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		held      int // documents the restart starts from
+		resume    bool
+		threshold int
+		builds    []int // documents per Builder call
+		pending   int
+	}{
+		{"build", 4, false, 0, []int{12}, 0},
+		{"resume/log-covered", 12, true, 0, nil, 0},
+		{"resume/below-threshold", 8, true, 0, []int{4}, 4},
+		{"resume/at-threshold", 8, true, 4, []int{12}, 0},
 	}
-	defer back.Close()
-	if calls != 1 {
-		t.Fatalf("restart made %d Builder calls, want 1", calls)
-	}
-	if back.NumDocuments() != 12 || back.PendingDocuments() != 0 || back.AppliedSeq() != 12 {
-		t.Fatalf("restart docs=%d pending=%d seq=%d", back.NumDocuments(), back.PendingDocuments(), back.AppliedSeq())
-	}
-	if ids, err := back.Query("//L[text='boston']"); err != nil || len(ids) != 12 {
-		t.Fatalf("restart query = %v, %v", ids, err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var builds []int
+			count := func(b engine.Builder) engine.Builder {
+				return func(ctx context.Context, ds []*xmltree.Document) (engine.Engine, error) {
+					builds = append(builds, len(ds))
+					return b(ctx, ds)
+				}
+			}
+			var back *DynamicIndex
+			var err error
+			if c.resume {
+				back, err = resumeDynamic(checkpoint(c.held), cfg, c.threshold, count)
+			} else {
+				back, err = buildDynamic(docs[:c.held], cfg, c.threshold, count)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer back.Close()
+			if fmt.Sprint(builds) != fmt.Sprint(c.builds) {
+				t.Fatalf("restart built over %v documents, want %v", builds, c.builds)
+			}
+			if back.NumDocuments() != 12 || back.PendingDocuments() != c.pending || back.AppliedSeq() != 12 {
+				t.Fatalf("restart docs=%d pending=%d seq=%d, want 12, %d, 12",
+					back.NumDocuments(), back.PendingDocuments(), back.AppliedSeq(), c.pending)
+			}
+			if ids, err := back.Query("//L[text='boston']"); err != nil || len(ids) != 12 {
+				t.Fatalf("restart query = %v, %v", ids, err)
+			}
+		})
 	}
 }
 
@@ -192,25 +234,21 @@ func TestWALCheckpointAndRestart(t *testing.T) {
 	}
 	dyn.Close()
 
-	// Restart recipe: snapshot corpus + same WAL path.
+	// Restart recipe: resume on the snapshot, same WAL path.
 	snap, err := LoadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial, err := snap.StoredDocuments()
-	if err != nil {
-		t.Fatal(err)
+	if n := snap.Stats().Documents; n != 6 {
+		t.Fatalf("snapshot holds %d docs", n)
 	}
-	if len(initial) != 6 {
-		t.Fatalf("snapshot holds %d docs", len(initial))
-	}
-	back, err := BuildDynamic(initial, cfg, 0)
+	back, err := ResumeDynamic(snap, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	if back.NumDocuments() != 9 || back.AppliedSeq() != 9 {
-		t.Fatalf("restart docs=%d seq=%d", back.NumDocuments(), back.AppliedSeq())
+	if back.NumDocuments() != 9 || back.PendingDocuments() != 3 || back.AppliedSeq() != 9 {
+		t.Fatalf("restart docs=%d pending=%d seq=%d", back.NumDocuments(), back.PendingDocuments(), back.AppliedSeq())
 	}
 	boston, _ := back.Query("//L[text='boston']")
 	chicago, _ := back.Query("//L[text='chicago']")
