@@ -114,10 +114,11 @@ func flatServed(t testing.TB, docs []*Document) *Index {
 
 // TestQueryAllocsTwigs holds the kernel to the shape of query the benchmark
 // serves: branching twigs over identical siblings with value predicates,
-// one through a `*` step, on an XMark-like corpus — where order enumeration
-// and the sibling-cover stack do real work, unlike the path patterns above —
-// and to broad `//`-rooted patterns, whose descendant steps resolve from the
-// path table's interval labels without a walk. The bounds are the measured
+// one through a `*` step, on an XMark-like corpus — where the choice of
+// identical-sibling orders and the sibling-cover stack do real work, unlike
+// the path patterns above — and to broad `//`-rooted patterns, whose
+// descendant steps resolve from the path table's interval labels without a
+// walk. The bounds are the measured
 // counts; heap and flat share one kernel, so they must also be equal.
 func TestQueryAllocsTwigs(t *testing.T) {
 	if raceEnabled {
@@ -152,10 +153,10 @@ func TestQueryAllocsTwigs(t *testing.T) {
 		q                      string
 		mono, sharded, dynamic float64
 	}{
-		{"/site/regions/namerica/item[incategory[text='category2']][incategory[text='category61']]", 90, 172, 91},
-		{"/site/people/person/*[interest[text='category1']][interest[text='category7']]", 97, 188, 98},
-		{"//item[incategory[text='category2']][incategory[text='category61']]", 69, 138, 70},
-		{"//open_auction/bidder/*", 72, 147, 73},
+		{"/site/regions/namerica/item[incategory[text='category2']][incategory[text='category61']]", 56, 104, 57},
+		{"/site/people/person/*[interest[text='category1']][interest[text='category7']]", 63, 118, 64},
+		{"//item[incategory[text='category2']][incategory[text='category61']]", 40, 78, 41},
+		{"//open_auction/bidder/*", 51, 105, 52},
 	}
 	for _, tw := range twigs {
 		measure := func(name string, query queryFn, max float64) float64 {

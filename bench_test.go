@@ -58,7 +58,6 @@ func BenchmarkCompression(b *testing.B) { runExperiment(b, "compression") }
 
 func BenchmarkAblationPool(b *testing.B)       { runExperiment(b, "ablation-pool") }
 func BenchmarkAblationValueSpace(b *testing.B) { runExperiment(b, "ablation-valuespace") }
-func BenchmarkAblationEnum(b *testing.B)       { runExperiment(b, "ablation-enum") }
 func BenchmarkAblationBuild(b *testing.B)      { runExperiment(b, "ablation-build") }
 func BenchmarkAblationBlocking(b *testing.B)   { runExperiment(b, "ablation-blocking") }
 

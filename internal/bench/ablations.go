@@ -23,8 +23,8 @@ func schemaInfer(roots []*xmltree.Node) (*schema.Schema, error) {
 
 // Ablations: not paper figures, but measurements of the design choices the
 // implementation makes (DESIGN.md section 5) — buffer-pool sizing, value
-// hash-space sizing, identical-sibling order-enumeration limits, and the
-// build paths (incremental vs bulk load vs dynamic insert+compact).
+// hash-space sizing, the build paths (incremental vs bulk load vs dynamic
+// insert+compact), and repeat-path vs per-instance blocking.
 
 // AblationPool sweeps the buffer-pool capacity for a fixed query workload,
 // showing where the working set fits (disk accesses flatten).
@@ -117,83 +117,6 @@ func AblationValueSpace(cfg Config) ([]*Table, error) {
 			verified += len(vids)
 		}
 		t.AddRow(space, answers, verified, answers-verified)
-	}
-	return []*Table{t}, nil
-}
-
-// AblationEnumeration sweeps the identical-sibling order-enumeration limit,
-// measuring recall on queries with identical branches — the false-dismissal
-// remedy's budget/recall trade-off.
-func AblationEnumeration(cfg Config) ([]*Table, error) {
-	n := cfg.scaled(100_000, 2_000)
-	params := datagen.SynthParams{L: 3, F: 4, A: 20, I: 60, P: 60, Seed: cfg.Seed}
-	sch, docs, err := datagen.Synth(params, n)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 33))
-	// Queries with identical sibling branches, extracted from documents.
-	probeEnc := pathenc.NewEncoder(1 << 20)
-	var pats []*query.Pattern
-	for tries := 0; len(pats) < cfg.queries() && tries < cfg.queries()*200; tries++ {
-		d := docs[rng.Intn(len(docs))]
-		p := extractPattern(rng, d.Root, 6)
-		if p == nil {
-			continue
-		}
-		tree, err := p.ToTree()
-		if err != nil {
-			continue
-		}
-		if !sequence.HasIdenticalSiblings(tree, probeEnc) {
-			continue
-		}
-		pats = append(pats, p)
-	}
-	if len(pats) == 0 {
-		return nil, fmt.Errorf("bench: no identical-sibling queries found; raise I or the corpus size")
-	}
-	t := &Table{
-		ID:     "ablation-enum",
-		Title:  fmt.Sprintf("Order-enumeration limit vs recall (%d records, %d identical-sibling queries)", n, len(pats)),
-		Note:   "recall = answers at the limit / answers with an effectively unbounded limit",
-		Header: []string{"enum limit", "answers", "recall", "total time"},
-	}
-	limits := []int{1, 2, 4, 16, 64, 1024}
-	baseline := -1
-	for _, limit := range limits {
-		enc := pathenc.NewEncoder(1 << 20)
-		st := sequence.NewProbability(sch, enc)
-		ix, err := index.Build(docs, index.Options{
-			Encoder: enc, Strategy: st, OrderEnumerationLimit: limit,
-		})
-		if err != nil {
-			return nil, err
-		}
-		answers := 0
-		start := time.Now()
-		for _, p := range pats {
-			ids, err := ix.QueryContext(cfg.ctx(), p)
-			if err != nil {
-				return nil, err
-			}
-			answers += len(ids)
-		}
-		elapsed := time.Since(start)
-		if limit == limits[len(limits)-1] {
-			baseline = answers
-		}
-		t.AddRow(limit, answers, -1.0, elapsed)
-	}
-	// Fill recall now that the unbounded baseline is known.
-	for i := range t.Rows {
-		answers := 0
-		fmt.Sscan(t.Rows[i][1], &answers)
-		if baseline > 0 {
-			t.Rows[i][2] = formatFloat(float64(answers) / float64(baseline))
-		} else {
-			t.Rows[i][2] = "n/a"
-		}
 	}
 	return []*Table{t}, nil
 }

@@ -189,7 +189,6 @@ func All() []Experiment {
 		{"compression", "Index size to compressed data size ratios (Section 6.2)", CompressionRatios},
 		{"ablation-pool", "ABLATION: disk accesses vs buffer-pool size", AblationPool},
 		{"ablation-valuespace", "ABLATION: value hash space vs collision false positives", AblationValueSpace},
-		{"ablation-enum", "ABLATION: sibling-order enumeration limit vs recall", AblationEnumeration},
 		{"ablation-build", "ABLATION: incremental vs bulk load vs dynamic build", AblationBuild},
 		{"ablation-blocking", "ABLATION: repeat-path vs per-instance blocking (size vs recall)", AblationBlocking},
 	}

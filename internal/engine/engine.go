@@ -66,8 +66,10 @@ type QueryStats struct {
 	// Instances is the number of concrete instantiations of the pattern
 	// (wildcard/descendant expansion).
 	Instances int
-	// Orders is the number of query sequences tried (identical-sibling
-	// order enumeration across all instances).
+	// Orders is the number of distinct orders in the instances' plans,
+	// summed over instances: the query sequences that permuting
+	// identical-sibling groups gives, all searched in one descent per
+	// instance.
 	Orders int
 	// LinkProbes counts binary-search probes into path links.
 	LinkProbes int64

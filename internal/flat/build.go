@@ -21,10 +21,9 @@ type Head struct {
 	// NumDocs and MaxDocID bound the corpus.
 	NumDocs  int
 	MaxDocID int32
-	// InstantiationLimit and OrderEnumerationLimit shape queries (0: the
-	// match package defaults).
-	InstantiationLimit    int
-	OrderEnumerationLimit int
+	// InstantiationLimit caps wildcard instances per query (0: the query
+	// package default).
+	InstantiationLimit int
 	// Docs is the retained corpus, nil unless kept.
 	Docs []*xmltree.Document
 }
@@ -114,11 +113,10 @@ func Build(tr *trie.Trie, h Head) *Index {
 	}
 	ix.initEnds()
 	ix.meta = flatMeta{
-		NumDocs:               h.NumDocs,
-		MaxDocID:              h.MaxDocID,
-		MaxSerial:             int32(len(byPre)),
-		InstantiationLimit:    h.InstantiationLimit,
-		OrderEnumerationLimit: h.OrderEnumerationLimit,
+		NumDocs:            h.NumDocs,
+		MaxDocID:           h.MaxDocID,
+		MaxSerial:          int32(len(byPre)),
+		InstantiationLimit: h.InstantiationLimit,
 	}
 	ix.prio, _ = h.Strategy.(sequence.Prioritizer)
 	ix.ci = h.Enc.BuildChildIndex()

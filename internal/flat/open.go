@@ -84,15 +84,17 @@ type Index struct {
 // dictionary to rebuild the query machinery (schema → g_best strategy,
 // repeat set, options), plus the corpus bounds. It is O(dictionary), never
 // O(corpus).
+//
+// Snapshots written before the identical-sibling order cap was retired also
+// carry an OrderEnumerationLimit field; gob skips it.
 type flatMeta struct {
-	Schema                *schema.Node
-	Repeat                []pathenc.PathID
-	NumDocs               int
-	MaxDocID              int32
-	MaxSerial             int32
-	InstantiationLimit    int
-	OrderEnumerationLimit int
-	KeptDocs              bool // DOCS section is non-empty
+	Schema             *schema.Node
+	Repeat             []pathenc.PathID
+	NumDocs            int
+	MaxDocID           int32
+	MaxSerial          int32
+	InstantiationLimit int
+	KeptDocs           bool // DOCS section is non-empty
 }
 
 // section is one section-table row.
@@ -347,14 +349,13 @@ func (ix *Index) initEnds() {
 // initEngine points the query kernel at the finished index.
 func (ix *Index) initEngine() {
 	ix.eng = match.Engine{
-		Layout:                ix,
-		Enc:                   ix.enc,
-		ChildIdx:              ix.ci,
-		Prio:                  ix.prio,
-		InstantiationLimit:    ix.meta.InstantiationLimit,
-		OrderEnumerationLimit: ix.meta.OrderEnumerationLimit,
-		MaxDocID:              ix.meta.MaxDocID,
-		MaxSerial:             ix.meta.MaxSerial,
+		Layout:             ix,
+		Enc:                ix.enc,
+		ChildIdx:           ix.ci,
+		Prio:               ix.prio,
+		InstantiationLimit: ix.meta.InstantiationLimit,
+		MaxDocID:           ix.meta.MaxDocID,
+		MaxSerial:          ix.meta.MaxSerial,
 	}
 }
 

@@ -36,12 +36,12 @@ func TestQueryAllocsSteadyState(t *testing.T) {
 	ixBig, _ := allocCorpus(t, 400, 7)
 
 	// Two bound tiers. Concrete patterns exercise the match kernel alone:
-	// one instance, one order, so the pooled scratch leaves only the
-	// enumeration of that instance plus the result copy — a tight bound.
-	// Wildcard/descendant patterns additionally pay instantiation and
-	// order enumeration, whose allocations are a pattern×schema-sized
-	// constant (bounded by InstantiationLimit), never O(corpus) — the
-	// looser bound plus the 4x-corpus comparison pins that down.
+	// one instance, whose plan lives in the pooled scratch, so only its
+	// instantiation plus the result copy is left — a tight bound.
+	// Wildcard/descendant patterns additionally pay a broader
+	// instantiation, whose allocations are a pattern×schema-sized constant
+	// (bounded by InstantiationLimit), never O(corpus) — the looser bound
+	// plus the 4x-corpus comparison pins that down.
 	// The verified row has no candidates to check, so it prices Verify
 	// itself: the id → document lookup is built once per index, and the
 	// query must stay inside the concrete-pattern bound on both corpora.
@@ -50,11 +50,11 @@ func TestQueryAllocsSteadyState(t *testing.T) {
 		qo  QueryOptions
 		max float64
 	}{
-		{"/R[A][B]", QueryOptions{}, 32},
-		{"//A", QueryOptions{}, 160},
-		{"//B[C]", QueryOptions{}, 160},
-		{"/R/*", QueryOptions{}, 160},
-		{"//C[text='A']", QueryOptions{}, 160},
+		{"/R[A][B]", QueryOptions{}, 24},
+		{"//A", QueryOptions{}, 80},
+		{"//B[C]", QueryOptions{}, 80},
+		{"/R/*", QueryOptions{}, 80},
+		{"//C[text='A']", QueryOptions{}, 80},
 		{"/R/absent", QueryOptions{Verify: true}, 2},
 	}
 	for _, p := range patterns {

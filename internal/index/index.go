@@ -56,11 +56,9 @@ type Options struct {
 	// BulkLoad sorts sequences before insertion (static data path).
 	BulkLoad bool
 	// InstantiationLimit caps wildcard expansion per pattern
-	// (<= 0: query.DefaultInstantiationLimit).
+	// (<= 0: query.DefaultInstantiationLimit); a pattern over it fails with
+	// a *query.TooBroadError.
 	InstantiationLimit int
-	// OrderEnumerationLimit caps identical-sibling order enumeration per
-	// instance (<= 0: match.DefaultOrderEnumerationLimit).
-	OrderEnumerationLimit int
 	// KeepDocuments retains the corpus for the verified query modes and
 	// baselines that post-process candidates.
 	KeepDocuments bool
@@ -93,11 +91,10 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 		ra.SetRepeatPaths(sequence.RepeatPaths(roots, opts.Encoder))
 	}
 	h := flat.Head{
-		Enc:                   opts.Encoder,
-		Strategy:              opts.Strategy,
-		NumDocs:               len(docs),
-		InstantiationLimit:    opts.InstantiationLimit,
-		OrderEnumerationLimit: opts.OrderEnumerationLimit,
+		Enc:                opts.Encoder,
+		Strategy:           opts.Strategy,
+		NumDocs:            len(docs),
+		InstantiationLimit: opts.InstantiationLimit,
 	}
 	if opts.KeepDocuments {
 		h.Docs = docs

@@ -1,11 +1,11 @@
 // Package match is the one implementation of the paper's query procedure
 // (Section 4.2, Algorithm 1, with the sibling-cover test of Theorem 3) and
-// of the driver around it: wildcard instantiation, identical-sibling order
-// enumeration, result deduplication, cancellation, work counters and the
-// verified mode. The storage layout, internal/flat, answers queries by
-// handing an Engine its links in the column form of Link; the rest of it
-// sits behind Layout and is reached once per recursion level or per
-// terminal match, never per probe.
+// of the query loop around it: wildcard instantiation, the choice of
+// identical-sibling orders inside the descent, result deduplication,
+// cancellation, work counters and the verified mode. The storage layout,
+// internal/flat, answers queries by handing an Engine its links in the
+// column form of Link; the rest of it sits behind Layout and is reached
+// once per recursion level or per terminal match, never per probe.
 package match
 
 import (
@@ -21,10 +21,6 @@ import (
 	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
-
-// DefaultOrderEnumerationLimit caps the number of identical-sibling
-// orderings tried per query instance.
-const DefaultOrderEnumerationLimit = 64
 
 // Layout is what a storage layout supplies to the kernel.
 type Layout interface {
@@ -82,10 +78,10 @@ type Engine struct {
 	Enc      *pathenc.Encoder
 	ChildIdx *pathenc.ChildIndex
 	Prio     sequence.Prioritizer
-	// InstantiationLimit and OrderEnumerationLimit shape queries as in
-	// index.Options (<= 0: the package defaults).
-	InstantiationLimit    int
-	OrderEnumerationLimit int
+	// InstantiationLimit caps wildcard instances per pattern as in
+	// index.Options (<= 0: query.DefaultInstantiationLimit); a pattern over
+	// it fails with a *query.TooBroadError.
+	InstantiationLimit int
 	// MaxDocID bounds the ids CollectDocs yields; MaxSerial is the root's n⊣.
 	MaxDocID, MaxSerial int32
 
@@ -114,13 +110,15 @@ func (e *Engine) docLookup() (map[int32]*xmltree.Document, error) {
 // Query answers pat, returning matching document ids in ascending order in
 // a freshly allocated slice (the engine ownership contract; all transient
 // state lives in the pooled scratch). Wildcards are instantiated against
-// the path table, each instance is sequenced with the data's priority,
-// identical-path sibling groups are enumerated (the false-dismissal
-// remedy), and Algorithm 1 walks the links range by range. Cancellation is
-// polled before each instance and, inside the match loops, every
-// cancelCheckStride link-entry candidates, so even a runaway wildcard query
-// over a large corpus aborts promptly; on cancellation the ctx error is
-// returned and any partial result is discarded.
+// the path table, each instance is planned with the data's priority, and
+// Algorithm 1 walks the links range by range, choosing the order of every
+// identical-path sibling group as it descends (the false-dismissal
+// remedy). A pattern with more than InstantiationLimit instances fails
+// with a *query.TooBroadError instead of answering from some of them.
+// Cancellation is polled before each instance and, inside the match loops,
+// every cancelCheckStride link-entry candidates, so even a runaway
+// wildcard query over a large corpus aborts promptly; on cancellation the
+// ctx error is returned and any partial result is discarded.
 func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryOptions) ([]int32, error) {
 	var byID map[int32]*xmltree.Document
 	if qo.Verify {
@@ -155,12 +153,15 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 	if pg != nil {
 		defer pg.Release()
 	}
-	insts := pat.InstantiateScratch(e.Enc, e.ChildIdx, e.InstantiationLimit, &scr.inst)
-	res := resultSet{scr: scr, ids: scr.ids[:0], maxID: e.MaxDocID, limit: qo.MaxResults, stats: qo.Stats, pager: pg, ctx: ctx}
-	enumLimit := e.OrderEnumerationLimit
-	if enumLimit <= 0 {
-		enumLimit = DefaultOrderEnumerationLimit
+	limit := e.InstantiationLimit
+	if limit <= 0 {
+		limit = query.DefaultInstantiationLimit
 	}
+	insts := pat.InstantiateScratch(e.Enc, e.ChildIdx, limit+1, &scr.inst)
+	if len(insts) > limit {
+		return nil, &query.TooBroadError{Limit: limit, Reached: len(insts)}
+	}
+	res := resultSet{scr: scr, ids: scr.ids[:0], maxID: e.MaxDocID, limit: qo.MaxResults, stats: qo.Stats, pager: pg, ctx: ctx}
 	if qo.Stats != nil {
 		qo.Stats.Instances = len(insts)
 	}
@@ -171,16 +172,11 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 		if res.full() {
 			break
 		}
-		orders := sequence.EnumerateInstanceOrders(inst.Paths, inst.Parent, e.Prio, enumLimit)
+		scr.plan.Build(inst.Paths, inst.Parent, e.Prio)
 		if qo.Stats != nil {
-			qo.Stats.Orders += len(orders)
+			qo.Stats.Orders += scr.plan.Orders
 		}
-		for _, q := range orders {
-			if res.full() {
-				break
-			}
-			e.search(q, qo.Naive, &res)
-		}
+		e.search(&scr.plan, qo.Naive, &res)
 	}
 	if res.err != nil {
 		return nil, res.err
@@ -206,8 +202,9 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 	return kept, nil
 }
 
-// queryScratch is the reusable per-query working set: the sibling-cover ins
-// stack, the epoch-stamped doc-id dedup array, the terminal-range doc-id
+// queryScratch is the reusable per-query working set: the instance plan and
+// the search state over it (the sibling-cover ins stack, the member
+// choices), the epoch-stamped doc-id dedup array, the terminal-range doc-id
 // buffer, the result accumulation buffer and the wildcard-instantiation
 // scratch, so a steady-state query on a warm index performs a small fixed
 // number of allocations regardless of corpus size or candidate count. Zero
@@ -225,7 +222,10 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 // copies its ids into a fresh slice before the scratch is released; see
 // resultSet.take.
 type queryScratch struct {
+	plan   sequence.Plan
 	ins    []insEntry
+	perm   []int32
+	done   []int32
 	stamp  []uint32 // doc-id dedup: stamp[id] == epoch means seen
 	epoch  uint32
 	docBuf []int32

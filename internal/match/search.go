@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"xseq/internal/engine"
@@ -52,75 +53,136 @@ func insHasPath(ins []insEntry, p pathenc.PathID) bool {
 	return false
 }
 
-// search runs one query sequence through the links, accumulating document
-// ids of every terminal range into res. All transient state — the ins
-// stack and the terminal doc-id buffer — lives in the pooled scratch, so
-// the steady-state inner loop allocates nothing. A layout error (corrupt
+// searcher walks one instance's plan through the links. Its state lives in
+// the pooled scratch, so the steady-state inner loop allocates nothing: the
+// ins stack, and per identical-sibling group the members (perm, indexes
+// into the plan's Members) with the first done[g] of them chosen on the
+// current branch.
+type searcher struct {
+	e     *Engine
+	pl    *sequence.Plan
+	res   *resultSet
+	naive bool
+}
+
+// search runs one instance's plan through the links, accumulating document
+// ids of every terminal range into res. A plain element is matched as in
+// Algorithm 1; at a group's head the descent branches over the members not
+// yet chosen, so each complete branch is one of the plan's sequences and
+// sequences that share a prefix share its probes. A layout error (corrupt
 // mapped data) latches into res.err and unwinds every level.
-func (e *Engine) search(q sequence.Sequence, naive bool, res *resultSet) {
-	if len(q) == 0 {
+func (e *Engine) search(pl *sequence.Plan, naive bool, res *resultSet) {
+	if pl.Len == 0 {
 		return
 	}
-	stats, pg := res.stats, res.pager
 	scr := res.scr
-	ins := scr.ins[:0]
-	var rec func(i int, lo, hi int32)
-	rec = func(i int, lo, hi int32) {
-		p := q[i]
-		l := e.Layout.Link(p)
-		if l.Len() == 0 {
+	scr.ins, scr.perm, scr.done = scr.ins[:0], scr.perm[:0], scr.done[:0]
+	for i := range pl.Members {
+		scr.perm = append(scr.perm, int32(i))
+	}
+	for range pl.Groups {
+		scr.done = append(scr.done, 0)
+	}
+	s := searcher{e: e, pl: pl, res: res, naive: naive}
+	s.match(0, 0, 1, e.MaxSerial)
+}
+
+// match matches op pc, the d-th element of the sequence being read off the
+// plan, by a link entry inside [lo, hi], and goes on from every entry that
+// passes the sibling-cover test.
+func (s *searcher) match(pc, d int, lo, hi int32) {
+	e, res, op := s.e, s.res, s.pl.Ops[pc]
+	scr := res.scr
+	l := e.Layout.Link(op.Path)
+	if l.Len() == 0 {
+		return
+	}
+	stats, pg, last := res.stats, res.pager, d == s.pl.Len-1
+	// Binary search the first entry with pre >= lo (Figure 9's
+	// "perform binary search in I to find nodes ∈ [vs, vm]").
+	start := searchLink(l, lo, stats, pg)
+	for idx := start; idx < l.n && !res.full(); idx++ {
+		pre := l.Pre(idx)
+		if pre > hi {
+			break
+		}
+		if res.cancelled() {
 			return
 		}
-		// Binary search the first entry with pre >= lo (Figure 9's
-		// "perform binary search in I to find nodes ∈ [vs, vm]").
-		start := searchLink(l, lo, stats, pg)
-		for idx := start; idx < l.n && !res.full(); idx++ {
-			pre := l.Pre(idx)
-			if pre > hi {
-				break
-			}
-			if res.cancelled() {
+		if pg != nil {
+			pg.TouchLink(l, idx)
+		}
+		if stats != nil {
+			stats.EntriesScanned++
+		}
+		if !s.naive && e.siblingCovered(op.Path, pre, scr.ins, res) {
+			if res.err != nil {
 				return
 			}
-			if pg != nil {
-				pg.TouchLink(l, idx)
-			}
-			if stats != nil {
-				stats.EntriesScanned++
-			}
-			if !naive && e.siblingCovered(p, pre, ins, res) {
-				if res.err != nil {
-					return
-				}
-				continue
-			}
-			max := l.Max(idx)
-			if i == len(q)-1 {
-				// "output the document id lists of node v and all nodes
-				// under v".
-				var err error
-				if scr.docBuf, err = e.Layout.CollectDocs(pre, max, scr.docBuf[:0], pg); err != nil {
-					res.err = err
-					return
-				}
-				res.addAll(scr.docBuf)
-				continue
-			}
-			saved := len(ins)
-			if !naive && (l.Embeds(idx) || insHasPath(ins, p)) {
-				// Record entries that embed identical siblings (they
-				// constrain later candidates), and any match whose path is
-				// already recorded — the newer match shadows the older one,
-				// because an f2 query sequence resolves later forward
-				// prefixes to the most recent occurrence.
-				ins = append(ins, insEntry{path: p, link: l, idx: idx})
-			}
-			rec(i+1, pre+1, max)
-			ins = ins[:saved]
+			continue
 		}
+		max := l.Max(idx)
+		if last {
+			// "output the document id lists of node v and all nodes
+			// under v".
+			var err error
+			if scr.docBuf, err = e.Layout.CollectDocs(pre, max, scr.docBuf[:0], pg); err != nil {
+				res.err = err
+				return
+			}
+			res.addAll(scr.docBuf)
+			continue
+		}
+		saved := len(scr.ins)
+		if !s.naive && (l.Embeds(idx) || insHasPath(scr.ins, op.Path)) {
+			// Record entries that embed identical siblings (they
+			// constrain later candidates), and any match whose path is
+			// already recorded — the newer match shadows the older one,
+			// because an f2 query sequence resolves later forward
+			// prefixes to the most recent occurrence.
+			scr.ins = append(scr.ins, insEntry{path: op.Path, link: l, idx: idx})
+		}
+		if op.Group < 0 {
+			s.next(pc+1, d+1, pre+1, max)
+		} else {
+			s.choose(op.Group, d+1, pre+1, max)
+		}
+		scr.ins = scr.ins[:saved]
 	}
-	rec(0, 1, e.MaxSerial)
-	scr.ins = ins[:0] // hand the (possibly grown) stack back for reuse
+}
+
+// choose goes on from a match of group g's head into the block of each
+// member not yet chosen on this branch, one member per class: members of
+// one class have equal blocks, so any other choice repeats a sequence.
+func (s *searcher) choose(g int32, d int, lo, hi int32) {
+	grp := s.pl.Groups[g]
+	done := s.res.scr.done
+	mem, k := s.res.scr.perm[grp.Off:grp.Off+grp.N], done[g]
+	done[g]++
+	for j := k; j < grp.N && !s.res.full(); j++ {
+		if slices.ContainsFunc(mem[k:j], func(t int32) bool { return s.pl.Classes[t] == s.pl.Classes[mem[j]] }) {
+			continue // a member of this class was tried at this position
+		}
+		mem[k], mem[j] = mem[j], mem[k]
+		s.next(int(s.pl.Members[mem[k]]), d, lo, hi)
+		mem[k], mem[j] = mem[j], mem[k]
+	}
+	done[g]--
+}
+
+// next matches the element after the one just matched, which op pc or the
+// end ops from pc on decide: the end of a member's block returns to its
+// group's head while members remain, else goes on past the group.
+func (s *searcher) next(pc, d int, lo, hi int32) {
+	for op := s.pl.Ops[pc]; op.End; op = s.pl.Ops[pc] {
+		g := s.pl.Groups[op.Group]
+		if s.res.scr.done[op.Group] < g.N {
+			pc = int(g.Head)
+			break
+		}
+		pc = int(g.Next)
+	}
+	s.match(pc, d, lo, hi)
 }
 
 // searchLink binary searches l for the first entry with pre >= lo, charging

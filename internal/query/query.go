@@ -13,6 +13,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -350,6 +351,21 @@ type Instance struct {
 // DefaultInstantiationLimit caps the number of concrete instances per
 // pattern; wildcard-heavy queries over rich schemas can otherwise explode.
 const DefaultInstantiationLimit = 4096
+
+// ErrQueryTooBroad is matched by every *TooBroadError (errors.Is).
+var ErrQueryTooBroad = errors.New("query too broad")
+
+// TooBroadError fails a pattern with more wildcard instances than the
+// instantiation limit, in place of an answer from the instances under it,
+// which would drop documents. Reached is where instantiation stopped:
+// Limit+1.
+type TooBroadError struct{ Limit, Reached int }
+
+func (e *TooBroadError) Error() string {
+	return fmt.Sprintf("%v: the pattern reached %d wildcard instances, over the instantiation limit of %d", ErrQueryTooBroad, e.Reached, e.Limit)
+}
+
+func (e *TooBroadError) Is(target error) bool { return target == ErrQueryTooBroad }
 
 // Instantiate resolves the pattern's wildcards and descendant steps against
 // the interned path table, returning concrete instances. A value leaf

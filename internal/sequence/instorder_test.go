@@ -1,6 +1,7 @@
 package sequence
 
 import (
+	"slices"
 	"testing"
 
 	"xseq/internal/pathenc"
@@ -24,13 +25,234 @@ func instFixture(t *testing.T) (*pathenc.Encoder, *Probability, map[string]pathe
 	return enc, s, m
 }
 
+// orderInstance is the plan of an instance without identical siblings,
+// which is its one sequence.
+func orderInstance(t *testing.T, paths []pathenc.PathID, parents []int, prio Prioritizer) Sequence {
+	t.Helper()
+	var pl Plan
+	pl.Build(paths, parents, prio)
+	if len(pl.Groups) != 0 || pl.Orders != 1 {
+		t.Fatalf("instance %v/%v has %d groups, %d orders", paths, parents, len(pl.Groups), pl.Orders)
+	}
+	seq := make(Sequence, len(pl.Ops))
+	for i, op := range pl.Ops {
+		seq[i] = op.Path
+	}
+	return seq
+}
+
+// planSequences reads every sequence off pl the way the query kernel walks
+// it: at a head, one branch per class among the members not chosen yet; at
+// an end op, back to the head while members remain, else past the group.
+func planSequences(pl *Plan) []Sequence {
+	perm := make([]int32, len(pl.Members))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	done := make([]int32, len(pl.Groups))
+	var out []Sequence
+	var seq Sequence
+	var walk func(pc int32)
+	walk = func(pc int32) {
+		for int(pc) < len(pl.Ops) && pl.Ops[pc].End {
+			g := pl.Groups[pl.Ops[pc].Group]
+			if done[pl.Ops[pc].Group] < g.N {
+				pc = g.Head
+				break
+			}
+			pc = g.Next
+		}
+		if int(pc) == len(pl.Ops) {
+			out = append(out, slices.Clone(seq))
+			return
+		}
+		op := pl.Ops[pc]
+		seq = append(seq, op.Path)
+		defer func() { seq = seq[:len(seq)-1] }()
+		if op.Group < 0 {
+			walk(pc + 1)
+			return
+		}
+		g := pl.Groups[op.Group]
+		mem, k := perm[g.Off:g.Off+g.N], done[op.Group]
+		done[op.Group]++
+		for j := k; j < g.N; j++ {
+			if slices.ContainsFunc(mem[k:j], func(m int32) bool { return pl.Classes[m] == pl.Classes[mem[j]] }) {
+				continue
+			}
+			mem[k], mem[j] = mem[j], mem[k]
+			walk(pl.Members[mem[k]])
+			mem[k], mem[j] = mem[j], mem[k]
+		}
+		done[op.Group]--
+	}
+	walk(0)
+	return out
+}
+
+// The oracle is the enumerator Plan replaced, without its cap: it sequences
+// the instance once per rank assignment of every identical group's members
+// (the cartesian product of their permutations), breaking priority ties on
+// (path, rank, index), and keeps the distinct sequences.
+
+type oracleNode struct {
+	path      pathenc.PathID
+	children  []int
+	identical bool
+	rank      int // permutation rank within the node's identical group
+}
+
+func oracleNodes(paths []pathenc.PathID, parents []int) []oracleNode {
+	nodes := make([]oracleNode, len(paths))
+	for i := range paths {
+		nodes[i].path = paths[i]
+	}
+	for i, par := range parents {
+		if par >= 0 {
+			nodes[par].children = append(nodes[par].children, i)
+		}
+	}
+	for i := range nodes {
+		ch := nodes[i].children
+		for a := range ch {
+			for b := a + 1; b < len(ch); b++ {
+				if nodes[ch[a]].path == nodes[ch[b]].path {
+					nodes[ch[a]].identical, nodes[ch[b]].identical = true, true
+				}
+			}
+		}
+	}
+	return nodes
+}
+
+func oracleOrder(nodes []oracleNode, parents []int, prio Prioritizer) Sequence {
+	var out Sequence
+	blocker, _ := prio.(Blocker)
+	blocks := func(i int) bool {
+		return nodes[i].identical || (blocker != nil && blocker.Blocks(nodes[i].path))
+	}
+	better := func(a, b int) bool {
+		if pa, pb := prio.Priority(nodes[a].path), prio.Priority(nodes[b].path); pa != pb {
+			return pa > pb
+		}
+		if nodes[a].path != nodes[b].path {
+			return nodes[a].path < nodes[b].path
+		}
+		if nodes[a].rank != nodes[b].rank {
+			return nodes[a].rank < nodes[b].rank
+		}
+		return a < b
+	}
+	var emitList func(local []int)
+	emitList = func(local []int) {
+		for len(local) > 0 {
+			best := 0
+			for k := 1; k < len(local); k++ {
+				if better(local[k], local[best]) {
+					best = k
+				}
+			}
+			c := local[best]
+			local = append(local[:best], local[best+1:]...)
+			out = append(out, nodes[c].path)
+			if blocks(c) {
+				emitList(slices.Clone(nodes[c].children))
+			} else {
+				local = append(local, nodes[c].children...)
+			}
+		}
+	}
+	var roots []int
+	for i, par := range parents {
+		if par < 0 {
+			roots = append(roots, i)
+		}
+	}
+	emitList(roots)
+	return out
+}
+
+func enumerateInstanceOrders(paths []pathenc.PathID, parents []int, prio Prioritizer) []Sequence {
+	nodes := oracleNodes(paths, parents)
+	groups := map[[2]int][]int{}
+	var keys [][2]int
+	for i, par := range parents {
+		if nodes[i].identical {
+			k := [2]int{par, int(paths[i])}
+			if groups[k] == nil {
+				keys = append(keys, k)
+			}
+			groups[k] = append(groups[k], i)
+		}
+	}
+	var out []Sequence
+	seen := map[string]bool{}
+	var assign func(g int)
+	assign = func(g int) {
+		if g == len(keys) {
+			if s := oracleOrder(nodes, parents, prio); !seen[s.Key()] {
+				seen[s.Key()] = true
+				out = append(out, s)
+			}
+			return
+		}
+		members := groups[keys[g]]
+		perm := make([]int, len(members))
+		for i := range perm {
+			perm[i] = i
+		}
+		var rec func(k int)
+		rec = func(k int) {
+			if k == len(perm) {
+				for i, m := range members {
+					nodes[m].rank = perm[i]
+				}
+				assign(g + 1)
+				return
+			}
+			for i := k; i < len(perm); i++ {
+				perm[k], perm[i] = perm[i], perm[k]
+				rec(k + 1)
+				perm[k], perm[i] = perm[i], perm[k]
+			}
+		}
+		rec(0)
+	}
+	assign(0)
+	return out
+}
+
+// checkPlan asserts that the plan admits exactly the oracle's sequences,
+// each once, and counts them in Orders.
+func checkPlan(t *testing.T, paths []pathenc.PathID, parents []int, prio Prioritizer) *Plan {
+	t.Helper()
+	var pl Plan
+	pl.Build(paths, parents, prio)
+	got, want := planSequences(&pl), enumerateInstanceOrders(paths, parents, prio)
+	keys := func(seqs []Sequence) []string {
+		ks := make([]string, len(seqs))
+		for i, s := range seqs {
+			ks[i] = s.Key()
+		}
+		slices.Sort(ks)
+		return ks
+	}
+	if g, w := keys(got), keys(want); !slices.Equal(g, w) {
+		t.Fatalf("instance %v/%v: plan admits %v, oracle %v", paths, parents, g, w)
+	}
+	if pl.Orders != len(want) {
+		t.Fatalf("instance %v/%v: Orders = %d, oracle has %d", paths, parents, pl.Orders, len(want))
+	}
+	return &pl
+}
+
 func TestOrderInstancePriorityOrder(t *testing.T) {
 	_, s, m := instFixture(t)
 	// Instance: P with two branches, R.L and R.U.M (levels skipped, as
 	// descendant instantiation produces).
 	paths := []pathenc.PathID{m["P"], m["PRL"], m["PRUM"]}
 	parents := []int{-1, 0, 0}
-	got := OrderInstance(paths, parents, s)
+	got := orderInstance(t, paths, parents, s)
 	// Priorities: P(1) > PRUM(0.576) > PRL(0.36) — PRUM first despite
 	// document order.
 	want := Sequence{m["P"], m["PRUM"], m["PRL"]}
@@ -45,7 +267,7 @@ func TestOrderInstanceParentBeforeChild(t *testing.T) {
 	// the parent first (candidacy requires the parent emitted).
 	paths := []pathenc.PathID{m["PRU"], m["P"], m["PR"]}
 	parents := []int{2, -1, 1}
-	got := OrderInstance(paths, parents, s)
+	got := orderInstance(t, paths, parents, s)
 	want := Sequence{m["P"], m["PR"], m["PRU"]}
 	if !Equal(got, want) {
 		t.Fatalf("order = %v want %v", got, want)
@@ -55,46 +277,31 @@ func TestOrderInstanceParentBeforeChild(t *testing.T) {
 func TestEnumerateInstanceOrdersGroups(t *testing.T) {
 	enc, s, m := instFixture(t)
 	// Two identical-path siblings PRL under P with DIFFERENT subtrees
-	// (one has a value child): 2 orders.
+	// (one has a value child): one slot, 2 orders.
 	v := enc.Extend(m["PRL"], enc.ValueSymbol("boston"))
 	paths := []pathenc.PathID{m["P"], m["PRL"], m["PRL"], v}
 	parents := []int{-1, 0, 0, 2}
-	orders := EnumerateInstanceOrders(paths, parents, s, 0)
-	if len(orders) != 2 {
-		t.Fatalf("orders = %d want 2", len(orders))
+	pl := checkPlan(t, paths, parents, s)
+	if pl.Orders != 2 || len(pl.Groups) != 1 || pl.Len != 4 {
+		t.Fatalf("plan %+v: want one group, 2 orders", pl)
 	}
-	for _, o := range orders {
-		if len(o) != 4 || o[0] != m["P"] {
+	// The value chains right after its own PRL in both orders.
+	for _, o := range planSequences(pl) {
+		if o[0] != m["P"] || o[slices.Index(o, v)-1] != m["PRL"] {
 			t.Fatalf("bad order %v", o)
 		}
-		// Block discipline: each PRL block contiguous — the value chain
-		// follows its own PRL immediately in the order where that member
-		// goes first.
 	}
-	// Indistinguishable members (same subtree) dedupe to one order.
+	// Indistinguishable members (same subtree) share a class: one order.
 	paths2 := []pathenc.PathID{m["P"], m["PRL"], m["PRL"]}
-	parents2 := []int{-1, 0, 0}
-	orders2 := EnumerateInstanceOrders(paths2, parents2, s, 0)
-	if len(orders2) != 1 {
-		t.Fatalf("identical members enumerated %d orders", len(orders2))
+	if pl := checkPlan(t, paths2, []int{-1, 0, 0}, s); pl.Orders != 1 {
+		t.Fatalf("identical members give %d orders", pl.Orders)
 	}
-}
-
-func TestEnumerateInstanceOrdersLimit(t *testing.T) {
-	enc, s, m := instFixture(t)
-	// Three distinguishable identical-path siblings: 3! = 6 orders, cap 2.
+	// Three distinguishable members: 3! orders, none capped.
 	v1 := enc.Extend(m["PRL"], enc.ValueSymbol("a-value"))
 	v2 := enc.Extend(m["PRL"], enc.ValueSymbol("b-value"))
-	v3 := enc.Extend(m["PRL"], enc.ValueSymbol("c-value"))
-	paths := []pathenc.PathID{m["P"], m["PRL"], v1, m["PRL"], v2, m["PRL"], v3}
-	parents := []int{-1, 0, 1, 0, 3, 0, 5}
-	all := EnumerateInstanceOrders(paths, parents, s, 0)
-	if len(all) != 6 {
-		t.Fatalf("full enumeration = %d want 6", len(all))
-	}
-	capped := EnumerateInstanceOrders(paths, parents, s, 2)
-	if len(capped) != 2 {
-		t.Fatalf("capped enumeration = %d want 2", len(capped))
+	paths3 := []pathenc.PathID{m["P"], m["PRL"], v1, m["PRL"], v2, m["PRL"], v}
+	if pl := checkPlan(t, paths3, []int{-1, 0, 1, 0, 3, 0, 5}, s); pl.Orders != 6 {
+		t.Fatalf("three distinct members give %d orders", pl.Orders)
 	}
 }
 
@@ -110,7 +317,7 @@ func TestOrderInstanceRepeatBlocking(t *testing.T) {
 	v := enc.Extend(m["PRL"], enc.ValueSymbol("boston"))
 	paths := []pathenc.PathID{m["P"], m["PRL"], v, m["PRUM"]}
 	parents := []int{-1, 0, 1, 0}
-	got := OrderInstance(paths, parents, s)
+	got := orderInstance(t, paths, parents, s)
 	want := Sequence{m["P"], m["PRUM"], m["PRL"], v}
 	// PRUM (0.576) precedes the PRL block (0.36); within the block the
 	// value chains immediately after PRL.
@@ -122,22 +329,15 @@ func TestOrderInstanceRepeatBlocking(t *testing.T) {
 	if s.Blocks(m["PRL"]) {
 		t.Fatal("per-instance mode should not block repeat paths")
 	}
-	got2 := OrderInstance(paths, parents, s)
-	want2 := Sequence{m["P"], m["PRUM"], m["PRL"], v}
-	_ = want2
-	// Without blocking, PRL's value (lowest priority) moves to the end —
-	// which here is the same tail position; assert the block-freedom via
-	// the relative position of v: it must come AFTER PRUM either way, but
-	// with blocking v is adjacent to PRL. Rebuild a case that differs:
-	s.PerInstanceBlocking = false
+	// An identical group blocks per instance in both modes.
 	pathsB := []pathenc.PathID{m["P"], m["PRL"], v, m["PRL"]}
 	parentsB := []int{-1, 0, 1, 0}
-	// Identical group present: both modes block per instance here.
-	ordersB := EnumerateInstanceOrders(pathsB, parentsB, s, 0)
-	if len(ordersB) != 2 {
-		t.Fatalf("instance-identical group orders = %d", len(ordersB))
+	for _, perInstance := range []bool{true, false} {
+		s.PerInstanceBlocking = perInstance
+		if pl := checkPlan(t, pathsB, parentsB, s); pl.Orders != 2 {
+			t.Fatalf("per-instance %v: instance-identical group orders = %d", perInstance, pl.Orders)
+		}
 	}
-	_ = got2
 }
 
 func TestRepeatPathsScan(t *testing.T) {
@@ -156,4 +356,49 @@ func TestRepeatPathsScan(t *testing.T) {
 	if rep[PM] || rep[P] {
 		t.Fatalf("unexpected repeat paths: %v", rep)
 	}
+}
+
+// fuzzPrio gives paths few distinct priorities, so ties on priority (broken
+// by path, then index) are common, and blocks a third of the paths as if
+// they repeated in the corpus.
+type fuzzPrio struct{ mul, block int }
+
+func (p fuzzPrio) Priority(q pathenc.PathID) float64 { return float64(int(q) * p.mul % 3) }
+func (p fuzzPrio) Blocks(q pathenc.PathID) bool      { return (int(q)+p.block)%3 == 0 }
+
+// FuzzInstanceOrders checks the plan against the oracle on random instances
+// of up to 8 nodes over a 3-letter alphabet, which gives identical groups
+// nested in members of other groups, members with equal and with distinct
+// subtrees, and repeat-blocked paths. Node indices are reversed on odd
+// first bytes, so parents also follow their children.
+func FuzzInstanceOrders(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 1, 0, 2, 0})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 1, 1, 2, 2})
+	f.Add([]byte{2, 0, 1, 0, 1, 1, 2, 2, 2, 2, 0, 3, 0})
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 2})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 1 {
+			return
+		}
+		enc := pathenc.NewEncoder(0)
+		syms := []pathenc.Symbol{enc.ElementSymbol("a"), enc.ElementSymbol("b"), enc.ElementSymbol("c")}
+		paths := []pathenc.PathID{enc.Extend(pathenc.EmptyPath, enc.ElementSymbol("r"))}
+		parents := []int{-1}
+		for i := 1; 2*i < len(raw) && i < 8; i++ {
+			par := int(raw[2*i-1]) % i
+			paths = append(paths, enc.Extend(paths[par], syms[int(raw[2*i])%len(syms)]))
+			parents = append(parents, par)
+		}
+		if raw[0]&1 == 1 {
+			n := len(paths)
+			slices.Reverse(paths)
+			slices.Reverse(parents)
+			for i, par := range parents {
+				if par >= 0 {
+					parents[i] = n - 1 - par
+				}
+			}
+		}
+		checkPlan(t, paths, parents, fuzzPrio{mul: int(raw[0]>>1)%5 + 1, block: int(raw[0] >> 4)})
+	})
 }

@@ -563,6 +563,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case strings.Contains(err.Error(), "KeepDocuments"):
 			status = http.StatusBadRequest
 			errMsg = "verify=1 requires a snapshot built with KeepDocuments"
+		case errors.Is(err, xseq.ErrQueryTooBroad):
+			status = http.StatusBadRequest
+			errMsg = err.Error()
 		default:
 			s.cfg.Logf("server: query %q failed: %v", q, err)
 			status = http.StatusInternalServerError

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,6 +145,45 @@ func TestVerifyWithoutDocumentsIs400(t *testing.T) {
 	code, _, body := getQuery(t, ts.URL, "q="+matchAll+"&verify=1")
 	if code != http.StatusBadRequest {
 		t.Fatalf("verify on doc-less snapshot = %d, body %s", code, body)
+	}
+}
+
+// TestQueryTooBroadIs400: a pattern whose wildcards instantiate past the
+// snapshot's instantiation limit is the client's to narrow. The handler
+// answers 400 with the limit in the message, never 200 with part of the
+// answer and never 500.
+func TestQueryTooBroadIs400(t *testing.T) {
+	docs := make([]*xseq.Document, 3)
+	for i := range docs {
+		d, err := xseq.ParseDocumentString(int32(i), "<rec><title>t</title><city>boston</city><zip>1</zip></rec>")
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = d
+	}
+	ix, err := xseq.Build(docs, xseq.Config{InstantiationLimit: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "snap.idx")
+	if err := ix.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{IndexPath: path, Logf: silentLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	code, _, body := getQuery(t, ts.URL, "q=//*//*")
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "instantiation limit of 2") {
+		t.Fatalf("too-broad query = %d, body %s", code, body)
+	}
+	if code, qr, _ := getQuery(t, ts.URL, "q=/rec/*"); code != http.StatusBadRequest {
+		t.Fatalf("/rec/* (3 instances, limit 2) = %d, %+v", code, qr)
+	}
+	if code, qr, _ := getQuery(t, ts.URL, "q=/rec/city"); code != http.StatusOK || qr.Count != 3 {
+		t.Fatalf("narrow query = %d, %+v", code, qr)
 	}
 }
 

@@ -68,7 +68,8 @@ func (t *Trace) AddKernel(instances, orders int, linkProbes, entriesScanned, cov
 // Instances returns the total candidate instances scanned.
 func (t *Trace) Instances() int64 { return t.instances.Load() }
 
-// Orders returns the total order-check passes.
+// Orders returns the distinct orders in the plans of the queries' instances
+// (engine.QueryStats.Orders, summed).
 func (t *Trace) Orders() int64 { return t.orders.Load() }
 
 // LinkProbes returns the total link-table probes.

@@ -92,6 +92,13 @@ var ErrWALRotated = wal.ErrRotated
 // the operation and the layout.
 var ErrUnsupported = engine.ErrUnsupported
 
+// ErrQueryTooBroad reports a pattern whose wildcard and descendant steps
+// instantiate to more concrete instances than Config.InstantiationLimit.
+// The query fails instead of answering from the instances under the limit;
+// the error names the limit and the count reached. Detect it with
+// errors.Is.
+var ErrQueryTooBroad = query.ErrQueryTooBroad
+
 // PanicError wraps a panic that escaped the library internals through a
 // public API call — always a bug in xseq, surfaced as an error (with the
 // stack of the panicking goroutine) instead of crashing the caller.
@@ -226,7 +233,8 @@ type Config struct {
 	BulkLoad bool
 	// KeepDocuments retains the corpus, enabling QueryVerified.
 	KeepDocuments bool
-	// InstantiationLimit caps wildcard expansion per query (<= 0: 4096).
+	// InstantiationLimit caps wildcard expansion per query (<= 0: 4096); a
+	// query over it fails with ErrQueryTooBroad.
 	InstantiationLimit int
 	// Shards hash-partitions the corpus by document id into this many
 	// independently built and queried sub-indexes (<= 1: one monolithic
@@ -478,8 +486,9 @@ type Explain struct {
 	// Instances is the number of concrete instantiations (wildcard and
 	// descendant expansion) of the pattern.
 	Instances int
-	// Orders is the number of query sequences tried (identical-sibling
-	// order enumeration).
+	// Orders is the number of distinct orders in the instances' plans:
+	// the query sequences the permuted identical-sibling groups give, each
+	// searched in one descent that shares common prefixes.
 	Orders int
 	// LinkProbes counts binary-search probes into path links.
 	LinkProbes int64
