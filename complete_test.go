@@ -20,6 +20,7 @@ import (
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/schema"
+	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
 
@@ -144,6 +145,59 @@ func TestProbeCompleteOnEveryConstructor(t *testing.T) {
 	}
 	if _, ex, err := ix.QueryExplain(probeQuery); err != nil || ex.Orders != 120 || ex.Results != len(docs) {
 		t.Fatalf("explain = %+v, %v; want all 5! orders and every document", ex, err)
+	}
+}
+
+// TestProbeExplainPins pins the work the probe costs, counter by counter:
+// every single-partition constructor reports the same Explain, two shards
+// report the sums of their kernels' counts, and a naive traced query skips
+// every cover check and pays for it in probes and entries.
+func TestProbeExplainPins(t *testing.T) {
+	docs := probeDocs(t)
+	built, err := Build(docs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "x.idx")
+	if err := built.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	sharded, err := Build(docs, Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := Explain{Instances: 1, Orders: 120, LinkProbes: 95369, EntriesScanned: 7150, CoverChecks: 4919, CoverRejections: 2369, Results: 200}
+	two := Explain{Instances: 2, Orders: 240, LinkProbes: 137683, EntriesScanned: 10601, CoverChecks: 7196, CoverRejections: 3451, Results: 200}
+	for _, c := range []struct {
+		name string
+		ix   *Index
+		want Explain
+	}{{"Build", built, one}, {"Save-Load", loaded, one}, {"SaveFile-LoadFile", mapped, one}, {"Shards 2", sharded, two}} {
+		ids, ex, err := c.ix.QueryExplain(probeQuery)
+		if err != nil || len(ids) != len(docs) || ex != c.want {
+			t.Errorf("%s: explain %+v (%d ids, %v), want %+v", c.name, ex, len(ids), err, c.want)
+		}
+	}
+	tr := telemetry.GetTrace()
+	defer telemetry.PutTrace(tr)
+	if _, err := built.eng.QueryWithContext(telemetry.WithTrace(context.Background(), tr), query.MustParse(probeQuery), engine.QueryOptions{Naive: true}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.LinkProbes() != 138008 || tr.EntriesScanned() != 12264 || tr.CoverChecks() != 0 {
+		t.Errorf("naive: probes %d, entries %d, cover checks %d; want 138008, 12264, 0", tr.LinkProbes(), tr.EntriesScanned(), tr.CoverChecks())
 	}
 }
 

@@ -23,7 +23,7 @@ func (ix *Index) Layout() string {
 	if ix.flat {
 		return LayoutFlat
 	}
-	if _, ok := ix.baseEngine().(*shard.Index); ok {
+	if _, ok := ix.base.(*shard.Index); ok {
 		return "sharded"
 	}
 	return "monolithic"
@@ -35,7 +35,7 @@ func (ix *Index) flatEngine() *flat.Index {
 	if !ix.flat {
 		return nil
 	}
-	f, _ := ix.baseEngine().(*flat.Index)
+	f, _ := ix.base.(*flat.Index)
 	return f
 }
 
@@ -68,7 +68,7 @@ func (ix *Index) SaveFlatFile(path string) (err error) {
 // singlePartition returns the index's one XSEQFLAT image, rebuilding a
 // sharded index's retained corpus as one partition.
 func (ix *Index) singlePartition() (*flat.Index, error) {
-	switch eng := ix.baseEngine().(type) {
+	switch eng := ix.base.(type) {
 	case *flat.Index:
 		return eng, nil
 	case *shard.Index:
@@ -114,7 +114,7 @@ func (ix *Index) VerifyIntegrity() (err error) {
 // Swapper dropping old snapshots without closing them does not leak
 // mappings.
 func (ix *Index) Close() error {
-	if f, ok := ix.baseEngine().(*flat.Index); ok {
+	if f, ok := ix.base.(*flat.Index); ok {
 		return f.Close()
 	}
 	return nil
@@ -149,7 +149,8 @@ type FlatStats struct {
 
 // Stats returns index statistics; Stats.Flat is set for the flat layout.
 func (ix *Index) Stats() Stats {
-	st := ix.queryable.Stats()
+	st := shapeStats(ix.base)
+	st.QueryCache = cacheStats(ix.eng)
 	f := ix.flatEngine()
 	if f == nil {
 		return st

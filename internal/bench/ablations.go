@@ -110,7 +110,7 @@ func AblationValueSpace(cfg Config) ([]*Table, error) {
 				return nil, err
 			}
 			answers += len(ids)
-			vids, err := ix.QueryWith(pat, index.QueryOptions{Verify: true})
+			vids, err := ix.QueryWithContext(cfg.ctx(), pat, index.QueryOptions{Verify: true})
 			if err != nil {
 				return nil, err
 			}
@@ -263,6 +263,6 @@ func AblationBuild(cfg Config) ([]*Table, error) {
 	if err := dyn.Compact(); err != nil {
 		return nil, err
 	}
-	t.AddRow("dynamic insert+compact", time.Since(start), dyn.NumNodes())
+	t.AddRow("dynamic insert+compact", time.Since(start), dyn.Main().(*index.Index).NumNodes())
 	return []*Table{t}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -194,7 +193,7 @@ func corpusIDs(docs []*xmltree.Document) (map[int32]bool, error) {
 			return nil, fmt.Errorf("nil document")
 		}
 		if seen[doc.ID] {
-			return nil, fmt.Errorf("duplicate document id %d", doc.ID)
+			return nil, fmt.Errorf("%w %d", ErrDuplicateID, doc.ID)
 		}
 		seen[doc.ID] = true
 	}
@@ -281,7 +280,7 @@ func (d *Dynamic) InsertContext(ctx context.Context, doc *xmltree.Document) erro
 	d.mu.Lock()
 	if d.seen[doc.ID] {
 		d.mu.Unlock()
-		return fmt.Errorf("engine: duplicate document id %d", doc.ID)
+		return fmt.Errorf("engine: %w %d", ErrDuplicateID, doc.ID)
 	}
 	// Log before apply: a failed write leaves both the log and the served
 	// state untouched; a successful write that this process then loses
@@ -503,7 +502,7 @@ func (d *Dynamic) Recover(ctx context.Context, tail []*xmltree.Document) error {
 	for id := range ids {
 		if d.seen[id] {
 			d.mu.RUnlock()
-			return fmt.Errorf("engine: recover: duplicate document id %d", id)
+			return fmt.Errorf("engine: recover: %w %d", ErrDuplicateID, id)
 		}
 	}
 	docs, asSegment := tail, d.pending+len(tail) < d.compactAt
@@ -572,11 +571,11 @@ func (d *Dynamic) QueryContext(ctx context.Context, pat *query.Pattern) ([]int32
 	return d.QueryWithContext(ctx, pat, QueryOptions{})
 }
 
-// QueryWithContext is QueryContext with per-query options: verification and
-// work-profile accumulation apply to every part and merge; MaxResults
-// counts across main and then the segments in insertion order, skipping the
-// rest once the budget is filled. It holds the read lock only to copy the
-// engine list.
+// QueryWithContext is QueryContext with per-query options: verification
+// applies to every part; MaxResults counts across main and then the
+// segments in insertion order, skipping the rest once the budget is filled.
+// Every part counts its work into the context's trace. It holds the read
+// lock only to copy the engine list.
 func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo QueryOptions) ([]int32, error) {
 	d.mu.RLock()
 	main, segs := d.main, d.segs
@@ -595,10 +594,6 @@ func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo Q
 			continue
 		}
 		sqo := qo
-		var st QueryStats
-		if qo.Stats != nil {
-			sqo.Stats = &st
-		}
 		if qo.MaxResults > 0 {
 			if sqo.MaxResults = qo.MaxResults - found; sqo.MaxResults <= 0 {
 				break
@@ -612,26 +607,18 @@ func (d *Dynamic) QueryWithContext(ctx context.Context, pat *query.Pattern, qo Q
 			lists = append(lists, ids)
 			found += len(ids)
 		}
-		if qo.Stats != nil {
-			qo.Stats.Add(st)
-		}
 	}
 	// The parts' ids are disjoint (duplicate ids are rejected at insert) and
 	// each list is already ascending, so the merge needs no deduplication.
 	// Sub-engine results are caller-owned fresh slices, so a single list
 	// may be returned directly.
-	var out []int32
 	switch len(lists) {
 	case 0:
+		return nil, nil
 	case 1:
-		out = lists[0]
-	default:
-		out = MergeAscending(lists, make([]int32, 0, found), 0)
+		return lists[0], nil
 	}
-	if qo.Stats != nil {
-		qo.Stats.Results = len(out)
-	}
-	return out, nil
+	return MergeAscending(lists, make([]int32, 0, found), 0), nil
 }
 
 // Compact folds the segments into a fresh main engine; it is CompactContext
@@ -701,50 +688,6 @@ func (d *Dynamic) PendingDocuments() int {
 	return d.pending
 }
 
-// NumNodes reports the main engine's trie node count (0 before the first
-// build); the segments' nodes are transient.
-func (d *Dynamic) NumNodes() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.main == nil {
-		return 0
-	}
-	return d.main.NumNodes()
-}
-
-// NumLinks reports the main engine's distinct path count (0 before the
-// first build); the segments' links are transient.
-func (d *Dynamic) NumLinks() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.main == nil {
-		return 0
-	}
-	return d.main.NumLinks()
-}
-
-// EstimatedDiskBytes reports the main engine's estimated size (0 before the
-// first build).
-func (d *Dynamic) EstimatedDiskBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.main == nil {
-		return 0
-	}
-	return d.main.EstimatedDiskBytes()
-}
-
-// Shards reports the main engine's partition statistics — non-nil exactly
-// when the Builder produces sharded engines.
-func (d *Dynamic) Shards() []ShardStat {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.main == nil {
-		return nil
-	}
-	return d.main.Shards()
-}
-
 // Documents returns the current corpus (main, then pending) in insertion
 // order. Unlike frozen engines, a Dynamic always retains its documents —
 // they are the compaction input — so this never depends on a KeepDocuments
@@ -758,12 +701,6 @@ func (d *Dynamic) Documents() []*xmltree.Document {
 		out = append(out, s.docs...)
 	}
 	return out
-}
-
-// Save is unsupported: a dynamic engine's segment state is transient by
-// design. Compact first and snapshot the frozen main engine instead.
-func (d *Dynamic) Save(w io.Writer) error {
-	return fmt.Errorf("engine: dynamic index snapshot: %w", ErrUnsupported)
 }
 
 // Generation identifies the currently served corpus state; it bumps before

@@ -10,8 +10,10 @@ import (
 
 	"xseq/internal/engine"
 	"xseq/internal/faultio"
+	"xseq/internal/index"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
+	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
 
@@ -22,8 +24,8 @@ func TestDynamicBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumDocuments() != 1 || d.NumNodes() == 0 {
-		t.Fatalf("initial state: docs=%d nodes=%d", d.NumDocuments(), d.NumNodes())
+	if main, _ := d.Main().(*index.Index); d.NumDocuments() != 1 || main == nil || main.NumNodes() == 0 {
+		t.Fatalf("initial state: docs=%d main=%v", d.NumDocuments(), main)
 	}
 	// Insert and query before compaction.
 	if err := d.Insert(&xmltree.Document{ID: 1, Root: xmltree.Figure3a()}); err != nil {
@@ -72,13 +74,13 @@ func TestDynamicErrors(t *testing.T) {
 	if err := d.Insert(&xmltree.Document{ID: 5, Root: xmltree.Figure1()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Insert(&xmltree.Document{ID: 5, Root: xmltree.Figure2a()}); err == nil {
-		t.Fatal("duplicate id should fail")
+	if err := d.Insert(&xmltree.Document{ID: 5, Root: xmltree.Figure2a()}); !errors.Is(err, engine.ErrDuplicateID) {
+		t.Fatalf("duplicate id = %v, want ErrDuplicateID", err)
 	}
 	if _, err := engine.NewDynamic(csBuilder(), []*xmltree.Document{
 		{ID: 1, Root: xmltree.Figure1()}, {ID: 1, Root: xmltree.Figure1()},
-	}, 0); err == nil {
-		t.Fatal("duplicate initial ids should fail")
+	}, 0); !errors.Is(err, engine.ErrDuplicateID) {
+		t.Fatalf("duplicate initial ids = %v, want ErrDuplicateID", err)
 	}
 }
 
@@ -164,23 +166,6 @@ func TestDynamicAutoCompact(t *testing.T) {
 	}
 }
 
-// TestDynamicSaveUnsupported: a dynamic engine cannot snapshot its
-// transient delta state; the capability gap is the ErrUnsupported sentinel.
-func TestDynamicSaveUnsupported(t *testing.T) {
-	d, err := engine.NewDynamic(csBuilder(), []*xmltree.Document{
-		{ID: 0, Root: xmltree.Figure1()},
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(nil); !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("Save = %v, want ErrUnsupported", err)
-	}
-	if err := engine.SaveFile(t.TempDir()+"/x", d.Save); !errors.Is(err, engine.ErrUnsupported) {
-		t.Fatalf("SaveFile = %v, want ErrUnsupported", err)
-	}
-}
-
 // TestDynamicGeneration: the generation bumps before every insert and every
 // non-empty compaction, and never otherwise — the contract generation-keyed
 // caches invalidate by.
@@ -222,7 +207,7 @@ func TestDynamicGeneration(t *testing.T) {
 }
 
 // TestDynamicQueryOptions: the option variants work across the main+delta
-// split — stats merge, limits count across both sides.
+// split — both sides count into the trace, limits count across both sides.
 func TestDynamicQueryOptions(t *testing.T) {
 	d, err := engine.NewDynamic(csBuilder(), []*xmltree.Document{
 		{ID: 0, Root: xmltree.Figure1()},
@@ -234,16 +219,17 @@ func TestDynamicQueryOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := query.MustParse("//L[text='boston']")
-	var st engine.QueryStats
-	ids, err := d.QueryWithContext(context.Background(), pat, engine.QueryOptions{Stats: &st})
+	tr := telemetry.GetTrace()
+	defer telemetry.PutTrace(tr)
+	ids, err := d.QueryWithContext(telemetry.WithTrace(context.Background(), tr), pat, engine.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameIDs(ids, []int32{0, 1}) {
 		t.Fatalf("explain query = %v", ids)
 	}
-	if st.Results != 2 || st.Instances < 2 || st.LinkProbes == 0 {
-		t.Fatalf("stats did not merge across main+delta: %+v", st)
+	if tr.Instances() < 2 || tr.LinkProbes() == 0 {
+		t.Fatalf("counters did not sum across main+delta: instances %d, probes %d", tr.Instances(), tr.LinkProbes())
 	}
 	limited, err := d.QueryWithContext(context.Background(), pat, engine.QueryOptions{MaxResults: 1})
 	if err != nil {
@@ -351,10 +337,11 @@ func checkDynamic(t *testing.T, r *rand.Rand, d *engine.Dynamic, acked []*xmltre
 		if truth := groundTruth(acked, pat, enc); !sameIDs(want, truth) {
 			t.Errorf("%s: fresh build %v, ground truth %v", pat, want, truth)
 		}
-		var st engine.QueryStats
-		got, err := d.QueryWithContext(ctx, pat, engine.QueryOptions{Stats: &st})
-		if err != nil || !sameIDs(got, want) || st.Results != len(want) {
-			t.Errorf("%s: got %v (results %d, err %v), want %v", pat, got, st.Results, err, want)
+		tr := telemetry.GetTrace()
+		got, err := d.QueryWithContext(telemetry.WithTrace(ctx, tr), pat, engine.QueryOptions{})
+		telemetry.PutTrace(tr)
+		if err != nil || !sameIDs(got, want) {
+			t.Errorf("%s: got %v (err %v), want %v", pat, got, err, want)
 		}
 		if got, err := d.QueryWithContext(ctx, pat, engine.QueryOptions{Verify: true}); err != nil || !sameIDs(got, wantVerified) {
 			t.Errorf("%s verified: got %v (err %v), want %v", pat, got, err, wantVerified)

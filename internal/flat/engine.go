@@ -29,11 +29,6 @@ func (ix *Index) Query(pat *query.Pattern) ([]int32, error) {
 	return ix.QueryWithContext(context.Background(), pat, engine.QueryOptions{})
 }
 
-// QueryWith is QueryWithContext with context.Background().
-func (ix *Index) QueryWith(pat *query.Pattern, qo engine.QueryOptions) ([]int32, error) {
-	return ix.QueryWithContext(context.Background(), pat, qo)
-}
-
 // QueryContext is QueryWithContext with no options.
 func (ix *Index) QueryContext(ctx context.Context, pat *query.Pattern) ([]int32, error) {
 	return ix.QueryWithContext(ctx, pat, engine.QueryOptions{})
@@ -61,9 +56,6 @@ func (ix *Index) EstimatedDiskBytes() int64 {
 	return 4*int64(ix.meta.NumDocs) + c*int64(ix.meta.MaxSerial)
 }
 
-// Shards reports nil: a flat index is a single partition.
-func (ix *Index) Shards() []engine.ShardStat { return nil }
-
 // Documents returns the retained corpus (nil unless kept, or if an opened
 // snapshot's DOCS section is damaged — Verify queries surface that error
 // instead).
@@ -71,9 +63,6 @@ func (ix *Index) Documents() []*xmltree.Document {
 	docs, _ := ix.LoadDocuments()
 	return docs
 }
-
-// Generation identifies the snapshot; a flat index is immutable.
-func (ix *Index) Generation() uint64 { return 0 }
 
 // Encoder returns the designator/path table.
 func (ix *Index) Encoder() *pathenc.Encoder { return ix.enc }

@@ -17,6 +17,7 @@ import (
 	"xseq/internal/query"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
+	"xseq/internal/telemetry"
 	"xseq/internal/trie"
 	"xseq/internal/xmltree"
 )
@@ -161,13 +162,14 @@ func TestFlatEquivalence(t *testing.T) {
 				t.Fatalf("%s: verified %s: flat %v, mono %v", corpusName, q, gotV, wantV)
 			}
 
-			var st engine.QueryStats
-			gotE, err := f.QueryWithContext(ctx, pat, engine.QueryOptions{Stats: &st})
+			tr := telemetry.GetTrace()
+			gotE, err := f.QueryWithContext(telemetry.WithTrace(ctx, tr), pat, engine.QueryOptions{})
+			telemetry.PutTrace(tr)
 			if err != nil {
 				t.Fatalf("%s: flat explain %s: %v", corpusName, q, err)
 			}
-			if !equalIDs(gotE, want) || st.Results != len(want) {
-				t.Fatalf("%s: explain %s: ids %v stats %+v, want %v", corpusName, q, gotE, st, want)
+			if !equalIDs(gotE, want) {
+				t.Fatalf("%s: explain %s: ids %v, want %v", corpusName, q, gotE, want)
 			}
 
 			if len(want) > 1 {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -64,11 +65,11 @@ func TestQueryAllocsSteadyState(t *testing.T) {
 			name string
 			ix   *Index
 		}{{"100docs", ix}, {"400docs", ixBig}} {
-			if _, err := c.ix.QueryWith(pat, p.qo); err != nil { // warm the scratch pool
+			if _, err := c.ix.QueryWithContext(context.Background(), pat, p.qo); err != nil { // warm the scratch pool
 				t.Fatal(err)
 			}
 			got := testing.AllocsPerRun(100, func() {
-				if _, err := c.ix.QueryWith(pat, p.qo); err != nil {
+				if _, err := c.ix.QueryWithContext(context.Background(), pat, p.qo); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -36,13 +36,9 @@ type Index = flat.Index
 // match kernel, which reports corrupt bytes met at query time the same way.
 type CorruptError = match.CorruptError
 
-// QueryOptions tweaks one query execution; QueryStats reports the work it
-// performed. Both are defined in internal/engine, the engine-agnostic query
-// contract.
-type (
-	QueryOptions = engine.QueryOptions
-	QueryStats   = engine.QueryStats
-)
+// QueryOptions tweaks one query execution. It is defined in
+// internal/engine, the engine-agnostic query contract.
+type QueryOptions = engine.QueryOptions
 
 // Options configures Build.
 type Options struct {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -171,7 +172,7 @@ func TestFalseAlarmEliminated(t *testing.T) {
 	if len(constraint) != 0 {
 		t.Fatalf("constraint match returned false alarm: %v", constraint)
 	}
-	naive, err := ix.QueryWith(pat, QueryOptions{Naive: true})
+	naive, err := ix.QueryWithContext(context.Background(), pat, QueryOptions{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestDescendantAndValueQueries(t *testing.T) {
 func TestVerifiedQuery(t *testing.T) {
 	docs := []*xmltree.Document{{ID: 0, Root: xmltree.Figure1()}}
 	ix := buildCS(t, docs, Options{KeepDocuments: true})
-	got, err := ix.QueryWith(query.MustParse("/P/D/L[text='boston']"), QueryOptions{Verify: true})
+	got, err := ix.QueryWithContext(context.Background(), query.MustParse("/P/D/L[text='boston']"), QueryOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestVerifiedQuery(t *testing.T) {
 	}
 	// Verify without KeepDocuments errors.
 	ix2 := buildCS(t, docs, Options{})
-	if _, err := ix2.QueryWith(query.MustParse("/P"), QueryOptions{Verify: true}); err == nil {
+	if _, err := ix2.QueryWithContext(context.Background(), query.MustParse("/P"), QueryOptions{Verify: true}); err == nil {
 		t.Fatal("Verify without KeepDocuments should fail")
 	}
 }
@@ -414,7 +415,7 @@ func TestQuickNaiveSuperset(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			naive, err := ix.QueryWith(pat, QueryOptions{Naive: true})
+			naive, err := ix.QueryWithContext(context.Background(), pat, QueryOptions{Naive: true})
 			if err != nil {
 				return false
 			}

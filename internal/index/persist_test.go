@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestSaveLoadWithDocuments(t *testing.T) {
 	docs := []*xmltree.Document{{ID: 0, Root: xmltree.Figure1()}}
 	ix := buildCS(t, docs, Options{KeepDocuments: true})
 	back := saveLoad(t, ix)
-	got, err := back.QueryWith(query.MustParse("/P/D/L[text='boston']"), QueryOptions{Verify: true})
+	got, err := back.QueryWithContext(context.Background(), query.MustParse("/P/D/L[text='boston']"), QueryOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,27 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"xseq/internal/query"
+	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
+
+// traced answers q on ix under qo with a trace on the context and returns
+// the ids and the trace holding the kernel's work counters.
+func traced(t *testing.T, ix *Index, q string, qo QueryOptions) ([]int32, *telemetry.Trace) {
+	t.Helper()
+	tr := telemetry.GetTrace()
+	t.Cleanup(func() { telemetry.PutTrace(tr) })
+	got, err := ix.QueryWithContext(telemetry.WithTrace(context.Background(), tr), query.MustParse(q), qo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, tr
+}
 
 func TestQueryStatsCounters(t *testing.T) {
 	docs := []*xmltree.Document{
@@ -14,22 +29,18 @@ func TestQueryStatsCounters(t *testing.T) {
 		{ID: 1, Root: xmltree.Figure3a()},
 	}
 	ix := buildCS(t, docs, Options{})
-	var st QueryStats
-	got, err := ix.QueryWith(query.MustParse("//L[text='boston']"), QueryOptions{Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := traced(t, ix, "//L[text='boston']", QueryOptions{})
 	if !sameIDs(got, []int32{0, 1}) {
 		t.Fatalf("results = %v", got)
 	}
-	if st.Instances == 0 || st.Orders == 0 {
-		t.Fatalf("instances/orders = %d/%d", st.Instances, st.Orders)
+	if st.Instances() == 0 || st.Orders() == 0 {
+		t.Fatalf("instances/orders = %d/%d", st.Instances(), st.Orders())
 	}
-	if st.LinkProbes == 0 || st.EntriesScanned == 0 {
-		t.Fatalf("probes/scanned = %d/%d", st.LinkProbes, st.EntriesScanned)
+	if st.LinkProbes() == 0 || st.EntriesScanned() == 0 {
+		t.Fatalf("probes/scanned = %d/%d", st.LinkProbes(), st.EntriesScanned())
 	}
-	if st.Results != 2 {
-		t.Fatalf("Results = %d", st.Results)
+	if len(got) != 2 {
+		t.Fatalf("Results = %d", len(got))
 	}
 }
 
@@ -38,24 +49,16 @@ func TestQueryStatsCoverRejections(t *testing.T) {
 	// the rejection is visible in the counters.
 	docs := []*xmltree.Document{{ID: 0, Root: xmltree.Figure4D()}}
 	ix := buildCS(t, docs, Options{})
-	var st QueryStats
-	got, err := ix.QueryWith(query.MustParse("/P/L[S][B]"), QueryOptions{Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, st := traced(t, ix, "/P/L[S][B]", QueryOptions{})
 	if len(got) != 0 {
 		t.Fatalf("results = %v", got)
 	}
-	if st.CoverChecks == 0 || st.CoverRejections == 0 {
-		t.Fatalf("cover checks/rejections = %d/%d", st.CoverChecks, st.CoverRejections)
+	if st.CoverChecks() == 0 || st.CoverRejections() == 0 {
+		t.Fatalf("cover checks/rejections = %d/%d", st.CoverChecks(), st.CoverRejections())
 	}
 	// Naive mode performs no cover checks.
-	var naive QueryStats
-	if _, err := ix.QueryWith(query.MustParse("/P/L[S][B]"), QueryOptions{Naive: true, Stats: &naive}); err != nil {
-		t.Fatal(err)
-	}
-	if naive.CoverChecks != 0 {
-		t.Fatalf("naive cover checks = %d", naive.CoverChecks)
+	if _, naive := traced(t, ix, "/P/L[S][B]", QueryOptions{Naive: true}); naive.CoverChecks() != 0 {
+		t.Fatalf("naive cover checks = %d", naive.CoverChecks())
 	}
 }
 
@@ -74,7 +77,7 @@ func TestMaxResults(t *testing.T) {
 	if len(all) < 10 {
 		t.Skipf("corpus too sparse for the limit test: %d matches", len(all))
 	}
-	capped, err := ix.QueryWith(pat, QueryOptions{MaxResults: 5})
+	capped, err := ix.QueryWithContext(context.Background(), pat, QueryOptions{MaxResults: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestMaxResults(t *testing.T) {
 		}
 	}
 	// A limit above the answer count returns everything.
-	loose, err := ix.QueryWith(pat, QueryOptions{MaxResults: len(all) + 10})
+	loose, err := ix.QueryWithContext(context.Background(), pat, QueryOptions{MaxResults: len(all) + 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +111,9 @@ func TestMaxResultsReducesWork(t *testing.T) {
 		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
-	pat := query.MustParse("//B")
-	var full, capped QueryStats
-	if _, err := ix.QueryWith(pat, QueryOptions{Stats: &full}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.QueryWith(pat, QueryOptions{MaxResults: 3, Stats: &capped}); err != nil {
-		t.Fatal(err)
-	}
-	if capped.EntriesScanned >= full.EntriesScanned {
-		t.Fatalf("limit did not reduce scanning: %d vs %d", capped.EntriesScanned, full.EntriesScanned)
+	_, full := traced(t, ix, "//B", QueryOptions{})
+	_, capped := traced(t, ix, "//B", QueryOptions{MaxResults: 3})
+	if capped.EntriesScanned() >= full.EntriesScanned() {
+		t.Fatalf("limit did not reduce scanning: %d vs %d", capped.EntriesScanned(), full.EntriesScanned())
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -97,7 +98,7 @@ func TestTextExactIsNotPrefix(t *testing.T) {
 	// Verified mode restores exact semantics.
 	roots := cityDocs()
 	ixv := buildTextVerified(t, roots)
-	exact, err := ixv.QueryWith(query.MustParse("/P/L[text='bo']"), QueryOptions{Verify: true})
+	exact, err := ixv.QueryWithContext(context.Background(), query.MustParse("/P/L[text='bo']"), QueryOptions{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,9 @@ func (e *Engine) docLookup() (map[int32]*xmltree.Document, error) {
 // Cancellation is polled before each instance and, inside the match loops,
 // every cancelCheckStride link-entry candidates, so even a runaway
 // wildcard query over a large corpus aborts promptly; on cancellation the
-// ctx error is returned and any partial result is discarded.
+// ctx error is returned and any partial result is discarded. When ctx
+// carries a telemetry.Trace, the query's work counters are added to it on
+// the way out, whatever the outcome.
 func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryOptions) ([]int32, error) {
 	var byID map[int32]*xmltree.Document
 	if qo.Verify {
@@ -127,7 +129,7 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 			return nil, err
 		}
 		if byID == nil {
-			return nil, fmt.Errorf("match: Verify requires an index built with KeepDocuments")
+			return nil, fmt.Errorf("match: Verify requires an index built with KeepDocuments: %w", engine.ErrUnsupported)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -135,18 +137,14 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 	}
 	scr := getScratch(e.MaxDocID)
 	defer putScratch(scr)
-	// A context-borne trace observes the kernel counters without the caller
-	// asking for stats: route them through the pooled scratch (so tracing
-	// stays off the allocation budget) and merge into the trace on the way
-	// out. When the caller did pass Stats the same numbers serve both.
+	// The counters live in the pooled scratch, so tracing stays off the
+	// allocation budget; without a trace nothing is counted.
+	var cnt *counters
 	if tr := telemetry.TraceFrom(ctx); tr != nil {
-		if qo.Stats == nil {
-			scr.tstats = engine.QueryStats{}
-			qo.Stats = &scr.tstats
-		}
-		st := qo.Stats
+		scr.cnt = counters{}
+		cnt = &scr.cnt
 		defer func() {
-			tr.AddKernel(st.Instances, st.Orders, st.LinkProbes, st.EntriesScanned, st.CoverChecks, st.CoverRejections)
+			tr.AddKernel(cnt.instances, cnt.orders, cnt.linkProbes, cnt.entriesScanned, cnt.coverChecks, cnt.coverRejections)
 		}()
 	}
 	pg := e.Layout.Pager()
@@ -161,9 +159,9 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 	if len(insts) > limit {
 		return nil, &query.TooBroadError{Limit: limit, Reached: len(insts)}
 	}
-	res := resultSet{scr: scr, ids: scr.ids[:0], maxID: e.MaxDocID, limit: qo.MaxResults, stats: qo.Stats, pager: pg, ctx: ctx}
-	if qo.Stats != nil {
-		qo.Stats.Instances = len(insts)
+	res := resultSet{scr: scr, ids: scr.ids[:0], maxID: e.MaxDocID, limit: qo.MaxResults, cnt: cnt, pager: pg, ctx: ctx}
+	if cnt != nil {
+		cnt.instances = len(insts)
 	}
 	for _, inst := range insts {
 		if err := ctx.Err(); err != nil {
@@ -173,8 +171,8 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 			break
 		}
 		scr.plan.Build(inst.Paths, inst.Parent, e.Prio)
-		if qo.Stats != nil {
-			qo.Stats.Orders += scr.plan.Orders
+		if cnt != nil {
+			cnt.orders += scr.plan.Orders
 		}
 		e.search(&scr.plan, qo.Naive, &res)
 	}
@@ -182,9 +180,6 @@ func (e *Engine) Query(ctx context.Context, pat *query.Pattern, qo engine.QueryO
 		return nil, res.err
 	}
 	out := res.take()
-	if qo.Stats != nil {
-		qo.Stats.Results = len(out)
-	}
 	if !qo.Verify {
 		return out, nil
 	}
@@ -231,7 +226,18 @@ type queryScratch struct {
 	docBuf []int32
 	ids    []int32
 	inst   query.Scratch
-	tstats engine.QueryStats // kernel counters for a context-borne trace
+	cnt    counters
+}
+
+// counters is one query's work in the terms of Algorithm 1, the numbers a
+// telemetry.Trace carries: instances, the distinct orders in their plans
+// (the query sequences permuting identical-sibling groups gives, summed
+// over instances), binary-search probes into links, link entries visited
+// as candidates, sibling-cover tests, and the candidates those tests
+// rejected — each one a false alarm naive matching would have pursued.
+type counters struct {
+	instances, orders                                        int
+	linkProbes, entriesScanned, coverChecks, coverRejections int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -271,10 +277,10 @@ const cancelCheckStride = 256
 type resultSet struct {
 	scr   *queryScratch
 	ids   []int32
-	maxID int32 // the engine's MaxDocID: every id is in [0, maxID]
-	limit int   // 0: unlimited
-	stats *engine.QueryStats
-	pager Pager // nil: page accounting off
+	maxID int32     // the engine's MaxDocID: every id is in [0, maxID]
+	limit int       // 0: unlimited
+	cnt   *counters // nil: counting off
+	pager Pager     // nil: page accounting off
 
 	ctx       context.Context
 	err       error

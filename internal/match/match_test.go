@@ -16,6 +16,7 @@ import (
 	"xseq/internal/query"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
+	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
 
@@ -66,10 +67,21 @@ var patterns = []string{
 	"/site/*",
 }
 
+// traced answers pat on e under ctx and qo with a trace on the context and
+// returns the ids, the kernel counters the trace received (instances,
+// orders, link probes, entries scanned, cover checks and cover rejections)
+// and the error.
+func traced(ctx context.Context, e engine.Engine, pat *query.Pattern, qo engine.QueryOptions) ([]int32, [6]int64, error) {
+	tr := telemetry.GetTrace()
+	defer telemetry.PutTrace(tr)
+	ids, err := e.QueryWithContext(telemetry.WithTrace(ctx, tr), pat, qo)
+	return ids, [6]int64{tr.Instances(), tr.Orders(), tr.LinkProbes(), tr.EntriesScanned(), tr.CoverChecks(), tr.CoverRejections()}, err
+}
+
 // TestLayoutsAgree: one format means one answer and one amount of work. For
 // every pattern and mode the index built in memory and the same bytes saved
-// and mapped must return the same ids (or the same error) and identical
-// QueryStats.
+// and mapped must return the same ids (or the same error) and count
+// identical work into the trace.
 func TestLayoutsAgree(t *testing.T) {
 	built, saved, _ := buildLayouts(t, true)
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -89,11 +101,8 @@ func TestLayoutsAgree(t *testing.T) {
 	for _, q := range patterns {
 		pat := query.MustParse(q)
 		for _, m := range modes {
-			var bs, ss engine.QueryStats
-			m.qo.Stats = &bs
-			want, berr := built.QueryWithContext(m.ctx, pat, m.qo)
-			m.qo.Stats = &ss
-			got, serr := saved.QueryWithContext(m.ctx, pat, m.qo)
+			want, bs, berr := traced(m.ctx, built, pat, m.qo)
+			got, ss, serr := traced(m.ctx, saved, pat, m.qo)
 			if !errors.Is(berr, m.err) || !errors.Is(serr, m.err) {
 				t.Fatalf("%s %s: errors built %v, saved %v, want %v", m.name, q, berr, serr, m.err)
 			}
@@ -101,12 +110,12 @@ func TestLayoutsAgree(t *testing.T) {
 				t.Errorf("%s %s: saved %v, built %v", m.name, q, got, want)
 			}
 			if bs != ss {
-				t.Errorf("%s %s: stats saved %+v, built %+v", m.name, q, ss, bs)
+				t.Errorf("%s %s: counters saved %v, built %v", m.name, q, ss, bs)
 			}
 			if m.name == "limit" && len(want) > 2 {
 				t.Errorf("limit %s: %d ids", q, len(want))
 			}
-			covered = covered || bs.CoverRejections > 0
+			covered = covered || bs[5] > 0
 		}
 	}
 	if !covered {

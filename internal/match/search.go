@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"xseq/internal/engine"
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
 )
@@ -97,10 +96,10 @@ func (s *searcher) match(pc, d int, lo, hi int32) {
 	if l.Len() == 0 {
 		return
 	}
-	stats, pg, last := res.stats, res.pager, d == s.pl.Len-1
+	cnt, pg, last := res.cnt, res.pager, d == s.pl.Len-1
 	// Binary search the first entry with pre >= lo (Figure 9's
 	// "perform binary search in I to find nodes ∈ [vs, vm]").
-	start := searchLink(l, lo, stats, pg)
+	start := searchLink(l, lo, cnt, pg)
 	for idx := start; idx < l.n && !res.full(); idx++ {
 		pre := l.Pre(idx)
 		if pre > hi {
@@ -112,8 +111,8 @@ func (s *searcher) match(pc, d int, lo, hi int32) {
 		if pg != nil {
 			pg.TouchLink(l, idx)
 		}
-		if stats != nil {
-			stats.EntriesScanned++
+		if cnt != nil {
+			cnt.entriesScanned++
 		}
 		if !s.naive && e.siblingCovered(op.Path, pre, scr.ins, res) {
 			if res.err != nil {
@@ -187,13 +186,13 @@ func (s *searcher) next(pc, d int, lo, hi int32) {
 
 // searchLink binary searches l for the first entry with pre >= lo, charging
 // one page touch per probe when paged.
-func searchLink(l *Link, lo int32, stats *engine.QueryStats, pg Pager) int32 {
+func searchLink(l *Link, lo int32, cnt *counters, pg Pager) int32 {
 	return int32(sort.Search(int(l.n), func(k int) bool {
 		if pg != nil {
 			pg.TouchLink(l, int32(k))
 		}
-		if stats != nil {
-			stats.LinkProbes++
+		if cnt != nil {
+			cnt.linkProbes++
 		}
 		return l.Pre(int32(k)) >= lo
 	}))
@@ -217,7 +216,7 @@ func (l *Link) LowerBound(lo int32, pg Pager) int32 {
 // prefix would resolve there and the match would not be a constraint match.
 // A corrupt anc chain latches res.err.
 func (e *Engine) siblingCovered(p pathenc.PathID, pre int32, ins []insEntry, res *resultSet) bool {
-	stats := res.stats
+	cnt := res.cnt
 	for k := len(ins) - 1; k >= 0; k-- {
 		x := ins[k]
 		// Later entries shadow earlier ones per path (most recent wins):
@@ -238,17 +237,17 @@ func (e *Engine) siblingCovered(p pathenc.PathID, pre int32, ins []insEntry, res
 		if !e.Enc.IsStrictPrefix(x.path, p) {
 			continue
 		}
-		if stats != nil {
-			stats.CoverChecks++
+		if cnt != nil {
+			cnt.coverChecks++
 		}
-		anc, err := innermostAncestor(x.link, pre, stats, res.pager)
+		anc, err := innermostAncestor(x.link, pre, cnt, res.pager)
 		if err != nil {
 			res.err = err
 			return true
 		}
 		if anc != x.idx {
-			if stats != nil {
-				stats.CoverRejections++
+			if cnt != nil {
+				cnt.coverRejections++
 			}
 			return true
 		}
@@ -264,8 +263,8 @@ func (e *Engine) siblingCovered(p pathenc.PathID, pre int32, ins []insEntry, res
 // them all. The chain may be raw mapped data, so each hop must strictly
 // decrease: a forged pointer (cycle or out of range) is corruption, not an
 // infinite loop.
-func innermostAncestor(l *Link, pre int32, stats *engine.QueryStats, pg Pager) (int32, error) {
-	idx := searchLink(l, pre, stats, pg) - 1
+func innermostAncestor(l *Link, pre int32, cnt *counters, pg Pager) (int32, error) {
+	idx := searchLink(l, pre, cnt, pg) - 1
 	for idx >= 0 {
 		if pg != nil {
 			pg.TouchLink(l, idx)

@@ -10,27 +10,26 @@
 // there. Results are keyed by (canonical pattern string, snapshot
 // generation): query.Pattern.String() is a stable canonical form
 // (parse→String→parse is a fixpoint, fuzz-verified), and the generation
-// comes from the inner engine's Generation method. Frozen engines report a
-// constant generation, so entries live until evicted; a Dynamic bumps its
-// generation before any insert or compaction becomes visible, which
-// invalidates every cached entry at the next lookup. Generation beats any
-// time-based scheme: it is exact (no staleness window, no clock), and the
-// read-generation-then-query ordering below makes the cache linearizable —
-// an entry computed concurrently with a mutation is stored under the
-// pre-mutation generation and never served after it.
+// comes from the inner engine's Generation method. A frozen engine has
+// none and counts as generation 0, so entries live until evicted; a
+// Dynamic bumps its generation before any insert or compaction becomes
+// visible, which invalidates every cached entry at the next lookup.
+// Generation beats any time-based scheme: it is exact (no staleness
+// window, no clock), and the read-generation-then-query ordering below
+// makes the cache linearizable — an entry computed concurrently with a
+// mutation is stored under the pre-mutation generation and never served
+// after it.
 package qcache
 
 import (
 	"container/list"
 	"context"
-	"io"
 	"sync"
 	"sync/atomic"
 
 	"xseq/internal/engine"
 	"xseq/internal/query"
 	"xseq/internal/telemetry"
-	"xseq/internal/xmltree"
 )
 
 // DefaultEntries is the cache capacity when New is given entries <= 0.
@@ -62,6 +61,7 @@ type entry struct {
 // engine. Safe for concurrent use. The zero value is not usable; call New.
 type Cache struct {
 	inner    engine.Engine
+	gen      func() uint64 // the inner engine's Generation
 	capacity int
 
 	mu      sync.Mutex
@@ -73,22 +73,32 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
+// generational is the method a mutable engine (engine.Dynamic) has: its
+// current snapshot of the corpus, bumped before any change to served
+// results becomes visible.
+type generational interface {
+	Generation() uint64
+}
+
 // New wraps inner with a result cache holding at most entries results
-// (entries <= 0: DefaultEntries).
+// (entries <= 0: DefaultEntries). An inner engine without a Generation
+// method is immutable: its generation is 0 for ever.
 func New(inner engine.Engine, entries int) *Cache {
 	if entries <= 0 {
 		entries = DefaultEntries
 	}
+	gen := func() uint64 { return 0 }
+	if g, ok := inner.(generational); ok {
+		gen = g.Generation
+	}
 	return &Cache{
 		inner:    inner,
+		gen:      gen,
 		capacity: entries,
 		lru:      list.New(),
 		entries:  make(map[string]*list.Element),
 	}
 }
-
-// Inner returns the wrapped engine.
-func (c *Cache) Inner() engine.Engine { return c.inner }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() Stats {
@@ -105,12 +115,11 @@ func (c *Cache) Stats() Stats {
 }
 
 // cacheable reports whether a query execution's result is safe to memoize:
-// plain and verified lookups only. Explain queries (Stats) must do the
-// work to measure it, limited queries (MaxResults) depend on the cap, and
-// naive mode exists to demonstrate false alarms — none of these share
-// results with the default execution.
+// plain and verified lookups only. Limited queries (MaxResults) depend on
+// the cap, and naive mode exists to demonstrate false alarms — neither
+// shares results with the default execution.
 func cacheable(qo engine.QueryOptions) bool {
-	return qo.Stats == nil && qo.MaxResults == 0 && !qo.Naive
+	return qo.MaxResults == 0 && !qo.Naive
 }
 
 // cacheKey renders the query's identity: a variant prefix (plain vs
@@ -138,7 +147,7 @@ func (c *Cache) QueryWithContext(ctx context.Context, pat *query.Pattern, qo eng
 		return c.inner.QueryWithContext(ctx, pat, qo)
 	}
 	key := cacheKey(pat, qo)
-	gen := c.inner.Generation()
+	gen := c.gen()
 	tr := telemetry.TraceFrom(ctx)
 	if ids, ok := c.lookup(key, gen); ok {
 		c.hits.Add(1)
@@ -204,16 +213,5 @@ func (c *Cache) store(key string, gen uint64, ids []int32) {
 		c.evictions.Add(1)
 	}
 }
-
-// The remaining Engine methods delegate to the inner engine unchanged.
-
-func (c *Cache) NumDocuments() int              { return c.inner.NumDocuments() }
-func (c *Cache) NumNodes() int                  { return c.inner.NumNodes() }
-func (c *Cache) NumLinks() int                  { return c.inner.NumLinks() }
-func (c *Cache) EstimatedDiskBytes() int64      { return c.inner.EstimatedDiskBytes() }
-func (c *Cache) Shards() []engine.ShardStat     { return c.inner.Shards() }
-func (c *Cache) Documents() []*xmltree.Document { return c.inner.Documents() }
-func (c *Cache) Save(w io.Writer) error         { return c.inner.Save(w) }
-func (c *Cache) Generation() uint64             { return c.inner.Generation() }
 
 var _ engine.Engine = (*Cache)(nil)

@@ -3,14 +3,12 @@ package qcache_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 
 	"xseq/internal/engine"
 	"xseq/internal/qcache"
 	"xseq/internal/query"
-	"xseq/internal/xmltree"
 )
 
 // fakeEngine is a minimal engine.Engine whose answers and generation the
@@ -29,15 +27,7 @@ func (f *fakeEngine) QueryWithContext(ctx context.Context, pat *query.Pattern, q
 	}
 	return f.answer(pat), nil
 }
-func (f *fakeEngine) NumDocuments() int              { return 0 }
-func (f *fakeEngine) NumNodes() int                  { return 0 }
-func (f *fakeEngine) NumLinks() int                  { return 0 }
-func (f *fakeEngine) EstimatedDiskBytes() int64      { return 0 }
-func (f *fakeEngine) Shards() []engine.ShardStat     { return nil }
-func (f *fakeEngine) Documents() []*xmltree.Document { return nil }
-func (f *fakeEngine) Save(io.Writer) error           { return engine.ErrUnsupported }
-func (f *fakeEngine) SaveFile(string) error          { return engine.ErrUnsupported }
-func (f *fakeEngine) Generation() uint64             { return f.gen.Load() }
+func (f *fakeEngine) Generation() uint64 { return f.gen.Load() }
 
 var _ engine.Engine = (*fakeEngine)(nil)
 
@@ -148,7 +138,6 @@ func TestCacheUncacheableBypass(t *testing.T) {
 	c := qcache.New(inner, 8)
 	pat := query.MustParse("/a")
 	opts := []engine.QueryOptions{
-		{Stats: &engine.QueryStats{}},
 		{MaxResults: 5},
 		{Naive: true},
 	}

@@ -84,7 +84,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			// The insert itself landed and is durable; only the triggered
 			// rebuild failed, and it retries automatically.
 			warning = cerr.Error()
-		case strings.Contains(err.Error(), "duplicate document id"):
+		case errors.Is(err, xseq.ErrDuplicateID):
 			writeError(w, http.StatusConflict, err.Error())
 			return
 		case errors.Is(err, xseq.ErrNotApplied):

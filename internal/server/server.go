@@ -21,7 +21,6 @@ import (
 	"net/url"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -560,7 +559,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, context.Canceled):
 			status = http.StatusServiceUnavailable
 			errMsg = "query cancelled (drain or client disconnect)"
-		case strings.Contains(err.Error(), "KeepDocuments"):
+		case errors.Is(err, xseq.ErrUnsupported):
 			status = http.StatusBadRequest
 			errMsg = "verify=1 requires a snapshot built with KeepDocuments"
 		case errors.Is(err, xseq.ErrQueryTooBroad):

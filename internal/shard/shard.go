@@ -241,27 +241,6 @@ func (s *Index) EstimatedDiskBytes() int64 {
 	return 4*int64(s.numDocs) + c*int64(s.NumNodes())
 }
 
-// Shards reports per-partition shape statistics in partition order; empty
-// partitions report zeros.
-func (s *Index) Shards() []engine.ShardStat {
-	out := make([]engine.ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		if sh == nil {
-			continue
-		}
-		out[i] = engine.ShardStat{
-			Documents: sh.NumDocuments(),
-			Nodes:     sh.NumNodes(),
-			Links:     sh.NumLinks(),
-		}
-	}
-	return out
-}
-
-// Generation identifies the index's corpus snapshot. A sharded index is
-// frozen after build/load, so the generation is constant.
-func (s *Index) Generation() uint64 { return 0 }
-
 var _ engine.Engine = (*Index)(nil)
 
 // Documents returns the retained corpus across shards (nil unless the
@@ -296,7 +275,7 @@ type shardResult struct {
 }
 
 // fanoutScratch is the reusable working set of one query fan-out: the live
-// shard list, per-shard result and stats slots, and the merge cursor array.
+// shard list, per-shard result slots, and the merge cursor array.
 // Pooled across queries so the steady-state fan-out only allocates the
 // per-shard goroutines and the merged output slice. Everything here is
 // borrowed: the merged result is always a fresh slice, so nothing pooled
@@ -304,7 +283,6 @@ type shardResult struct {
 type fanoutScratch struct {
 	live    []int
 	results []shardResult
-	stats   []index.QueryStats
 	lists   [][]int32
 }
 
@@ -317,14 +295,9 @@ func getFanoutScratch(n int) *fanoutScratch {
 	f.lists = f.lists[:0]
 	if cap(f.results) < n {
 		f.results = make([]shardResult, n)
-		f.stats = make([]index.QueryStats, n)
 	} else {
 		f.results = f.results[:n]
-		f.stats = f.stats[:n]
-		for i := range f.results {
-			f.results[i] = shardResult{}
-			f.stats[i] = index.QueryStats{}
-		}
+		clear(f.results)
 	}
 	return f
 }
@@ -349,7 +322,6 @@ func putFanoutScratch(f *fanoutScratch) {
 // reporting results counts them against the global budget and the fan-out
 // cancels the remaining shards as soon as the budget is met; the k-way
 // merge then stops at the MaxResults smallest ids among the hits found.
-// Stats are accumulated per shard and summed.
 func (s *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo index.QueryOptions) ([]int32, error) {
 	fs := getFanoutScratch(len(s.shards))
 	defer putFanoutScratch(fs)
@@ -380,7 +352,6 @@ func (s *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo ind
 	defer cancel()
 	var (
 		results = fs.results
-		stats   = fs.stats
 		found   atomic.Int64
 		wg      sync.WaitGroup
 	)
@@ -398,15 +369,11 @@ func (s *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo ind
 					cancel()
 				}
 			}()
-			sqo := qo
-			if qo.Stats != nil {
-				sqo.Stats = &stats[i]
-			}
 			var spanStart time.Time
 			if tr != nil {
 				spanStart = time.Now()
 			}
-			ids, err := s.shards[i].QueryWithContext(fctx, pat, sqo)
+			ids, err := s.shards[i].QueryWithContext(fctx, pat, qo)
 			if tr != nil {
 				tr.AddSpan(int32(i), int32(len(ids)), time.Since(spanStart).Nanoseconds())
 			}
@@ -465,12 +432,6 @@ func (s *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo ind
 		if tr != nil {
 			tr.SetMergeNS(time.Since(mergeStart).Nanoseconds())
 		}
-	}
-	if qo.Stats != nil {
-		for i := range stats {
-			qo.Stats.Add(stats[i])
-		}
-		qo.Stats.Results = len(out)
 	}
 	return out, nil
 }

@@ -9,11 +9,13 @@ import (
 	"testing"
 
 	"xseq/internal/datagen"
+	"xseq/internal/engine"
 	"xseq/internal/index"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
+	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
 )
 
@@ -308,20 +310,41 @@ func TestQueryLimit(t *testing.T) {
 	}
 }
 
-// TestQueryStatsMerged: per-shard work profiles sum into the caller's
-// QueryStats, with Results reflecting the merged id count.
+// TestQueryStatsMerged: every shard's kernel counts into the request's
+// trace, so the fan-out's counters are the sums of the shards' own, and the
+// shards' answers add up to the merged one.
 func TestQueryStatsMerged(t *testing.T) {
 	s := buildSharded(t, xmarkDocs(t, 100), 4, 0, false)
-	var st index.QueryStats
-	ids, err := s.QueryWithContext(context.Background(), query.MustParse("//date"), index.QueryOptions{Stats: &st})
-	if err != nil {
-		t.Fatal(err)
+	pat := query.MustParse("//date")
+	count := func(e engine.Engine) ([]int32, [6]int64) {
+		tr := telemetry.GetTrace()
+		defer telemetry.PutTrace(tr)
+		ids, err := e.QueryWithContext(telemetry.WithTrace(context.Background(), tr), pat, engine.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids, [6]int64{tr.Instances(), tr.Orders(), tr.LinkProbes(), tr.EntriesScanned(), tr.CoverChecks(), tr.CoverRejections()}
 	}
-	if st.Results != len(ids) {
-		t.Fatalf("stats.Results = %d, ids = %d", st.Results, len(ids))
+	ids, got := count(s)
+	var want [6]int64
+	results := 0
+	for i := 0; i < s.NumShards(); i++ {
+		if sh := s.Shard(i); sh != nil {
+			part, c := count(sh)
+			results += len(part)
+			for k := range want {
+				want[k] += c[k]
+			}
+		}
 	}
-	if st.Instances == 0 || st.LinkProbes == 0 || st.EntriesScanned == 0 {
-		t.Fatalf("merged stats look empty: %+v", st)
+	if results != len(ids) {
+		t.Fatalf("shard results sum to %d, ids = %d", results, len(ids))
+	}
+	if got != want {
+		t.Fatalf("fan-out counters %v, shard sums %v", got, want)
+	}
+	if got[0] == 0 || got[2] == 0 || got[3] == 0 {
+		t.Fatalf("merged counters look empty: %v", got)
 	}
 }
 

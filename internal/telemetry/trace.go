@@ -22,12 +22,13 @@ type Span struct {
 	DurNS   int64
 }
 
-// Trace is the per-request observability carrier. The server creates one
-// at the request boundary (pooled — see GetTrace), attaches it to the
-// query context with WithTrace, and every layer it passes through records
-// into it: leaf kernels (monolithic, flat) add instance/order/probe
-// counts, the shard fan-out appends per-shard spans and the fan-out/merge
-// timing split, and the query cache marks hit or miss.
+// Trace is the per-request observability carrier and the only one of a
+// query's work counters. The server, or QueryExplain, creates one at the
+// request boundary (pooled — see GetTrace), attaches it to the query
+// context with WithTrace, and every layer it passes through records into
+// it: the match kernel adds instance/order/probe counts, the shard fan-out
+// appends per-shard spans and the fan-out/merge timing split, and the
+// query cache marks hit or miss.
 //
 // Concurrency: the kernel counters are atomics because a sharded query's
 // fan-out goroutines all record into the same trace; spans append under a
@@ -68,8 +69,9 @@ func (t *Trace) AddKernel(instances, orders int, linkProbes, entriesScanned, cov
 // Instances returns the total candidate instances scanned.
 func (t *Trace) Instances() int64 { return t.instances.Load() }
 
-// Orders returns the distinct orders in the plans of the queries' instances
-// (engine.QueryStats.Orders, summed).
+// Orders returns the distinct orders in the plans of the queries' instances,
+// summed over instances: the query sequences permuting identical-sibling
+// groups gives, all searched in one descent per instance.
 func (t *Trace) Orders() int64 { return t.orders.Load() }
 
 // LinkProbes returns the total link-table probes.

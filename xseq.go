@@ -15,10 +15,9 @@
 //
 // Every storage organization — monolithic, hash-sharded, dynamic base plus
 // segments — implements one internal Engine contract, and Index dispatches
-// every query, stats, and persistence call through exactly one engine
-// value; an optional bounded result cache (Config.QueryCacheEntries)
-// composes over any of them. Operations a layout cannot perform report
-// ErrUnsupported.
+// every query through exactly one engine value; an optional bounded result
+// cache (Config.QueryCacheEntries) composes over any of them. Operations a
+// layout cannot perform report ErrUnsupported.
 //
 // Quick start:
 //
@@ -50,6 +49,7 @@ import (
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
 	"xseq/internal/shard"
+	"xseq/internal/telemetry"
 	"xseq/internal/wal"
 	"xseq/internal/xmltree"
 )
@@ -86,11 +86,16 @@ type WALCorruptError = wal.CorruptError
 // log. Detect it with errors.Is.
 var ErrWALRotated = wal.ErrRotated
 
-// ErrUnsupported reports an operation the index's storage layout cannot
-// perform — paged I/O accounting on a sharded index, SchemaOutline where no
-// schema was retained. Detect it with errors.Is; the returned error names
-// the operation and the layout.
+// ErrUnsupported reports an operation the index cannot perform as built or
+// laid out — a verified query without Config.KeepDocuments, paged I/O
+// accounting on a sharded index, SchemaOutline where no schema was
+// retained. Detect it with errors.Is; the returned error names the
+// operation and the layout.
 var ErrUnsupported = engine.ErrUnsupported
+
+// ErrDuplicateID reports a DynamicIndex insert whose document id the index
+// already holds; the insert changed nothing. Detect it with errors.Is.
+var ErrDuplicateID = engine.ErrDuplicateID
 
 // ErrQueryTooBroad reports a pattern whose wildcard and descendant steps
 // instantiate to more concrete instances than Config.InstantiationLimit.
@@ -286,6 +291,7 @@ type Config struct {
 // the query API is identical either way.
 type Index struct {
 	queryable
+	base frozen // the engine under any result cache
 	sch  *schema.Schema
 	pool *pager.Pool
 	// flat marks the flat layout (Layout): a single-partition index served
@@ -293,12 +299,25 @@ type Index struct {
 	flat bool
 }
 
+// frozen is what the facade reads off a frozen engine (flat.Index,
+// shard.Index) beyond queries: its shape, its retained corpus and its
+// snapshot.
+type frozen interface {
+	engine.Engine
+	NumDocuments() int
+	NumNodes() int
+	NumLinks() int
+	EstimatedDiskBytes() int64
+	Documents() []*xmltree.Document
+	Save(w io.Writer) error
+}
+
 // newIndex wraps a loaded or built engine in the facade type.
-func newIndex(eng engine.Engine) *Index { return &Index{queryable: queryable{eng: eng}} }
+func newIndex(base frozen) *Index { return &Index{queryable: queryable{eng: base}, base: base} }
 
 // queryable is the part Index and DynamicIndex share: the one engine value
-// each dispatches through, the query entry points over it, and Stats. Both
-// types embed it, so each method below is declared once and belongs to the
+// each dispatches through and the query entry points over it. Both types
+// embed it, so each method below is declared once and belongs to the
 // exported method set of both.
 type queryable struct {
 	eng engine.Engine // single dispatch point (may be a *qcache.Cache)
@@ -344,7 +363,7 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 		}
 		inner[i] = &xmltree.Document{ID: d.id, Root: d.root}
 	}
-	out := &Index{flat: cfg.Layout == LayoutFlat}
+	var out *Index
 	if cfg.Shards > 1 {
 		sh, err := shard.BuildContext(ctx, inner, func(ctx context.Context, part []*xmltree.Document) (*index.Index, error) {
 			ix, _, err := buildPartition(ctx, part, cfg, true)
@@ -353,14 +372,16 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 		if err != nil {
 			return nil, fmt.Errorf("xseq: build: %w", err)
 		}
-		out.eng = sh
+		out = newIndex(sh)
 	} else {
 		ix, sch, err := buildPartition(ctx, inner, cfg, false)
 		if err != nil {
 			return nil, fmt.Errorf("xseq: build: %w", err)
 		}
-		out.eng, out.sch = ix, sch
+		out = newIndex(ix)
+		out.sch = sch
 	}
+	out.flat = cfg.Layout == LayoutFlat
 	if cfg.QueryCacheEntries > 0 {
 		out.EnableQueryCache(cfg.QueryCacheEntries)
 	}
@@ -414,15 +435,7 @@ func buildPartition(ctx context.Context, inner []*xmltree.Document, cfg Config, 
 // the index starts serving — it is not safe to call concurrently with
 // queries.
 func (ix *Index) EnableQueryCache(entries int) {
-	ix.eng = qcache.New(ix.baseEngine(), entries)
-}
-
-// baseEngine unwraps the result cache, if one is installed.
-func (x *queryable) baseEngine() engine.Engine {
-	if c, ok := x.eng.(*qcache.Cache); ok {
-		return c.Inner()
-	}
-	return x.eng
+	ix.eng = qcache.New(ix.base, entries)
 }
 
 // run parses q and answers it under ctx with the given options.
@@ -508,21 +521,26 @@ func (ix *Index) QueryExplain(q string) ([]int32, Explain, error) {
 
 // QueryExplainContext is QueryExplain honouring ctx. Explain queries always
 // execute (never served from the result cache): the point is to measure the
-// work.
-func (ix *Index) QueryExplainContext(ctx context.Context, q string) ([]int32, Explain, error) {
-	var st engine.QueryStats
-	ids, err := ix.run(ctx, q, engine.QueryOptions{Stats: &st})
+// work, which the engine counts into a trace of the explain's own.
+func (ix *Index) QueryExplainContext(ctx context.Context, q string) (ids []int32, ex Explain, err error) {
+	defer guard(&err)
+	pat, err := query.Parse(q)
 	if err != nil {
 		return nil, Explain{}, err
 	}
+	tr := telemetry.GetTrace()
+	defer telemetry.PutTrace(tr)
+	if ids, err = ix.base.QueryWithContext(telemetry.WithTrace(ctx, tr), pat, engine.QueryOptions{}); err != nil {
+		return nil, Explain{}, err
+	}
 	return ids, Explain{
-		Instances:       st.Instances,
-		Orders:          st.Orders,
-		LinkProbes:      st.LinkProbes,
-		EntriesScanned:  st.EntriesScanned,
-		CoverChecks:     st.CoverChecks,
-		CoverRejections: st.CoverRejections,
-		Results:         st.Results,
+		Instances:       int(tr.Instances()),
+		Orders:          int(tr.Orders()),
+		LinkProbes:      tr.LinkProbes(),
+		EntriesScanned:  tr.EntriesScanned(),
+		CoverChecks:     tr.CoverChecks(),
+		CoverRejections: tr.CoverRejections(),
+		Results:         len(ids),
 	}, nil
 }
 
@@ -572,7 +590,7 @@ type QueryCacheStats struct {
 	// Hits counts queries served from the cache.
 	Hits int64 `json:"hits"`
 	// Misses counts queries that executed (including uncacheable variants:
-	// explain and limited queries always execute).
+	// limited queries always execute).
 	Misses int64 `json:"misses"`
 	// Evictions counts entries dropped for capacity or staleness.
 	Evictions int64 `json:"evictions"`
@@ -588,21 +606,24 @@ func cacheStats(eng engine.Engine) *QueryCacheStats {
 	return &s
 }
 
-// Stats returns index statistics. On a DynamicIndex the corpus includes
-// pending documents; node and link counts cover the compacted main index.
-func (x *queryable) Stats() Stats {
-	st := Stats{
-		Documents:          x.eng.NumDocuments(),
-		IndexNodes:         x.eng.NumNodes(),
-		Links:              x.eng.NumLinks(),
-		EstimatedDiskBytes: x.eng.EstimatedDiskBytes(),
-		QueryCache:         cacheStats(x.eng),
+// shapeStats reports a frozen engine's shape, zeros for nil.
+func shapeStats(f frozen) Stats {
+	if f == nil {
+		return Stats{}
 	}
-	if per := x.eng.Shards(); per != nil {
-		st.Shards = len(per)
-		st.PerShard = make([]ShardStats, len(per))
-		for i, s := range per {
-			st.PerShard[i] = ShardStats{Documents: s.Documents, IndexNodes: s.Nodes, Links: s.Links}
+	st := Stats{
+		Documents:          f.NumDocuments(),
+		IndexNodes:         f.NumNodes(),
+		Links:              f.NumLinks(),
+		EstimatedDiskBytes: f.EstimatedDiskBytes(),
+	}
+	if sh, ok := f.(*shard.Index); ok {
+		st.Shards = sh.NumShards()
+		st.PerShard = make([]ShardStats, st.Shards)
+		for i := range st.PerShard {
+			if p := sh.Shard(i); p != nil {
+				st.PerShard[i] = ShardStats{Documents: p.NumDocuments(), IndexNodes: p.NumNodes(), Links: p.NumLinks()}
+			}
 		}
 	}
 	return st
@@ -616,7 +637,7 @@ func (x *queryable) Stats() Stats {
 // its partition) return an error wrapping ErrUnsupported.
 func (ix *Index) SchemaOutline() (string, error) {
 	if ix.sch == nil {
-		if ix.eng.Shards() != nil {
+		if _, ok := ix.base.(*shard.Index); ok {
 			return "", fmt.Errorf("xseq: schema outline on a sharded index (each shard infers a private schema): %w", ErrUnsupported)
 		}
 		return "", fmt.Errorf("xseq: schema outline on a loaded snapshot (outline is not persisted; rebuild to inspect): %w", ErrUnsupported)
@@ -627,7 +648,7 @@ func (ix *Index) SchemaOutline() (string, error) {
 // FetchDocuments returns the stored documents for the given ids (in input
 // order, skipping unknown ids). Requires Config.KeepDocuments.
 func (ix *Index) FetchDocuments(ids []int32) ([]*Document, error) {
-	stored := ix.eng.Documents()
+	stored := ix.base.Documents()
 	if stored == nil {
 		return nil, fmt.Errorf("xseq: FetchDocuments requires Config.KeepDocuments")
 	}
@@ -651,7 +672,7 @@ func (ix *Index) FetchDocuments(ids []int32) ([]*Document, error) {
 // than its documents to BuildDynamic: that keeps its index instead of
 // rebuilding it.
 func (ix *Index) StoredDocuments() ([]*Document, error) {
-	stored := ix.eng.Documents()
+	stored := ix.base.Documents()
 	if stored == nil {
 		return nil, fmt.Errorf("xseq: StoredDocuments requires Config.KeepDocuments")
 	}
@@ -688,7 +709,7 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 	if ix.flat {
 		cfg.Layout = LayoutFlat
 	}
-	switch e := ix.baseEngine().(type) {
+	switch e := ix.base.(type) {
 	case *flat.Index:
 		cfg.ValueSpace, cfg.TextValues = e.Encoder().ValueSpace(), e.Encoder().TextValues()
 	case *shard.Index:
@@ -713,7 +734,7 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 // and silently answer queries wrongly — refuse instead.
 func (ix *Index) persistable() error {
 	var name string
-	switch e := ix.baseEngine().(type) {
+	switch e := ix.base.(type) {
 	case *flat.Index:
 		if s := e.Strategy(); s != nil {
 			name = s.Name()
@@ -745,7 +766,7 @@ func (ix *Index) Save(w io.Writer) (err error) {
 	if err := ix.persistable(); err != nil {
 		return err
 	}
-	return ix.eng.Save(w)
+	return ix.base.Save(w)
 }
 
 // SaveFile is Save to a file, crash-safely: the index is written to a
@@ -757,7 +778,7 @@ func (ix *Index) SaveFile(path string) (err error) {
 	if err := ix.persistable(); err != nil {
 		return err
 	}
-	return engine.SaveFile(path, ix.eng.Save)
+	return engine.SaveFile(path, ix.base.Save)
 }
 
 // Load reads an index written by Save into memory, sniffing the stream's
@@ -990,7 +1011,7 @@ func resumeDynamic(checkpoint *Index, cfg Config, threshold int, wrap func(engin
 			checkpoint.Close()
 		}
 	}()
-	if parts := partitions(checkpoint.baseEngine()); len(parts) > 0 {
+	if parts := partitions(checkpoint.base); len(parts) > 0 {
 		enc := parts[0].Encoder()
 		space := pathenc.NewEncoder(cfg.ValueSpace).ValueSpace()
 		if enc.TextValues() != cfg.TextValues || (!cfg.TextValues && enc.ValueSpace() != space) {
@@ -1028,7 +1049,7 @@ func resumeDynamic(checkpoint *Index, cfg Config, threshold int, wrap func(engin
 // only its bulk sections once its corpus is decoded, so the corpus is not
 // held twice.
 func adoptSnapshot(ix *Index) (engine.Engine, []*xmltree.Document, error) {
-	eng := ix.baseEngine()
+	eng := ix.base
 	for _, p := range partitions(eng) {
 		if err := p.ReleaseEncodedHead(); err != nil {
 			return nil, nil, err
@@ -1043,7 +1064,7 @@ func adoptSnapshot(ix *Index) (engine.Engine, []*xmltree.Document, error) {
 
 // partitions lists a frozen engine's XSEQFLAT images: the one of a
 // single-partition index, or every non-empty shard's.
-func partitions(eng engine.Engine) []*flat.Index {
+func partitions(eng frozen) []*flat.Index {
 	switch e := eng.(type) {
 	case *flat.Index:
 		return []*flat.Index{e}
@@ -1080,7 +1101,7 @@ func newDynamicIndex(cfg Config, wrap func(engine.Builder) engine.Builder) (*Dyn
 		if err != nil {
 			return nil, err
 		}
-		return ix.eng, nil
+		return ix.base, nil
 	}
 	if wrap != nil {
 		builder = wrap(builder)
@@ -1205,6 +1226,17 @@ func (d *DynamicIndex) PendingDocuments() int { return d.d.PendingDocuments() }
 // CacheStats reports the query result cache's counters, nil when built
 // without Config.QueryCacheEntries.
 func (d *DynamicIndex) CacheStats() *QueryCacheStats { return cacheStats(d.eng) }
+
+// Stats returns index statistics. The corpus includes pending documents;
+// node, link and shard figures cover the compacted main index (zeros before
+// the first build).
+func (d *DynamicIndex) Stats() Stats {
+	main, _ := d.d.Main().(frozen)
+	st := shapeStats(main)
+	st.Documents = d.d.NumDocuments()
+	st.QueryCache = cacheStats(d.eng)
+	return st
+}
 
 // AppliedSeq reports the WAL sequence number of the last applied insert —
 // the durable high-water mark on a primary, the replication position on a
@@ -1383,10 +1415,11 @@ func (d *DynamicIndex) CheckpointAt(ctx context.Context, path string) (seq uint6
 	if err != nil {
 		return 0, err
 	}
-	if main == nil {
+	f, _ := main.(frozen) // the facade's Builder makes only frozen engines
+	if f == nil {
 		return 0, fmt.Errorf("xseq: checkpoint of an empty index")
 	}
-	if err := engine.SaveFile(path, main.Save); err != nil {
+	if err := engine.SaveFile(path, f.Save); err != nil {
 		return 0, err
 	}
 	if d.w != nil {
@@ -1464,7 +1497,7 @@ type pagedEngine interface {
 // pagedEngine returns the paged-I/O capability of the underlying engine,
 // nil when the layout has none.
 func (ix *Index) pagedEngine() pagedEngine {
-	pe, _ := ix.baseEngine().(pagedEngine)
+	pe, _ := ix.base.(pagedEngine)
 	return pe
 }
 

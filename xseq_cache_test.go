@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -156,14 +155,6 @@ func TestErrUnsupportedSharded(t *testing.T) {
 	}
 	if _, err := ix.SchemaOutline(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("SchemaOutline on sharded = %v, want ErrUnsupported", err)
-	}
-	// The dynamic engine has no single snapshot layout either.
-	d, err := BuildDynamic(genDocs(t, 4), Config{}, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.d.Save(io.Discard); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("dynamic Save = %v, want ErrUnsupported", err)
 	}
 }
 
@@ -355,11 +346,11 @@ func TestBuildDynamicSharded(t *testing.T) {
 	}
 	// The compacted main engine really is sharded — the rebuild went
 	// through the partitioned path, not the monolithic one.
-	if got := sharded.d.Main().Shards(); len(got) != 3 {
-		t.Fatalf("compacted main has %d shards, want 3", len(got))
+	if got := sharded.Stats(); got.Shards != 3 || len(got.PerShard) != 3 {
+		t.Fatalf("compacted main has %d shards, want 3", got.Shards)
 	}
-	if got := mono.d.Main().Shards(); got != nil {
-		t.Fatalf("monolithic dynamic main reports shards: %v", got)
+	if got := mono.Stats(); got.Shards != 0 || got.PerShard != nil {
+		t.Fatalf("monolithic dynamic main reports shards: %+v", got.PerShard)
 	}
 	check() // post-compaction
 }

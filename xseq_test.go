@@ -100,8 +100,8 @@ func TestQueryVerified(t *testing.T) {
 	}
 	// Without KeepDocuments, QueryVerified errors.
 	ix2 := buildCorpus(t, Config{})
-	if _, err := ix2.QueryVerified("/P"); err == nil {
-		t.Fatal("QueryVerified without KeepDocuments should fail")
+	if _, err := ix2.QueryVerified("/P"); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("QueryVerified without KeepDocuments = %v, want ErrUnsupported", err)
 	}
 }
 
