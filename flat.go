@@ -81,7 +81,6 @@ func (ix *Index) singlePartition() (*flat.Index, error) {
 			ValueSpace:    enc.ValueSpace(),
 			TextValues:    enc.TextValues(),
 			KeepDocuments: true,
-			BulkLoad:      true,
 		}, false)
 		if err != nil {
 			return nil, fmt.Errorf("xseq: single-partition rebuild: %w", err)

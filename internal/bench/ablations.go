@@ -211,8 +211,8 @@ func canonicalizePatternValues(p *query.Pattern, enc *pathenc.Encoder) *query.Pa
 	return &query.Pattern{Root: clone(p.Root), Text: p.Text}
 }
 
-// AblationBuild compares the three build paths: incremental insertion, bulk
-// load (sorted), and dynamic insert + compaction.
+// AblationBuild compares the two build paths: the static build, which
+// sorts the sequences into the trie, and dynamic insert + compaction.
 func AblationBuild(cfg Config) ([]*Table, error) {
 	n := cfg.scaled(200_000, 4_000)
 	params := datagen.SynthParams{L: 3, F: 5, A: 25, I: 10, P: 40, Seed: cfg.Seed}
@@ -223,26 +223,16 @@ func AblationBuild(cfg Config) ([]*Table, error) {
 	t := &Table{
 		ID:     "ablation-build",
 		Title:  fmt.Sprintf("Build paths over %d records", n),
-		Note:   "node counts must agree; bulk load sorts sequences first (the paper's static-data path)",
+		Note:   "node counts must agree; the static build sorts the sequences and creates the trie in pre-order",
 		Header: []string{"path", "build time", "trie nodes"},
 	}
-	run := func(name string, bulk bool) error {
-		enc := pathenc.NewEncoder(0)
-		st := sequence.NewProbability(sch, enc)
-		start := time.Now()
-		ix, err := index.Build(docs, index.Options{Encoder: enc, Strategy: st, BulkLoad: bulk})
-		if err != nil {
-			return err
-		}
-		t.AddRow(name, time.Since(start), ix.NumNodes())
-		return nil
-	}
-	if err := run("incremental insert", false); err != nil {
+	enc := pathenc.NewEncoder(0)
+	start := time.Now()
+	ix, err := index.Build(docs, index.Options{Encoder: enc, Strategy: sequence.NewProbability(sch, enc)})
+	if err != nil {
 		return nil, err
 	}
-	if err := run("bulk load (sorted)", true); err != nil {
-		return nil, err
-	}
+	t.AddRow("static (sorted)", time.Since(start), ix.NumNodes())
 	// Dynamic: insert everything through the updatable wrapper, compacting
 	// at the default threshold, then force a final compaction.
 	builder := func(ctx context.Context, ds []*xmltree.Document) (engine.Engine, error) {
@@ -250,7 +240,7 @@ func AblationBuild(cfg Config) ([]*Table, error) {
 		st := sequence.NewProbability(sch, enc)
 		return index.BuildContext(ctx, ds, index.Options{Encoder: enc, Strategy: st})
 	}
-	start := time.Now()
+	start = time.Now()
 	dyn, err := engine.NewDynamic(builder, nil, n/4)
 	if err != nil {
 		return nil, err

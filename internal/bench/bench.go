@@ -189,7 +189,7 @@ func All() []Experiment {
 		{"compression", "Index size to compressed data size ratios (Section 6.2)", CompressionRatios},
 		{"ablation-pool", "ABLATION: disk accesses vs buffer-pool size", AblationPool},
 		{"ablation-valuespace", "ABLATION: value hash space vs collision false positives", AblationValueSpace},
-		{"ablation-build", "ABLATION: incremental vs bulk load vs dynamic build", AblationBuild},
+		{"ablation-build", "ABLATION: static sorted build vs dynamic insert + compaction", AblationBuild},
 		{"ablation-blocking", "ABLATION: repeat-path vs per-instance blocking (size vs recall)", AblationBlocking},
 	}
 }

@@ -688,21 +688,6 @@ func (d *Dynamic) PendingDocuments() int {
 	return d.pending
 }
 
-// Documents returns the current corpus (main, then pending) in insertion
-// order. Unlike frozen engines, a Dynamic always retains its documents —
-// they are the compaction input — so this never depends on a KeepDocuments
-// option.
-func (d *Dynamic) Documents() []*xmltree.Document {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]*xmltree.Document, 0, len(d.mainDocs)+d.pending)
-	out = append(out, d.mainDocs...)
-	for _, s := range d.segs {
-		out = append(out, s.docs...)
-	}
-	return out
-}
-
 // Generation identifies the currently served corpus state; it bumps before
 // every insert and compaction so generation-keyed caches invalidate.
 func (d *Dynamic) Generation() uint64 { return d.gen.Load() }

@@ -1,0 +1,45 @@
+package flat
+
+import (
+	"xseq/internal/pathenc"
+	"xseq/internal/sequence"
+	"xseq/internal/xmltree"
+)
+
+// NumDocuments reports the corpus size.
+func (ix *Index) NumDocuments() int { return ix.meta.NumDocs }
+
+// NumNodes reports the trie node count — the index-size metric of Figures
+// 14/15 and Tables 5/6.
+func (ix *Index) NumNodes() int { return int(ix.meta.MaxSerial) }
+
+// MaxSerial returns the largest pre-order serial (the root's n⊣).
+func (ix *Index) MaxSerial() int32 { return ix.meta.MaxSerial }
+
+// NumLinks reports the number of non-empty horizontal links.
+func (ix *Index) NumLinks() int { return ix.numLinks }
+
+// Documents returns the retained corpus (nil unless kept, or if an opened
+// snapshot's DOCS section is damaged — Verify queries surface that error
+// instead).
+func (ix *Index) Documents() []*xmltree.Document {
+	docs, _, _ := ix.corpus()
+	return docs
+}
+
+// Encoder returns the designator/path table.
+func (ix *Index) Encoder() *pathenc.Encoder { return ix.enc }
+
+// ChildIdx exposes the frozen path-table snapshot for query instantiation.
+func (ix *Index) ChildIdx() *pathenc.ChildIndex { return ix.ci }
+
+// Strategy returns the sequencing strategy: the one a build was given, or
+// the g_best strategy an opened snapshot rebuilt from its schema.
+func (ix *Index) Strategy() sequence.Strategy { return ix.strategy }
+
+// Export returns ix.
+//
+// Deprecated: it remains for callers of the conversion from the former heap
+// layout, which exported an index and passed the export to WriteFile; every
+// index is already flat.
+func (ix *Index) Export() (*Index, error) { return ix, nil }

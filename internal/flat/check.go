@@ -11,7 +11,7 @@ package flat
 //     doc id lies within [0, MaxDocID].
 //
 // Checksums prove that bytes are the ones written; this proves that what
-// was written is an index. A violation is a *match.CorruptError.
+// was written is an index. A violation is a *CorruptError.
 func (ix *Index) CheckInvariants() error {
 	maxSerial := ix.meta.MaxSerial
 	for p := range ix.links {

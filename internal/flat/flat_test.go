@@ -11,7 +11,6 @@ import (
 
 	"xseq/internal/datagen"
 	"xseq/internal/engine"
-	"xseq/internal/match"
 	"xseq/internal/pager"
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
@@ -355,7 +354,7 @@ func TestFlatPagerAccounting(t *testing.T) {
 
 // TestFlatCorruptionDetected: every class of damage — truncation anywhere,
 // bit flips in every region, forged section lengths — fails the
-// full-verification open with *match.CorruptError and never panics.
+// full-verification open with *CorruptError and never panics.
 func TestFlatCorruptionDetected(t *testing.T) {
 	docs := corpus(t, "xmark", 60)
 	mono := buildMono(t, docs, true)
@@ -367,9 +366,9 @@ func TestFlatCorruptionDetected(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: full-verify open accepted damaged snapshot", name)
 		}
-		var ce *match.CorruptError
+		var ce *CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("%s: error %v, want *match.CorruptError", name, err)
+			t.Fatalf("%s: error %v, want *CorruptError", name, err)
 		}
 	}
 
@@ -418,17 +417,17 @@ func TestFlatLazyOpenQueriesNeverPanic(t *testing.T) {
 		mut[off] ^= 0x40
 		f, err := OpenBytes(mut, Options{})
 		if err != nil {
-			var ce *match.CorruptError
+			var ce *CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("open at %d: error %v, want *match.CorruptError", off, err)
+				t.Fatalf("open at %d: error %v, want *CorruptError", off, err)
 			}
 			continue
 		}
 		for _, pat := range pats {
 			if _, err := f.QueryWithContext(ctx, pat, engine.QueryOptions{}); err != nil {
-				var ce *match.CorruptError
+				var ce *CorruptError
 				if !errors.As(err, &ce) && ctx.Err() == nil {
-					t.Fatalf("query after flip at %d: error %v, want *match.CorruptError", off, err)
+					t.Fatalf("query after flip at %d: error %v, want *CorruptError", off, err)
 				}
 			}
 		}
@@ -436,7 +435,7 @@ func TestFlatLazyOpenQueriesNeverPanic(t *testing.T) {
 }
 
 // FuzzFlatLoad hammers OpenBytes + the query kernel with arbitrary bytes:
-// whatever the damage, opening either fails with *match.CorruptError or
+// whatever the damage, opening either fails with *CorruptError or
 // yields an index whose queries run to completion without panicking.
 func FuzzFlatLoad(f *testing.F) {
 	docs := corpus(f, "L3F5A25I0P40", 30)
@@ -457,16 +456,16 @@ func FuzzFlatLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := OpenBytes(data, Options{})
 		if err != nil {
-			var ce *match.CorruptError
+			var ce *CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("open error %v, want *match.CorruptError", err)
+				t.Fatalf("open error %v, want *CorruptError", err)
 			}
 			return
 		}
 		if _, err := ix.QueryWithContext(context.Background(), pat, engine.QueryOptions{}); err != nil {
-			var ce *match.CorruptError
+			var ce *CorruptError
 			if !errors.As(err, &ce) {
-				t.Fatalf("query error %v, want *match.CorruptError", err)
+				t.Fatalf("query error %v, want *CorruptError", err)
 			}
 		}
 	})
@@ -556,9 +555,9 @@ func TestFlatForgedSnapshots(t *testing.T) {
 		b := bytes.Clone(blob)
 		c.forge(b)
 		_, err := OpenBytes(b, Options{Verify: true})
-		var ce *match.CorruptError
+		var ce *CorruptError
 		if !errors.As(err, &ce) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: open error %v, want *match.CorruptError mentioning %q", c.name, err, c.want)
+			t.Errorf("%s: open error %v, want *CorruptError mentioning %q", c.name, err, c.want)
 		}
 	}
 }
@@ -573,9 +572,9 @@ func TestFlatEveryBitFlip(t *testing.T) {
 		blob[off] ^= bit
 		_, err := OpenBytes(blob, Options{Verify: true})
 		blob[off] ^= bit
-		var ce *match.CorruptError
+		var ce *CorruptError
 		if !errors.As(err, &ce) {
-			t.Fatalf("bit %d of byte %d flipped: open error %v, want *match.CorruptError", off%8, off, err)
+			t.Fatalf("bit %d of byte %d flipped: open error %v, want *CorruptError", off%8, off, err)
 		}
 	}
 }
@@ -585,7 +584,7 @@ func TestFlatEveryBitFlip(t *testing.T) {
 // in the bounds the head records — is reported.
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	docs := identicalSiblings(t, 20)
-	firstLink := func(ix *Index, ok func(l *match.Link) bool) *match.Link {
+	firstLink := func(ix *Index, ok func(l *Link) bool) *Link {
 		for p := range ix.links {
 			if l := &ix.links[p]; l.Len() > 0 && ok(l) {
 				return l
@@ -594,29 +593,29 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("no link fits the corruption")
 		return nil
 	}
-	anyLink := func(*match.Link) bool { return true }
-	cover := func(l *match.Link) bool { return l.HasCover() }
+	anyLink := func(*Link) bool { return true }
+	cover := func(l *Link) bool { return l.HasCover() }
 	corruptions := []struct {
 		name string
 		mut  func(ix *Index)
 	}{
 		{"inverted interval", func(ix *Index) {
 			l := firstLink(ix, anyLink)
-			l.Set(0, l.Pre(0), l.Pre(0)-1)
+			l.set(0, l.Pre(0), l.Pre(0)-1)
 		}},
 		{"unsorted link", func(ix *Index) {
-			l := firstLink(ix, func(l *match.Link) bool { return l.Len() >= 2 })
-			l.Set(0, l.Pre(1), l.Max(0))
+			l := firstLink(ix, func(l *Link) bool { return l.Len() >= 2 })
+			l.set(0, l.Pre(1), l.Max(0))
 		}},
 		{"forward anc", func(ix *Index) {
 			l := firstLink(ix, cover)
-			l.SetAnc(0, l.Len())
+			l.setAnc(0, l.Len())
 		}},
 		{"anc without embeds mark", func(ix *Index) {
 			l := firstLink(ix, cover)
 			for k := int32(0); k < l.Len(); k++ {
 				if a := l.Anc(k); a >= 0 {
-					ix.data[l.Off+uint64(12*l.Len()+a/8)] &^= 1 << (a % 8)
+					ix.data[l.off+uint64(12*l.Len()+a/8)] &^= 1 << (a % 8)
 					return
 				}
 			}

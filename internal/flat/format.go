@@ -1,13 +1,13 @@
 // Package flat is the one frozen representation of the constraint-sequence
 // index: the trie's interval labels, its path links sorted by n⊢ and its
 // document-id lists (Section 4.1), laid out as offset-addressed arrays that
-// the match kernel queries in place, with no decode step between the bytes
-// and the kernel. Build lays a frozen trie out in a heap buffer and returns
-// the engine over it; Save writes the snapshot file; OpenFile maps one
-// (ReadAt fallback on platforms without mmap), so open cost is
-// O(dictionary) — independent of corpus size — and a corpus larger than RAM
-// is serveable: a query touches only the pages its binary searches and
-// range scans visit.
+// the package's Algorithm 1 (Section 4.2, search.go) queries in place,
+// with no decode step between the bytes and the kernel. Build lays a
+// frozen trie out in a heap buffer and returns the index over it; Save
+// writes the snapshot file; OpenFile maps one (ReadAt fallback on platforms
+// without mmap), so open cost is O(dictionary) — independent of corpus size
+// — and a corpus larger than RAM is serveable: a query touches only the
+// pages its binary searches and range scans visit.
 //
 // File format (version 2, all fixed-width integers little-endian):
 //
@@ -31,7 +31,7 @@
 //	             store only the label arrays — the structure-sharing trick
 //	             for repetitive markup, where almost every link's cover
 //	             metadata is the all-default {anc: -1, embeds: false} row.
-//	LINKS (2)    per link the column block of match.Link: pres []int32,
+//	LINKS (2)    per link the column block of Link: pres []int32,
 //	             maxs []int32, then (only with linkHasCover) anc []int32 and
 //	             an embeds bitset, padded to 8 bytes. Fixed-width on
 //	             purpose: the kernel binary searches pres and hops anc
@@ -61,7 +61,7 @@
 // ENDS, DOCS) are checked by VerifyChecksums, their structure by
 // CheckInvariants (Options.Verify runs both at open); without them, every
 // query-time read of the bulk sections is bounds-checked, so corruption
-// surfaces as a *match.CorruptError, never a panic.
+// surfaces as a *CorruptError, never a panic.
 package flat
 
 import (

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
@@ -62,16 +61,17 @@ type Index struct {
 	sections [numSections + 1]section // by id
 
 	// links holds one view per PathID onto the LINKS section (empty for
-	// paths without a link); Off is the pres column's file offset, for page
-	// accounting.
-	links    []match.Link
+	// paths without a link).
+	links    []Link
 	numLinks int
 
 	ends endsView
-	eng  match.Engine // the query kernel over links and ends
 
+	// docs is the retained corpus and byID the same documents indexed by
+	// id, nil without one; corpus loads both on first use.
 	docsOnce sync.Once
 	docs     []*xmltree.Document
+	byID     []*xmltree.Document
 	docsErr  error
 
 	// acct is the page accounting AttachPager installed, nil when detached:
@@ -112,8 +112,28 @@ type endsView struct {
 	fileOff   uint64
 }
 
+// CorruptError reports index data that failed validation: a snapshot stream
+// that is truncated, bit-flipped, undecodable or structurally inconsistent,
+// or mapped bytes a query found to be so. Use errors.As to detect it.
+type CorruptError struct {
+	// Reason is a short human-readable diagnosis ("truncated stream",
+	// "checksum mismatch", ...).
+	Reason string
+	// Err is the underlying decode error, if any.
+	Err error
+}
+
+func (e *CorruptError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("index: corrupt stream: %s: %v", e.Reason, e.Err)
+	}
+	return fmt.Sprintf("index: corrupt stream: %s", e.Reason)
+}
+
+func (e *CorruptError) Unwrap() error { return e.Err }
+
 func corrupt(reason string, args ...any) error {
-	return &match.CorruptError{Reason: "flat: " + fmt.Sprintf(reason, args...)}
+	return &CorruptError{Reason: "flat: " + fmt.Sprintf(reason, args...)}
 }
 
 // OpenBytes opens a flat snapshot held in memory. data is retained and must
@@ -131,7 +151,7 @@ func OpenBytes(data []byte, opts Options) (*Index, error) {
 func Open(r io.Reader, opts Options) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, &match.CorruptError{Reason: "flat: unreadable stream", Err: err}
+		return nil, &CorruptError{Reason: "flat: unreadable stream", Err: err}
 	}
 	return OpenBytes(data, opts)
 }
@@ -154,7 +174,7 @@ func OpenFile(path string, opts Options) (*Index, error) {
 	if opts.NoMmap || !mmapAvailable {
 		data = make([]byte, fi.Size())
 		if _, err := io.ReadFull(f, data); err != nil {
-			return nil, &match.CorruptError{Reason: fmt.Sprintf("flat: %s: short read", path), Err: err}
+			return nil, &CorruptError{Reason: fmt.Sprintf("flat: %s: short read", path), Err: err}
 		}
 	} else {
 		data, unmap, err = mapFile(f, fi.Size())
@@ -243,7 +263,7 @@ func (ix *Index) init(opts Options) error {
 	}
 
 	if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secMeta))).Decode(&ix.meta); err != nil {
-		return &match.CorruptError{Reason: "flat: undecodable meta", Err: err}
+		return &CorruptError{Reason: "flat: undecodable meta", Err: err}
 	}
 	if ix.meta.NumDocs < 0 || ix.meta.MaxDocID < 0 || ix.meta.MaxSerial < 0 {
 		return corrupt("negative size fields (docs %d, max id %d, max serial %d)",
@@ -254,15 +274,15 @@ func (ix *Index) init(opts Options) error {
 	}
 	var snap pathenc.Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secDict))).Decode(&snap); err != nil {
-		return &match.CorruptError{Reason: "flat: undecodable dictionary", Err: err}
+		return &CorruptError{Reason: "flat: undecodable dictionary", Err: err}
 	}
 	enc, err := pathenc.FromSnapshot(snap)
 	if err != nil {
-		return &match.CorruptError{Reason: "flat: invalid encoder snapshot", Err: err}
+		return &CorruptError{Reason: "flat: invalid encoder snapshot", Err: err}
 	}
 	sch, err := schema.New(ix.meta.Schema)
 	if err != nil {
-		return &match.CorruptError{Reason: "flat: invalid schema", Err: err}
+		return &CorruptError{Reason: "flat: invalid schema", Err: err}
 	}
 	prob := sequence.NewProbability(sch, enc)
 	repeat := make(map[pathenc.PathID]bool, len(ix.meta.Repeat))
@@ -292,7 +312,6 @@ func (ix *Index) init(opts Options) error {
 			return err
 		}
 	}
-	ix.initEngine()
 	return nil
 }
 
@@ -309,7 +328,7 @@ func (ix *Index) initLinks() error {
 	}
 	arena := ix.sectionBytes(secLinks)
 	arenaFileOff := ix.sections[secLinks].off
-	ix.links, ix.numLinks = make([]match.Link, numPaths), 0
+	ix.links, ix.numLinks = make([]Link, numPaths), 0
 	prevEnd := uint64(0)
 	for p := 0; p < numPaths; p++ {
 		row := dir[p*linkDirEntryLen:]
@@ -322,12 +341,12 @@ func (ix *Index) initLinks() error {
 		if n > uint32(1)<<30 {
 			return corrupt("link %d has implausible length %d", p, n)
 		}
-		need := uint64(match.LinkBytes(int(n), hasCover))
+		need := uint64(linkBytes(int(n), hasCover))
 		if off < prevEnd || off > uint64(len(arena)) || off+need > uint64(len(arena)) {
 			return corrupt("link %d extent [%d, %d) overlaps another link or leaves the links section", p, off, off+need)
 		}
 		prevEnd = off + need
-		ix.links[p] = match.NewLink(arena[off:], int32(n), hasCover, arenaFileOff+off)
+		ix.links[p] = newLink(arena[off:], int32(n), hasCover, arenaFileOff+off)
 		ix.numLinks++
 	}
 	return nil
@@ -344,19 +363,6 @@ func (ix *Index) initEnds() {
 	s := ix.sectionBytes(secEnds)
 	n := int(le.Uint32(s))
 	ix.ends = endsView{numEnds: n, numBlocks: endsBlocks(n), s: s, fileOff: ix.sections[secEnds].off}
-}
-
-// initEngine points the query kernel at the finished index.
-func (ix *Index) initEngine() {
-	ix.eng = match.Engine{
-		Layout:             ix,
-		Enc:                ix.enc,
-		ChildIdx:           ix.ci,
-		Prio:               ix.prio,
-		InstantiationLimit: ix.meta.InstantiationLimit,
-		MaxDocID:           ix.meta.MaxDocID,
-		MaxSerial:          ix.meta.MaxSerial,
-	}
 }
 
 // sectionBytes returns section id's payload (validated extents).
@@ -408,27 +414,35 @@ func (ix *Index) zeroPadding(from, to uint64) error {
 	return nil
 }
 
-// LoadDocuments returns the retained corpus (match.Layout). An opened
-// snapshot decodes its DOCS section on first use, after checking its CRC.
-func (ix *Index) LoadDocuments() ([]*xmltree.Document, error) {
-	if !ix.file {
-		return ix.docs, nil
-	}
+// corpus returns the retained corpus and the same documents indexed by id
+// (a slice of MaxDocID+1), both nil without one, loading them on first
+// use: an opened snapshot decodes its DOCS section after checking its CRC.
+// The table makes a verified query cost O(candidates), not O(corpus).
+func (ix *Index) corpus() (docs, byID []*xmltree.Document, err error) {
 	ix.docsOnce.Do(func() {
-		if !ix.meta.KeptDocs {
+		if ix.file && ix.meta.KeptDocs {
+			if ix.docsErr = ix.checkSection(secDocs); ix.docsErr != nil {
+				return
+			}
+			if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secDocs))).Decode(&ix.docs); err != nil {
+				ix.docs, ix.docsErr = nil, &CorruptError{Reason: "flat: undecodable documents", Err: err}
+				return
+			}
+		}
+		if ix.docs == nil {
 			return
 		}
-		if ix.docsErr = ix.checkSection(secDocs); ix.docsErr != nil {
-			return
+		byID := make([]*xmltree.Document, ix.meta.MaxDocID+1)
+		for _, d := range ix.docs {
+			if d.ID < 0 || d.ID > ix.meta.MaxDocID {
+				ix.docs, ix.docsErr = nil, corrupt("document id %d outside [0, %d]", d.ID, ix.meta.MaxDocID)
+				return
+			}
+			byID[d.ID] = d
 		}
-		var docs []*xmltree.Document
-		if err := gob.NewDecoder(bytes.NewReader(ix.sectionBytes(secDocs))).Decode(&docs); err != nil {
-			ix.docsErr = &match.CorruptError{Reason: "flat: undecodable documents", Err: err}
-			return
-		}
-		ix.docs = docs
+		ix.byID = byID
 	})
-	return ix.docs, ix.docsErr
+	return ix.docs, ix.byID, ix.docsErr
 }
 
 // ReleaseEncodedHead decodes the corpus of a heap-held opened snapshot and
@@ -444,7 +458,7 @@ func (ix *Index) ReleaseEncodedHead() error {
 	if !ix.file || ix.unmap != nil {
 		return nil
 	}
-	if _, err := ix.LoadDocuments(); err != nil {
+	if _, _, err := ix.corpus(); err != nil {
 		return err
 	}
 	ends := ix.sections[secEnds]

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xseq/internal/match"
 	"xseq/internal/pager"
 )
 
@@ -36,9 +35,10 @@ type accounting struct {
 	pool *pager.Pool
 }
 
-// queryPager is one query's hook into an attachment (match.Pager). On the
-// bitmap path it counts the query's reads and first touches and publishes
-// them on Release; on the LRU path it charges the pool directly. Pooled, so
+// queryPager is one query's hook into an attachment: it is charged for
+// every link slot the kernel reads and every ENDS range collectDocs reads.
+// On the bitmap path it counts the query's reads and first touches and
+// publishes them on release; on the LRU path it charges the pool directly. Pooled, so
 // accounting adds no allocation to a query.
 type queryPager struct {
 	touched       []atomic.Uint64 // acct.touched, copied so a touch reads only qp
@@ -49,9 +49,10 @@ type queryPager struct {
 
 var queryPagers = sync.Pool{New: func() any { return new(queryPager) }}
 
-// Pager hands the query its accounting hook, nil when detached: the
-// detached fast path is this one atomic load per query (match.Layout).
-func (ix *Index) Pager() match.Pager {
+// pager hands a query its accounting hook, nil when detached: the detached
+// fast path is this one atomic load per query. The query releases the hook
+// when it ends.
+func (ix *Index) pager() *queryPager {
 	a := ix.acct.Load()
 	if a == nil {
 		return nil
@@ -61,18 +62,18 @@ func (ix *Index) Pager() match.Pager {
 	return qp
 }
 
-// TouchLink charges the page holding link slot k's pre label.
-func (qp *queryPager) TouchLink(l *match.Link, k int32) {
-	off := l.Off + uint64(4*k)
+// touchLink charges the page holding link slot k's pre label.
+func (qp *queryPager) touchLink(l *Link, k int32) {
+	off := l.off + uint64(4*k)
 	if p := off / pager.PageSize; qp.touched != nil && p == (off+3)/pager.PageSize {
 		qp.touch(p)
 		return
 	}
-	qp.TouchRange(off, 4)
+	qp.touchRange(off, 4)
 }
 
-// TouchRange charges the page(s) of the file range [off, off+n).
-func (qp *queryPager) TouchRange(off uint64, n int) {
+// touchRange charges the page(s) of the file range [off, off+n), n > 0.
+func (qp *queryPager) touchRange(off uint64, n int) {
 	first := off / pager.PageSize
 	last := (off + uint64(n) - 1) / pager.PageSize
 	if qp.touched == nil {
@@ -110,8 +111,8 @@ func (qp *queryPager) touch(p uint64) {
 	}
 }
 
-// Release publishes the query's counts and returns the hook to the pool.
-func (qp *queryPager) Release() {
+// release publishes the query's counts and returns the hook to the pool.
+func (qp *queryPager) release() {
 	if a := qp.acct; qp.touched != nil && qp.reads != 0 {
 		a.reads.Add(qp.reads)
 		a.misses.Add(qp.misses) // after reads: see PagerStats

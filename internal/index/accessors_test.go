@@ -34,10 +34,10 @@ func TestAccessors(t *testing.T) {
 	if root.Len() != 1 || root.Pre(0) != 1 || root.Max(0) != ix.MaxSerial() {
 		t.Fatalf("root link: %d entries, first [%d,%d] (max serial %d)", root.Len(), root.Pre(0), root.Max(0), ix.MaxSerial())
 	}
-	if k := root.LowerBound(ix.MaxSerial()+1, nil); k != root.Len() {
+	if k := root.LowerBound(ix.MaxSerial() + 1); k != root.Len() {
 		t.Fatalf("LowerBound past the last label = %d", k)
 	}
-	all, err := ix.CollectDocs(0, ix.MaxSerial(), nil, nil)
+	all, err := ix.CollectDocs(0, ix.MaxSerial(), nil)
 	if err != nil || len(all) != 2 {
 		t.Fatalf("CollectDocs = %v, %v", all, err)
 	}

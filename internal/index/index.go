@@ -2,14 +2,17 @@
 //
 //   - Sequence Insertion: each document's constraint sequence goes into a
 //     trie; document ids accumulate at end nodes.
-//   - Tree Labeling: trie nodes get (n⊢, n⊣) interval labels.
+//   - Tree Labeling: trie nodes get (n⊢, n⊣) interval labels. The trie
+//     sorts the sequences and creates its nodes in pre-order, so the
+//     labels are creation order (internal/trie).
 //   - Path Linking: one horizontal link per distinct path, holding the
 //     labels of all trie nodes with that path encoding, in ascending n⊢
 //     order, binary searchable (Figures 8/9).
 //
-// This package does the first step; flat.Build does the other two, laying
-// the labels, links and doc-id lists out in the one frozen representation,
-// XSEQFLAT, which internal/match queries in place. An Index is therefore a
+// This package sequences the corpus into a trie, whose Freeze does the
+// first two steps; flat.Build does Path Linking, laying the labels, links
+// and doc-id lists out in the one frozen representation, XSEQFLAT, which
+// internal/flat's Algorithm 1 queries in place. An Index is therefore a
 // flat.Index, whether built here or loaded from a snapshot.
 package index
 
@@ -20,7 +23,6 @@ import (
 
 	"xseq/internal/engine"
 	"xseq/internal/flat"
-	"xseq/internal/match"
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
 	"xseq/internal/trie"
@@ -32,9 +34,10 @@ type Index = flat.Index
 
 // CorruptError reports a snapshot that failed validation: truncated,
 // bit-flipped, checksum mismatch, undecodable, or structurally
-// inconsistent. Use errors.As to detect it. The definition lives with the
-// match kernel, which reports corrupt bytes met at query time the same way.
-type CorruptError = match.CorruptError
+// inconsistent. Use errors.As to detect it. The definition lives in
+// internal/flat, whose queries report corrupt bytes met at query time the
+// same way.
+type CorruptError = flat.CorruptError
 
 // QueryOptions tweaks one query execution. It is defined in
 // internal/engine, the engine-agnostic query contract.
@@ -49,8 +52,6 @@ type Options struct {
 	// sequence.Prioritizer (the probability strategy g_best does); index
 	// building alone works with any strategy.
 	Strategy sequence.Strategy
-	// BulkLoad sorts sequences before insertion (static data path).
-	BulkLoad bool
 	// InstantiationLimit caps wildcard expansion per pattern
 	// (<= 0: query.DefaultInstantiationLimit); a pattern over it fails with
 	// a *query.TooBroadError.
@@ -97,8 +98,6 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 	}
 	tr := trie.New()
 	seen := map[int32]bool{}
-	seqs := make([]sequence.Sequence, 0, len(docs))
-	ids := make([]int32, 0, len(docs))
 	for _, d := range docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -111,18 +110,7 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 		}
 		seen[d.ID] = true
 		h.MaxDocID = max(h.MaxDocID, d.ID)
-		s := opts.Strategy.Sequence(d.Root)
-		if opts.BulkLoad {
-			seqs = append(seqs, s)
-			ids = append(ids, d.ID)
-		} else {
-			tr.Insert(s, d.ID)
-		}
-	}
-	if opts.BulkLoad {
-		if err := tr.BulkLoad(seqs, ids); err != nil {
-			return nil, err
-		}
+		tr.Insert(opts.Strategy.Sequence(d.Root), d.ID)
 	}
 	return flat.Build(tr, h), nil
 }

@@ -218,7 +218,7 @@ func decodeShard(m *manifest, i int, raw []byte) (*index.Index, error) {
 	if err != nil {
 		return nil, corruptWrap(err, "shard %d of %d", i, m.Shards)
 	}
-	ids, err := ix.CollectDocs(0, ix.MaxSerial(), nil, nil)
+	ids, err := ix.CollectDocs(0, ix.MaxSerial(), nil)
 	if err != nil {
 		return nil, corruptWrap(err, "shard %d of %d", i, m.Shards)
 	}

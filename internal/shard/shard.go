@@ -234,13 +234,6 @@ func (s *Index) NumLinks() int {
 	return total
 }
 
-// EstimatedDiskBytes applies the paper's 4n + 8N sizing formula to the
-// aggregate corpus and node counts.
-func (s *Index) EstimatedDiskBytes() int64 {
-	const c = 8
-	return 4*int64(s.numDocs) + c*int64(s.NumNodes())
-}
-
 var _ engine.Engine = (*Index)(nil)
 
 // Documents returns the retained corpus across shards (nil unless the

@@ -1,244 +1,137 @@
 // Package trie implements the trie-like index tree of Section 4.1: document
-// constraint sequences are inserted as root-to-leaf chains (Figure 7),
-// document ids accumulate at each sequence's end node, and Freeze assigns
-// every node the (n⊢, n⊣) interval label of the paper's Tree Labeling step
-// (pre-order serial number and largest descendant serial), so that x is a
-// descendant of y iff x⊢ ∈ (y⊢, y⊣].
+// constraint sequences become root-to-leaf chains (Figure 7), document ids
+// accumulate at each sequence's end node, and every node carries the
+// (n⊢, n⊣) interval label of the paper's Tree Labeling step (pre-order
+// serial number and largest descendant serial), so that x is a descendant
+// of y iff x⊢ ∈ (y⊢, y⊣].
 //
-// The node store is struct-of-arrays with a single global child map, keeping
-// per-node overhead small enough for multi-million-node tries.
+// Insert only records a sequence; Freeze sorts the sequences and creates
+// the nodes in one pass. Sequences in sorted order meet the trie's nodes in
+// pre-order (children by ascending PathID), so a node's id is its n⊢, its
+// n⊣ is the last id created before it leaves the prefix stack, and the ids
+// of one end node are one run of the sorted id array. The node store is two
+// arrays, path and n⊣, indexed by id.
 package trie
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
 )
 
-// NodeID identifies a trie node; the root is always 0.
+// NodeID identifies a trie node and is also its n⊢; the root is always 0.
 type NodeID int32
 
 // Root is the id of the virtual root node (path ε).
 const Root NodeID = 0
 
-// None marks the absence of a node.
-const None NodeID = -1
-
-type childKey struct {
-	parent NodeID
-	path   pathenc.PathID
-}
-
-// Trie is the index tree. Build with Insert (or BulkLoad), then Freeze to
-// assign labels; queries require a frozen trie. Not safe for concurrent
-// mutation.
+// Trie is the index tree. Build with Insert, then Freeze to create the
+// labelled nodes; the node accessors require a frozen trie. Not safe for
+// concurrent mutation.
 type Trie struct {
-	parent     []NodeID
-	path       []pathenc.PathID
-	firstChild []NodeID
-	lastChild  []NodeID
-	nextSib    []NodeID
-	child      map[childKey]NodeID
-	docs       map[NodeID][]int32
+	// seqs and ids are the inserted sequences, dropped by Freeze.
+	seqs   []sequence.Sequence
+	ids    []int32
+	frozen bool
 
-	pre, max []int32
-	frozen   bool
-	numSeqs  int
+	path []pathenc.PathID // by node id
+	max  []int32          // n⊣ by node id
+	// ends are the end nodes, ascending; the documents ending at ends[i]
+	// are docs[endOff[i]:endOff[i+1]].
+	ends   []NodeID
+	endOff []int32
+	docs   []int32
 }
 
-// New returns an empty trie holding only the virtual root.
-func New() *Trie {
-	t := &Trie{child: map[childKey]NodeID{}, docs: map[NodeID][]int32{}}
-	t.addNode(None, pathenc.EmptyPath)
-	return t
-}
+// New returns an empty trie.
+func New() *Trie { return &Trie{} }
 
-func (t *Trie) addNode(parent NodeID, p pathenc.PathID) NodeID {
-	id := NodeID(len(t.parent))
-	t.parent = append(t.parent, parent)
-	t.path = append(t.path, p)
-	t.firstChild = append(t.firstChild, None)
-	t.lastChild = append(t.lastChild, None)
-	t.nextSib = append(t.nextSib, None)
-	if parent != None {
-		t.child[childKey{parent, p}] = id
-		if t.firstChild[parent] == None {
-			t.firstChild[parent] = id
-		} else {
-			t.nextSib[t.lastChild[parent]] = id
-		}
-		t.lastChild[parent] = id
-	}
-	return id
-}
-
-// NumNodes reports the node count excluding the virtual root — the metric
-// of Figure 14/15 and Tables 5/6.
-func (t *Trie) NumNodes() int { return len(t.parent) - 1 }
-
-// NumSequences reports how many sequences have been inserted.
-func (t *Trie) NumSequences() int { return t.numSeqs }
-
-// Insert adds one document's constraint sequence, appending docID to the id
-// list of the end node (Figure 7). Insert panics on a frozen trie.
+// Insert records one document's constraint sequence, whose end node gets
+// docID in its id list (Figure 7). The sequence is retained until Freeze.
+// Insert panics on a frozen trie.
 func (t *Trie) Insert(seq sequence.Sequence, docID int32) {
 	if t.frozen {
 		panic("trie: Insert after Freeze")
 	}
-	cur := Root
-	for _, p := range seq {
-		next, ok := t.child[childKey{cur, p}]
-		if !ok {
-			next = t.addNode(cur, p)
-		}
-		cur = next
-	}
-	t.docs[cur] = append(t.docs[cur], docID)
-	t.numSeqs++
+	t.seqs = append(t.seqs, seq)
+	t.ids = append(t.ids, docID)
 }
 
-// BulkLoad inserts many sequences after sorting them, which the paper notes
-// improves build performance for static data (shared prefixes insert
-// consecutively). ids[i] is the document id of seqs[i].
-func (t *Trie) BulkLoad(seqs []sequence.Sequence, ids []int32) error {
-	if len(seqs) != len(ids) {
-		return fmt.Errorf("trie: bulk load: %d sequences, %d ids", len(seqs), len(ids))
-	}
-	order := make([]int, len(seqs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa, sb := seqs[order[a]], seqs[order[b]]
-		for i := 0; i < len(sa) && i < len(sb); i++ {
-			if sa[i] != sb[i] {
-				return sa[i] < sb[i]
-			}
-		}
-		return len(sa) < len(sb)
-	})
-	for _, i := range order {
-		t.Insert(seqs[i], ids[i])
-	}
-	return nil
-}
-
-// Freeze assigns interval labels (pre, max) by an explicit-stack pre-order
-// walk. After Freeze the trie is immutable.
+// Freeze creates the nodes and their labels; afterwards the trie is
+// immutable. The sequences are sorted (equal ones keep their insertion
+// order), and each one creates the nodes past its longest common prefix
+// with the previous one, in pre-order. A stack holds the chain of the
+// previous sequence; a node popped off it has seen all its descendants
+// created, so its n⊣ is the last id so far.
 func (t *Trie) Freeze() {
 	if t.frozen {
 		return
 	}
-	n := len(t.parent)
-	t.pre = make([]int32, n)
-	t.max = make([]int32, n)
-	serial := int32(0)
-	// Iterative DFS; post-processing pass sets max from children.
-	type frame struct {
-		node  NodeID
-		child NodeID // next child to visit
-	}
-	stack := []frame{{Root, t.firstChild[Root]}}
-	t.pre[Root] = 0
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.child == None {
-			t.max[f.node] = serial
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		c := f.child
-		f.child = t.nextSib[c]
-		serial++
-		t.pre[c] = serial
-		stack = append(stack, frame{c, t.firstChild[c]})
-	}
 	t.frozen = true
+	order := make([]int32, len(t.seqs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(slices.Compare(t.seqs[a], t.seqs[b]), cmp.Compare(a, b))
+	})
+	t.path, t.max = []pathenc.PathID{pathenc.EmptyPath}, []int32{0}
+	t.docs = make([]int32, 0, len(order))
+	stack := []NodeID{Root}
+	var prev sequence.Sequence
+	for _, i := range order {
+		s := t.seqs[i]
+		lcp := 0
+		for lcp < len(s) && lcp < len(prev) && s[lcp] == prev[lcp] {
+			lcp++
+		}
+		stack = t.popTo(stack, lcp+1)
+		for _, p := range s[lcp:] {
+			stack = append(stack, NodeID(len(t.path)))
+			t.path = append(t.path, p)
+			t.max = append(t.max, 0)
+		}
+		if end := stack[len(stack)-1]; len(t.ends) == 0 || t.ends[len(t.ends)-1] != end {
+			t.ends = append(t.ends, end)
+			t.endOff = append(t.endOff, int32(len(t.docs)))
+		}
+		t.docs = append(t.docs, t.ids[i])
+		prev = s
+	}
+	t.popTo(stack, 0)
+	t.endOff = append(t.endOff, int32(len(t.docs)))
+	t.seqs, t.ids = nil, nil
 }
 
-// Frozen reports whether labels have been assigned.
-func (t *Trie) Frozen() bool { return t.frozen }
+// popTo pops the stack down to n nodes, labelling each popped node's n⊣.
+func (t *Trie) popTo(stack []NodeID, n int) []NodeID {
+	last := int32(len(t.path) - 1)
+	for _, id := range stack[n:] {
+		t.max[id] = last
+	}
+	return stack[:n]
+}
+
+// NumNodes reports the node count excluding the virtual root — the metric
+// of Figure 14/15 and Tables 5/6. It freezes the trie.
+func (t *Trie) NumNodes() int {
+	t.Freeze()
+	return len(t.path) - 1
+}
 
 // Path returns the path encoding of a node.
 func (t *Trie) Path(n NodeID) pathenc.PathID { return t.path[n] }
 
-// Parent returns the parent node (None for the root).
-func (t *Trie) Parent(n NodeID) NodeID { return t.parent[n] }
-
-// Pre returns n⊢, the pre-order serial. Requires Freeze.
-func (t *Trie) Pre(n NodeID) int32 { return t.pre[n] }
-
-// Max returns n⊣, the largest descendant serial. Requires Freeze.
+// Max returns n⊣, the largest descendant serial.
 func (t *Trie) Max(n NodeID) int32 { return t.max[n] }
 
-// Docs returns the document id list of a node (ids of sequences ending
-// there).
-func (t *Trie) Docs(n NodeID) []int32 { return t.docs[n] }
+// NumEnds reports how many nodes end at least one sequence.
+func (t *Trie) NumEnds() int { return len(t.ends) }
 
-// Children iterates the children of n in insertion order.
-func (t *Trie) Children(n NodeID, fn func(NodeID) bool) {
-	for c := t.firstChild[n]; c != None; c = t.nextSib[c] {
-		if !fn(c) {
-			return
-		}
-	}
-}
-
-// ChildByPath returns the child of n with the given path, or None.
-func (t *Trie) ChildByPath(n NodeID, p pathenc.PathID) NodeID {
-	if id, ok := t.child[childKey{n, p}]; ok {
-		return id
-	}
-	return None
-}
-
-// WalkPreOrder visits nodes (excluding the virtual root) in pre-order; the
-// callback receives the node and its depth below the root. Returning false
-// stops the walk entirely.
-func (t *Trie) WalkPreOrder(fn func(n NodeID, depth int) bool) {
-	type frame struct {
-		node  NodeID
-		depth int
-	}
-	var stack []frame
-	pushChildren := func(parent NodeID, depth int) {
-		start := len(stack)
-		for c := t.firstChild[parent]; c != None; c = t.nextSib[c] {
-			stack = append(stack, frame{c, depth})
-		}
-		// Reverse the appended run so the first child pops first.
-		for i, j := start, len(stack)-1; i < j; i, j = i+1, j-1 {
-			stack[i], stack[j] = stack[j], stack[i]
-		}
-	}
-	pushChildren(Root, 1)
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !fn(f.node, f.depth) {
-			return
-		}
-		pushChildren(f.node, f.depth+1)
-	}
-}
-
-// IsDescendant reports whether x is a descendant of y (or equal), using the
-// labels: x⊢ ∈ [y⊢, y⊣]. Requires Freeze.
-func (t *Trie) IsDescendant(x, y NodeID) bool {
-	return t.pre[x] >= t.pre[y] && t.pre[x] <= t.max[y]
-}
-
-// DocsInRange appends to out the document ids of every end node whose pre
-// label lies within [lo, hi]. Used by the final step of Algorithm 1
-// ("output document id lists of node v and all nodes under v"). The ids of
-// one node are appended in insertion order; nodes in arbitrary order.
-func (t *Trie) DocsInRange(lo, hi int32, out []int32) []int32 {
-	for n, ids := range t.docs {
-		if t.pre[n] >= lo && t.pre[n] <= hi {
-			out = append(out, ids...)
-		}
-	}
-	return out
+// End returns the i-th end node in pre-order and the ids of the documents
+// whose sequences end there, in insertion order.
+func (t *Trie) End(i int) (NodeID, []int32) {
+	return t.ends[i], t.docs[t.endOff[i]:t.endOff[i+1]]
 }

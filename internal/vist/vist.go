@@ -135,12 +135,12 @@ func (v *Index) Query(pat *query.Pattern) ([]int32, error) {
 func (v *Index) docsFor(inst query.Instance, children [][]int, node int, lo, hi int32) ([]int32, error) {
 	l := v.ix.Link(inst.Paths[node])
 	var union map[int32]bool
-	for k := l.LowerBound(lo, nil); k < l.Len() && l.Pre(k) <= hi; k++ {
+	for k := l.LowerBound(lo); k < l.Len() && l.Pre(k) <= hi; k++ {
 		pre, max := l.Pre(k), l.Max(k)
 		var docs []int32
 		if len(children[node]) == 0 {
 			var err error
-			if docs, err = v.ix.CollectDocs(pre, max, nil, nil); err != nil {
+			if docs, err = v.ix.CollectDocs(pre, max, nil); err != nil {
 				return nil, err
 			}
 		} else {

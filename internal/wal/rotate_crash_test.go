@@ -21,7 +21,7 @@ func TestRotateCrashBetweenRenameAndDirSync(t *testing.T) {
 	w, _ := mustOpen(t, path, Options{})
 	ctx := context.Background()
 	for i := 1; i <= 10; i++ {
-		if _, err := w.Append(ctx, []byte(fmt.Sprintf("entry-%d", i))); err != nil {
+		if _, err := appendNext(ctx, w, []byte(fmt.Sprintf("entry-%d", i))); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestResetStartsFreshLogAtBase(t *testing.T) {
 	w, _ := mustOpen(t, path, Options{})
 	ctx := context.Background()
 	for i := 1; i <= 5; i++ {
-		if _, err := w.Append(ctx, []byte(fmt.Sprintf("old-%d", i))); err != nil {
+		if _, err := appendNext(ctx, w, []byte(fmt.Sprintf("old-%d", i))); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestResetStartsFreshLogAtBase(t *testing.T) {
 	}
 
 	// Replication resumes right above the base.
-	if err := w.AppendRecord(ctx, 43, []byte("new-43")); err != nil {
+	if err := appendAt(ctx, w, 43, []byte("new-43")); err != nil {
 		t.Fatalf("append seq 43 after Reset: %v", err)
 	}
 	if err := w.Close(); err != nil {

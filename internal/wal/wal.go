@@ -217,39 +217,13 @@ func (w *WAL) syncLoop() {
 	}
 }
 
-// Append appends payload with the next sequence number (lastSeq+1) and
-// blocks until the entry is durable (or ctx ends); it returns the assigned
-// sequence number. This is the primary's insert path.
-func (w *WAL) Append(ctx context.Context, payload []byte) (uint64, error) {
-	w.mu.Lock()
-	seq := w.lastSeq + 1
-	if err := w.writeLocked(seq, payload); err != nil {
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.mu.Unlock()
-	return seq, w.WaitDurable(ctx, seq)
-}
-
-// AppendRecord appends payload under an explicit sequence number (which
-// must exceed every sequence number already in the log) and blocks until
-// durable. This is the follower's apply path: replicated entries keep the
-// primary's numbering verbatim.
-func (w *WAL) AppendRecord(ctx context.Context, seq uint64, payload []byte) error {
-	w.mu.Lock()
-	if err := w.writeLocked(seq, payload); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	w.mu.Unlock()
-	return w.WaitDurable(ctx, seq)
-}
-
-// WriteRecord appends payload under an explicit sequence number without
-// waiting for durability — the write half of AppendRecord, for callers
-// that hold their own lock across the write and want to wait outside it
-// (engine.Dynamic appends under its serving mutex and waits after
-// releasing it, so a slow fsync never blocks readers).
+// WriteRecord appends payload under an explicit sequence number (which
+// must exceed every sequence number already in the log) without waiting
+// for durability; WaitDurable is the wait. A caller holds its own lock
+// across the write and waits outside it: engine.Dynamic numbers and writes
+// an insert under its serving mutex and waits after releasing it, so a
+// slow fsync never blocks readers, and a follower writes replicated
+// entries under the primary's numbering verbatim.
 func (w *WAL) WriteRecord(seq uint64, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -29,6 +29,33 @@ func collectApply(into *[]replayed) func(uint64, []byte) error {
 	}
 }
 
+// appendMu numbers appendNext's entries: like engine.Dynamic's serving
+// mutex, it is held across choosing the sequence number and WriteRecord,
+// and released before the durability wait.
+var appendMu sync.Mutex
+
+// appendNext writes payload under the next sequence number and waits until
+// it is durable, returning the number — the insert path of engine.Dynamic.
+func appendNext(ctx context.Context, w *WAL, payload []byte) (uint64, error) {
+	appendMu.Lock()
+	seq := w.LastSeq() + 1
+	err := w.WriteRecord(seq, payload)
+	appendMu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	return seq, w.WaitDurable(ctx, seq)
+}
+
+// appendAt writes payload under seq and waits until it is durable — how a
+// follower applies a replicated entry.
+func appendAt(ctx context.Context, w *WAL, seq uint64, payload []byte) error {
+	if err := w.WriteRecord(seq, payload); err != nil {
+		return err
+	}
+	return w.WaitDurable(ctx, seq)
+}
+
 func tmpWAL(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "test.wal")
@@ -52,7 +79,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 1; i <= 5; i++ {
-		seq, err := w.Append(ctx, []byte(fmt.Sprintf("payload-%d", i)))
+		seq, err := appendNext(ctx, w, []byte(fmt.Sprintf("payload-%d", i)))
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
@@ -80,7 +107,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		}
 	}
 	// The log keeps appending where it left off.
-	seq, err := w2.Append(context.Background(), []byte("six"))
+	seq, err := appendNext(context.Background(), w2, []byte("six"))
 	if err != nil || seq != 6 {
 		t.Fatalf("resumed append = %d, %v", seq, err)
 	}
@@ -90,16 +117,16 @@ func TestAppendRecordExplicitSeqsAndGaps(t *testing.T) {
 	path := tmpWAL(t)
 	w, _ := mustOpen(t, path, Options{})
 	ctx := context.Background()
-	if err := w.AppendRecord(ctx, 5, []byte("five")); err != nil {
+	if err := appendAt(ctx, w, 5, []byte("five")); err != nil {
 		t.Fatalf("append seq 5: %v", err)
 	}
-	if err := w.AppendRecord(ctx, 9, []byte("nine")); err != nil {
+	if err := appendAt(ctx, w, 9, []byte("nine")); err != nil {
 		t.Fatalf("append seq 9 (gap): %v", err)
 	}
-	if err := w.AppendRecord(ctx, 9, []byte("dup")); err == nil {
+	if err := appendAt(ctx, w, 9, []byte("dup")); err == nil {
 		t.Fatal("duplicate seq accepted")
 	}
-	if err := w.AppendRecord(ctx, 3, []byte("backwards")); err == nil {
+	if err := appendAt(ctx, w, 3, []byte("backwards")); err == nil {
 		t.Fatal("regressing seq accepted")
 	}
 	w.Close()
@@ -151,7 +178,7 @@ func TestTornTailTruncatesByDefault(t *testing.T) {
 			t.Fatalf("cut %d: truncated %d bytes, want %d", cut, st.TruncatedBytes, cut-int64(len(whole)))
 		}
 		// The tear is gone from disk: appending and re-replaying is clean.
-		if _, err := w.Append(context.Background(), []byte("delta")); err != nil {
+		if _, err := appendNext(context.Background(), w, []byte("delta")); err != nil {
 			t.Fatalf("cut %d: post-recovery append: %v", cut, err)
 		}
 		w.Close()
@@ -250,7 +277,7 @@ func TestReplayIdempotentAcrossRepeatedCrashes(t *testing.T) {
 			t.Fatalf("cycle %d: replay = %+v, want last seq %d", cycle, st, wantSeq)
 		}
 		for i := 0; i < 2; i++ {
-			if _, err := w.Append(ctx, []byte(fmt.Sprintf("c%d-%d", cycle, i))); err != nil {
+			if _, err := appendNext(ctx, w, []byte(fmt.Sprintf("c%d-%d", cycle, i))); err != nil {
 				t.Fatal(err)
 			}
 			wantSeq++
@@ -297,7 +324,7 @@ func TestRotateDropsCheckpointedEntries(t *testing.T) {
 	w, _ := mustOpen(t, path, Options{})
 	ctx := context.Background()
 	for i := 1; i <= 10; i++ {
-		if _, err := w.Append(ctx, []byte(fmt.Sprintf("p%d", i))); err != nil {
+		if _, err := appendNext(ctx, w, []byte(fmt.Sprintf("p%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -327,7 +354,7 @@ func TestRotateDropsCheckpointedEntries(t *testing.T) {
 	}
 	// Appends continue past the rotation, and a reopen replays only the
 	// surviving suffix with the right base.
-	if _, err := w.Append(ctx, []byte("p11")); err != nil {
+	if _, err := appendNext(ctx, w, []byte("p11")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -347,14 +374,14 @@ func TestRotateDropsCheckpointedEntries(t *testing.T) {
 	if st := w2.Stats(); st.Entries != 0 || st.BaseSeq != 11 || st.LastSeq != 11 {
 		t.Fatalf("after full rotate: %+v", st)
 	}
-	if seq, err := w2.Append(context.Background(), []byte("p12")); err != nil || seq != 12 {
+	if seq, err := appendNext(context.Background(), w2, []byte("p12")); err != nil || seq != 12 {
 		t.Fatalf("append after full rotate = %d, %v", seq, err)
 	}
 }
 
 func TestRotateBeyondDurableWatermarkRefused(t *testing.T) {
 	w, _ := mustOpen(t, tmpWAL(t), Options{})
-	if _, err := w.Append(context.Background(), []byte("a")); err != nil {
+	if _, err := appendNext(context.Background(), w, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Rotate(99); err == nil {
@@ -366,7 +393,7 @@ func TestReadFramesBoundsAndEmpty(t *testing.T) {
 	w, _ := mustOpen(t, tmpWAL(t), Options{})
 	ctx := context.Background()
 	for i := 1; i <= 5; i++ {
-		if _, err := w.Append(ctx, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+		if _, err := appendNext(ctx, w, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,7 +434,7 @@ func TestGroupCommitWindowConcurrentAppends(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := w.Append(ctx, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+				if _, err := appendNext(ctx, w, []byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
 					errs <- err
 					return
 				}
@@ -449,7 +476,7 @@ func TestWaitSyncedLongPoll(t *testing.T) {
 		done <- w.WaitSynced(ctx, 1)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, err := w.Append(context.Background(), []byte("wake")); err != nil {
+	if _, err := appendNext(context.Background(), w, []byte("wake")); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -473,17 +500,17 @@ func TestCloseIdempotentAndUnblocksWaiters(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := w.Append(context.Background(), []byte("late")); !errors.Is(err, ErrClosed) {
+	if _, err := appendNext(context.Background(), w, []byte("late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close = %v", err)
 	}
 }
 
 func TestGroupCommitWindowDurableBeforeReturn(t *testing.T) {
 	// With a long window, Close's final sync is what makes entries
-	// durable; an Append must not outlive its durability wait wrongly.
+	// durable; an append must not outlive its durability wait wrongly.
 	path := tmpWAL(t)
 	w, _ := mustOpen(t, path, Options{SyncWindow: 3 * time.Millisecond})
-	seq, err := w.Append(context.Background(), []byte("windowed"))
+	seq, err := appendNext(context.Background(), w, []byte("windowed"))
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}

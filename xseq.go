@@ -234,8 +234,6 @@ type Config struct {
 	// index queries, which need priority-ordered sequencing, and cannot
 	// be persisted — snapshots reconstruct priorities from the schema).
 	Strategy string
-	// BulkLoad sorts sequences before insertion (faster for static data).
-	BulkLoad bool
 	// KeepDocuments retains the corpus, enabling QueryVerified.
 	KeepDocuments bool
 	// InstantiationLimit caps wildcard expansion per query (<= 0: 4096); a
@@ -307,7 +305,6 @@ type frozen interface {
 	NumDocuments() int
 	NumNodes() int
 	NumLinks() int
-	EstimatedDiskBytes() int64
 	Documents() []*xmltree.Document
 	Save(w io.Writer) error
 }
@@ -418,7 +415,6 @@ func buildPartition(ctx context.Context, inner []*xmltree.Document, cfg Config, 
 	ix, err := index.BuildContext(ctx, inner, index.Options{
 		Encoder:            enc,
 		Strategy:           strategy,
-		BulkLoad:           cfg.BulkLoad,
 		KeepDocuments:      cfg.KeepDocuments,
 		InstantiationLimit: cfg.InstantiationLimit,
 	})
@@ -612,11 +608,14 @@ func shapeStats(f frozen) Stats {
 		return Stats{}
 	}
 	st := Stats{
-		Documents:          f.NumDocuments(),
-		IndexNodes:         f.NumNodes(),
-		Links:              f.NumLinks(),
-		EstimatedDiskBytes: f.EstimatedDiskBytes(),
+		Documents:  f.NumDocuments(),
+		IndexNodes: f.NumNodes(),
+		Links:      f.NumLinks(),
 	}
+	// The paper's sizing formula for the disk-based index (Section 6.2):
+	// 4n + cN bytes, n records and N trie nodes, c ≈ 8. Summed over shards
+	// it is the same formula over the totals.
+	st.EstimatedDiskBytes = 4*int64(st.Documents) + 8*int64(st.IndexNodes)
 	if sh, ok := f.(*shard.Index); ok {
 		st.Shards = sh.NumShards()
 		st.PerShard = make([]ShardStats, st.Shards)
@@ -704,7 +703,6 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 		Strategy:      StrategyWeighted,
 		Weights:       weights,
 		KeepDocuments: true,
-		BulkLoad:      true,
 	}
 	if ix.flat {
 		cfg.Layout = LayoutFlat

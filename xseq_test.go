@@ -79,13 +79,15 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	ix := buildCorpus(t, Config{})
-	s := ix.Stats()
-	if s.Documents != 3 || s.IndexNodes == 0 || s.Links == 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.EstimatedDiskBytes != 4*3+8*int64(s.IndexNodes) {
-		t.Fatalf("disk bytes = %d", s.EstimatedDiskBytes)
+	for _, cfg := range []Config{{}, {Shards: 2}} {
+		ix := buildCorpus(t, cfg)
+		s := ix.Stats()
+		if s.Documents != 3 || s.IndexNodes == 0 || s.Links == 0 {
+			t.Fatalf("shards %d: stats = %+v", cfg.Shards, s)
+		}
+		if s.EstimatedDiskBytes != 4*3+8*int64(s.IndexNodes) {
+			t.Fatalf("shards %d: disk bytes = %d", cfg.Shards, s.EstimatedDiskBytes)
+		}
 	}
 }
 
@@ -186,17 +188,6 @@ func TestDocumentAccessors(t *testing.T) {
 	}
 	if _, err := ParseDocumentString(1, "not xml"); err == nil {
 		t.Fatal("bad xml should fail")
-	}
-}
-
-func TestBulkLoadConfig(t *testing.T) {
-	ix := buildCorpus(t, Config{BulkLoad: true})
-	got, err := ix.Query("//L[text='boston']")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("bulk-loaded query = %v", got)
 	}
 }
 
