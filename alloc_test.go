@@ -10,6 +10,7 @@ package xseq
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -359,6 +360,37 @@ func TestQueryAllocsNoCorpusScaling(t *testing.T) {
 	t.Logf("100 docs: %.1f allocs/op; 800 docs: %.1f allocs/op", small, big)
 	if big > small*1.5+8 {
 		t.Errorf("allocs scale with corpus: %.1f (100 docs) -> %.1f (800 docs)", small, big)
+	}
+}
+
+// TestFetchDocumentsNoCorpusScaling: fetching three documents looks each up
+// in its partition's id table, so the bytes a fetch allocates do not grow
+// with the corpus — on one partition or on shards.
+func TestFetchDocumentsNoCorpusScaling(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		measure := func(n int) float64 {
+			ix, err := Build(allocDocs(t, n), Config{KeepDocuments: true, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := []int32{0, int32(n / 2), int32(n - 1)}
+			if got, err := ix.FetchDocuments(ids); err != nil || len(got) != 3 {
+				t.Fatalf("%d docs: fetched %d of 3, %v", n, len(got), err)
+			}
+			const runs = 500
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				ix.FetchDocuments(ids)
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+		small, big := measure(50), measure(2000)
+		t.Logf("%d shards: 50 docs %.0f B/fetch; 2000 docs %.0f B/fetch", shards, small, big)
+		if big > 2*small {
+			t.Errorf("%d shards: fetch bytes scale with corpus: %.0f (50 docs) -> %.0f (2000 docs)", shards, small, big)
+		}
 	}
 }
 

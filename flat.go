@@ -76,7 +76,7 @@ func (ix *Index) singlePartition() (*flat.Index, error) {
 		if docs == nil {
 			return nil, fmt.Errorf("xseq: single-partition save of a sharded index requires Config.KeepDocuments (rebuilds one partition from the corpus): %w", ErrUnsupported)
 		}
-		enc := eng.Shard(0).Encoder()
+		enc := partitions(eng)[0].Encoder()
 		rebuilt, _, err := buildPartition(context.Background(), docs, Config{
 			ValueSpace:    enc.ValueSpace(),
 			TextValues:    enc.TextValues(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"xseq/internal/query"
 	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func TestDynamicBasics(t *testing.T) {
@@ -38,7 +40,7 @@ func TestDynamicBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("query across main+delta = %v", got)
 	}
 	// Compact and requery.
@@ -52,7 +54,7 @@ func TestDynamicBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got2, []int32{0, 1}) {
+	if !slices.Equal(got2, []int32{0, 1}) {
 		t.Fatalf("query after compact = %v", got2)
 	}
 }
@@ -153,7 +155,7 @@ func TestDynamicAutoCompact(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 7; i++ {
-		if err := d.Insert(&xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)}); err != nil {
+		if err := d.Insert(&xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,7 +227,7 @@ func TestDynamicQueryOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(ids, []int32{0, 1}) {
+	if !slices.Equal(ids, []int32{0, 1}) {
 		t.Fatalf("explain query = %v", ids)
 	}
 	if tr.Instances() < 2 || tr.LinkProbes() == 0 {
@@ -261,7 +263,7 @@ func TestQuickDynamicEquivalence(t *testing.T) {
 			var err error
 			switch op := r.Intn(16); {
 			case op < 9:
-				doc := &xmltree.Document{ID: int32(step), Root: randomTree(r, 4, 3)}
+				doc := &xmltree.Document{ID: int32(step), Root: xmltreetest.RandomTree(r, 4, 3)}
 				if err = d.Insert(doc); err == nil || errors.As(err, &ce) {
 					acked = append(acked, doc)
 					seq++
@@ -315,7 +317,7 @@ func checkDynamic(t *testing.T, r *rand.Rand, d *engine.Dynamic, acked []*xmltre
 	}
 	pats := []*query.Pattern{query.MustParse("//A"), query.MustParse("/R/*/B")}
 	if len(acked) > 0 {
-		pats = append(pats, query.FromTree(randomSubPattern(r, acked[r.Intn(len(acked))].Root)))
+		pats = append(pats, query.FromTree(xmltreetest.RandomSubPattern(r, acked[r.Intn(len(acked))].Root)))
 	}
 	var fresh engine.Engine
 	if len(acked) > 0 {
@@ -334,16 +336,16 @@ func checkDynamic(t *testing.T, r *rand.Rand, d *engine.Dynamic, acked []*xmltre
 				t.Fatal(err)
 			}
 		}
-		if truth := groundTruth(acked, pat, enc); !sameIDs(want, truth) {
+		if truth := groundTruth(acked, pat, enc); !slices.Equal(want, truth) {
 			t.Errorf("%s: fresh build %v, ground truth %v", pat, want, truth)
 		}
 		tr := telemetry.GetTrace()
 		got, err := d.QueryWithContext(telemetry.WithTrace(ctx, tr), pat, engine.QueryOptions{})
 		telemetry.PutTrace(tr)
-		if err != nil || !sameIDs(got, want) {
+		if err != nil || !slices.Equal(got, want) {
 			t.Errorf("%s: got %v (err %v), want %v", pat, got, err, want)
 		}
-		if got, err := d.QueryWithContext(ctx, pat, engine.QueryOptions{Verify: true}); err != nil || !sameIDs(got, wantVerified) {
+		if got, err := d.QueryWithContext(ctx, pat, engine.QueryOptions{Verify: true}); err != nil || !slices.Equal(got, wantVerified) {
 			t.Errorf("%s verified: got %v (err %v), want %v", pat, got, err, wantVerified)
 		}
 		max := 1 + r.Intn(3)

@@ -6,6 +6,7 @@ package engine_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // csBuilder infers a schema per build and returns a probability-strategy
@@ -76,7 +78,7 @@ func sameAnswers(t *testing.T, d *engine.Dynamic, docs []*xmltree.Document, pats
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s: got %v, fresh build over %d docs %v", pat, got, len(docs), want)
 		}
 	}
@@ -89,55 +91,6 @@ func mustBuild(t testing.TB, docs []*xmltree.Document) engine.Engine {
 		t.Fatal(err)
 	}
 	return e
-}
-
-func sameIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func randomTree(rng *rand.Rand, depth, fan int) *xmltree.Node {
-	return randomSubtree(rng, depth, fan, true)
-}
-
-func randomSubtree(rng *rand.Rand, depth, fan int, isRoot bool) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	var n *xmltree.Node
-	if isRoot {
-		// A fixed root label keeps corpora schema-inferable.
-		n = xmltree.NewElem("R")
-	} else {
-		n = xmltree.NewElem(labels[rng.Intn(len(labels))])
-	}
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomSubtree(rng, depth-1, fan, false))
-		}
-	}
-	return n
-}
-
-func randomSubPattern(rng *rand.Rand, t *xmltree.Node) *xmltree.Node {
-	p := &xmltree.Node{Name: t.Name, Value: t.Value, IsValue: t.IsValue}
-	for _, c := range t.Children {
-		if rng.Intn(2) == 0 {
-			p.Children = append(p.Children, randomSubPattern(rng, c))
-		}
-	}
-	return p
 }
 
 // canonicalPattern clones the pattern with values replaced by their hash
@@ -196,7 +149,7 @@ func largeCorpus(t testing.TB, n int) []*xmltree.Document {
 	rng := rand.New(rand.NewSource(31))
 	docs := make([]*xmltree.Document, n)
 	for i := range docs {
-		docs[i] = &xmltree.Document{ID: int32(i), Root: randomTree(rng, 5, 3)}
+		docs[i] = &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 5, 3)}
 	}
 	return docs
 }

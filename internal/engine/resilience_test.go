@@ -6,6 +6,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +63,7 @@ func TestDynamicCompactionFailureKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatalf("failed compaction changed answers: %v -> %v", before, after)
 	}
 
@@ -77,7 +78,7 @@ func TestDynamicCompactionFailureKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(before, final) {
+	if !slices.Equal(before, final) {
 		t.Fatalf("successful compaction changed answers: %v -> %v", before, final)
 	}
 }
@@ -231,7 +232,7 @@ func TestDynamicConcurrentFlakyCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("post-storm answers diverge: got %v want %v", got, want)
 	}
 }

@@ -27,6 +27,23 @@ func (ix *Index) Documents() []*xmltree.Document {
 	return docs
 }
 
+// Document returns the retained document with the given id, nil when the
+// corpus holds none, and whether a corpus is retained at all.
+func (ix *Index) Document(id int32) (*xmltree.Document, bool) {
+	_, byID, _ := ix.corpus()
+	if byID == nil {
+		return nil, false
+	}
+	if id < 0 || int(id) >= len(byID) {
+		return nil, true
+	}
+	return byID[id], true
+}
+
+// InstantiationLimit returns the cap on a query's wildcard instances the
+// index was built with (0: query.DefaultInstantiationLimit).
+func (ix *Index) InstantiationLimit() int { return ix.meta.InstantiationLimit }
+
 // Encoder returns the designator/path table.
 func (ix *Index) Encoder() *pathenc.Encoder { return ix.enc }
 

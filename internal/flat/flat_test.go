@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,18 +84,6 @@ func flatten(t testing.TB, ix *Index, opts Options) (*Index, []byte) {
 	return f, buf.Bytes()
 }
 
-func equalIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 var testQueries = map[string][]string{
 	"xmark": {
 		datagen.XMarkQ1,
@@ -145,7 +134,7 @@ func TestFlatEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: flat %s: %v", corpusName, q, err)
 			}
-			if !equalIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s: %s: flat %v, mono %v", corpusName, q, got, want)
 			}
 
@@ -157,7 +146,7 @@ func TestFlatEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: flat verified %s: %v", corpusName, q, err)
 			}
-			if !equalIDs(gotV, wantV) {
+			if !slices.Equal(gotV, wantV) {
 				t.Fatalf("%s: verified %s: flat %v, mono %v", corpusName, q, gotV, wantV)
 			}
 
@@ -167,7 +156,7 @@ func TestFlatEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: flat explain %s: %v", corpusName, q, err)
 			}
-			if !equalIDs(gotE, want) {
+			if !slices.Equal(gotE, want) {
 				t.Fatalf("%s: explain %s: ids %v, want %v", corpusName, q, gotE, want)
 			}
 
@@ -224,7 +213,7 @@ func TestFlatFileRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("NoMmap=%v %s: %v, want %v", noMmap, q, got, want)
 			}
 		}
@@ -286,7 +275,7 @@ func TestFlatReleaseEncodedHead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, err := f.QueryWithContext(ctx, pat, qo); err != nil || !equalIDs(got, want) {
+			if got, err := f.QueryWithContext(ctx, pat, qo); err != nil || !slices.Equal(got, want) {
 				t.Fatalf("%s (verify %v) = %v (%v), want %v", q, qo.Verify, got, err, want)
 			}
 		}

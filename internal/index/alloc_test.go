@@ -3,11 +3,13 @@ package index
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // The steady-state query path is built to be allocation-free: the per-query
@@ -24,7 +26,7 @@ func allocCorpus(t testing.TB, n int, seed int64) (*Index, []*xmltree.Document) 
 	rng := rand.New(rand.NewSource(seed))
 	var docs []*xmltree.Document
 	for i := 0; i < n; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	return buildCS(t, docs, Options{KeepDocuments: true}), docs
 }
@@ -132,7 +134,7 @@ func TestScratchPoolConcurrentQueries(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !sameIDs(got, want[ii][qi]) {
+				if !slices.Equal(got, want[ii][qi]) {
 					t.Errorf("goroutine %d: index %d query %d diverged", g, ii, qi)
 					return
 				}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func TestCheckInvariantsHealthy(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var docs []*xmltree.Document
 	for i := 0; i < 50; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
 	if err := ix.CheckInvariants(); err != nil {

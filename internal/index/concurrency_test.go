@@ -2,11 +2,13 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // Queries on a frozen index are read-only and safe to run concurrently
@@ -17,7 +19,7 @@ func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var docs []*xmltree.Document
 	for i := 0; i < 100; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
 
@@ -52,7 +54,7 @@ func TestConcurrentQueries(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !sameIDs(got, want[qi]) {
+				if !slices.Equal(got, want[qi]) {
 					t.Errorf("goroutine %d: query %d diverged", g, qi)
 					return
 				}
@@ -92,7 +94,7 @@ func TestConcurrentTextQueries(t *testing.T) {
 			for k := 0; k < 100; k++ {
 				qi := (g + k) % len(queries)
 				got, err := ix.Query(queries[qi])
-				if err != nil || !sameIDs(got, want[qi]) {
+				if err != nil || !slices.Equal(got, want[qi]) {
 					t.Errorf("goroutine %d: query %d diverged (%v)", g, qi, err)
 					return
 				}

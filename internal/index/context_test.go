@@ -12,6 +12,7 @@ import (
 	"xseq/internal/schema"
 	"xseq/internal/sequence"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // largeCorpus builds a corpus big enough that a full scan takes measurable
@@ -21,7 +22,7 @@ func largeCorpus(t testing.TB, n int) []*xmltree.Document {
 	rng := rand.New(rand.NewSource(31))
 	docs := make([]*xmltree.Document, n)
 	for i := range docs {
-		docs[i] = &xmltree.Document{ID: int32(i), Root: randomTree(rng, 5, 3)}
+		docs[i] = &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 5, 3)}
 	}
 	return docs
 }

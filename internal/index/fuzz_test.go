@@ -11,6 +11,7 @@ import (
 
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // savedStream builds a small index and returns its Save stream.
@@ -19,7 +20,7 @@ func savedStream(t testing.TB) []byte {
 	rng := rand.New(rand.NewSource(11))
 	var docs []*xmltree.Document
 	for i := 0; i < 8; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 3, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 3, 3)})
 	}
 	docs = append(docs, &xmltree.Document{ID: 8, Root: xmltree.Figure1()})
 	ix := buildCS(t, docs, Options{})

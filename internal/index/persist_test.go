@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xseq/internal/pager"
@@ -11,6 +12,7 @@ import (
 	"xseq/internal/query"
 	"xseq/internal/sequence"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func newTestPool(t *testing.T) *pager.Pool {
@@ -35,7 +37,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var docs []*xmltree.Document
 	for i := 0; i < 60; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
 	back := saveLoad(t, ix)
@@ -64,7 +66,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("query %s: loaded %v want %v", q, got, want)
 		}
 	}
@@ -78,7 +80,7 @@ func TestSaveLoadWithDocuments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0}) {
+	if !slices.Equal(got, []int32{0}) {
 		t.Fatalf("verified query after load = %v", got)
 	}
 }
@@ -93,7 +95,7 @@ func TestSaveLoadTextValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0, 1, 3}) {
+	if !slices.Equal(got, []int32{0, 1, 3}) {
 		t.Fatalf("prefix query after load = %v", got)
 	}
 }
@@ -135,7 +137,7 @@ func TestLoadedIndexPaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("paged loaded query = %v", got)
 	}
 	if back.PagerStats().Reads == 0 {

@@ -3,11 +3,13 @@ package index
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"xseq/internal/query"
 	"xseq/internal/telemetry"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // traced answers q on ix under qo with a trace on the context and returns
@@ -30,7 +32,7 @@ func TestQueryStatsCounters(t *testing.T) {
 	}
 	ix := buildCS(t, docs, Options{})
 	got, st := traced(t, ix, "//L[text='boston']", QueryOptions{})
-	if !sameIDs(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("results = %v", got)
 	}
 	if st.Instances() == 0 || st.Orders() == 0 {
@@ -66,7 +68,7 @@ func TestMaxResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var docs []*xmltree.Document
 	for i := 0; i < 80; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
 	pat := query.MustParse("//A")
@@ -99,7 +101,7 @@ func TestMaxResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(loose, all) {
+	if !slices.Equal(loose, all) {
 		t.Fatal("loose limit changed answers")
 	}
 }
@@ -108,7 +110,7 @@ func TestMaxResultsReducesWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var docs []*xmltree.Document
 	for i := 0; i < 300; i++ {
-		docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(rng, 4, 3)})
+		docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(rng, 4, 3)})
 	}
 	ix := buildCS(t, docs, Options{})
 	_, full := traced(t, ix, "//B", QueryOptions{})

@@ -2,24 +2,14 @@ package pathindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
-
-func sameIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func TestBuildErrors(t *testing.T) {
 	docs := []*xmltree.Document{
@@ -43,7 +33,7 @@ func TestSimplePathNoVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("got %v", got)
 	}
 	st := ix.LastStats()
@@ -64,7 +54,7 @@ func TestValuePathLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0}) {
+	if !slices.Equal(got, []int32{0}) {
 		t.Fatalf("got %v", got)
 	}
 	none, err := ix.Query(query.MustParse("/P/D/L[text='zurich']"))
@@ -90,7 +80,7 @@ func TestBranchingVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{1}) {
+	if !slices.Equal(got, []int32{1}) {
 		t.Fatalf("got %v want [1]", got)
 	}
 	if ix.LastStats().Verified == 0 {
@@ -117,7 +107,7 @@ func TestWildcardAndDescendantExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(got, c.want) {
+		if !slices.Equal(got, c.want) {
 			t.Fatalf("%s: got %v want %v", c.q, got, c.want)
 		}
 	}
@@ -140,45 +130,13 @@ func TestDataGuideSize(t *testing.T) {
 	}
 }
 
-func randomTree(rng *rand.Rand, depth, fan int, isRoot bool) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	var n *xmltree.Node
-	if isRoot {
-		n = xmltree.NewElem("R")
-	} else {
-		n = xmltree.NewElem(labels[rng.Intn(len(labels))])
-	}
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomTree(rng, depth-1, fan, false))
-		}
-	}
-	return n
-}
-
-func randomSubPattern(rng *rand.Rand, t *xmltree.Node) *xmltree.Node {
-	p := &xmltree.Node{Name: t.Name, Value: t.Value, IsValue: t.IsValue}
-	for _, c := range t.Children {
-		if rng.Intn(2) == 0 {
-			p.Children = append(p.Children, randomSubPattern(rng, c))
-		}
-	}
-	return p
-}
-
 func TestQuickPathIndexEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(1010))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
 		var docs []*xmltree.Document
 		for i := 0; i < 10; i++ {
-			docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(r, 4, 3, true)})
+			docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(r, 4, 3)})
 		}
 		ix, err := Build(docs)
 		if err != nil {
@@ -186,13 +144,13 @@ func TestQuickPathIndexEquivalence(t *testing.T) {
 		}
 		for k := 0; k < 4; k++ {
 			src := docs[r.Intn(len(docs))].Root
-			pat := query.FromTree(randomSubPattern(r, src))
+			pat := query.FromTree(xmltreetest.RandomSubPattern(r, src))
 			want := query.Eval(docs, pat)
 			got, err := ix.Query(pat)
 			if err != nil {
 				return false
 			}
-			if !sameIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Logf("mismatch for %s: got %v want %v", pat, got, want)
 				return false
 			}

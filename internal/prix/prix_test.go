@@ -2,24 +2,14 @@ package prix
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
-
-func sameIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func TestBuildErrors(t *testing.T) {
 	docs := []*xmltree.Document{
@@ -59,7 +49,7 @@ func TestFilterThenRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{1}) {
+	if !slices.Equal(got, []int32{1}) {
 		t.Fatalf("got %v want [1]", got)
 	}
 	st := ix.LastStats()
@@ -72,7 +62,7 @@ func TestFilterThenRefine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got2, []int32{0}) {
+	if !slices.Equal(got2, []int32{0}) {
 		t.Fatalf("got %v want [0]", got2)
 	}
 }
@@ -89,7 +79,7 @@ func TestWildcardWeakensFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0, 1}) {
+	if !slices.Equal(got, []int32{0, 1}) {
 		t.Fatalf("got %v want [0 1]", got)
 	}
 }
@@ -103,7 +93,7 @@ func TestValueQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0}) {
+	if !slices.Equal(got, []int32{0}) {
 		t.Fatalf("got %v", got)
 	}
 	none, err := ix.Query(query.MustParse("//N[text='nope']"))
@@ -119,45 +109,13 @@ func TestValueQueries(t *testing.T) {
 	}
 }
 
-func randomTree(rng *rand.Rand, depth, fan int, isRoot bool) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	var n *xmltree.Node
-	if isRoot {
-		n = xmltree.NewElem("R")
-	} else {
-		n = xmltree.NewElem(labels[rng.Intn(len(labels))])
-	}
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomTree(rng, depth-1, fan, false))
-		}
-	}
-	return n
-}
-
-func randomSubPattern(rng *rand.Rand, t *xmltree.Node) *xmltree.Node {
-	p := &xmltree.Node{Name: t.Name, Value: t.Value, IsValue: t.IsValue}
-	for _, c := range t.Children {
-		if rng.Intn(2) == 0 {
-			p.Children = append(p.Children, randomSubPattern(rng, c))
-		}
-	}
-	return p
-}
-
 func TestQuickPrixEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
 		var docs []*xmltree.Document
 		for i := 0; i < 10; i++ {
-			docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(r, 4, 3, true)})
+			docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(r, 4, 3)})
 		}
 		ix, err := Build(docs)
 		if err != nil {
@@ -165,13 +123,13 @@ func TestQuickPrixEquivalence(t *testing.T) {
 		}
 		for k := 0; k < 4; k++ {
 			src := docs[r.Intn(len(docs))].Root
-			pat := query.FromTree(randomSubPattern(r, src))
+			pat := query.FromTree(xmltreetest.RandomSubPattern(r, src))
 			want := query.Eval(docs, pat)
 			got, err := ix.Query(pat)
 			if err != nil {
 				return false
 			}
-			if !sameIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Logf("mismatch for %s: got %v want %v", pat, got, want)
 				return false
 			}

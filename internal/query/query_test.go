@@ -2,12 +2,14 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func TestMatchesTreePaperQuery(t *testing.T) {
@@ -144,12 +146,14 @@ func TestInstantiateDescendant(t *testing.T) {
 	if len(insts2) != 1 {
 		t.Fatalf("instances = %d want 1", len(insts2))
 	}
-	if got := enc.PathString(insts2[0].Paths[1]); got != "P.D.U.N" {
-		t.Fatalf("N path = %q", got)
+	// The levels the step skips are nodes of the instance, so it is a tree
+	// of child steps, sequenced as a document is.
+	var got []string
+	for _, p := range insts2[0].Paths {
+		got = append(got, enc.PathString(p))
 	}
-	// Intermediate elements are NOT materialized in the instance.
-	if len(insts2[0].Paths) != 2 {
-		t.Fatalf("instance should have 2 nodes, got %d", len(insts2[0].Paths))
+	if !slices.Equal(got, []string{"P", "P.D", "P.D.U", "P.D.U.N"}) || !slices.Equal(insts2[0].Parent, []int{-1, 0, 1, 2}) {
+		t.Fatalf("/P//N instance = %v, parents %v", got, insts2[0].Parent)
 	}
 }
 
@@ -210,8 +214,8 @@ func TestQuickGroundTruthAgreesWithEmbeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
-		doc := randomTree(r, 4, 3)
-		pat := randomSubPattern(r, doc)
+		doc := xmltreetest.RandomSubtree(r, 4, 3)
+		pat := xmltreetest.RandomSubPattern(r, doc)
 		p := FromTree(pat)
 		if !p.MatchesTree(doc) {
 			t.Logf("extracted pattern did not match: doc=%v pat=%v", doc, pat)
@@ -227,31 +231,4 @@ func TestQuickGroundTruthAgreesWithEmbeds(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func randomTree(rng *rand.Rand, depth, fan int) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	n := xmltree.NewElem(labels[rng.Intn(len(labels))])
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomTree(rng, depth-1, fan))
-		}
-	}
-	return n
-}
-
-func randomSubPattern(rng *rand.Rand, t *xmltree.Node) *xmltree.Node {
-	p := &xmltree.Node{Name: t.Name, Value: t.Value, IsValue: t.IsValue}
-	for _, c := range t.Children {
-		if rng.Intn(2) == 0 {
-			p.Children = append(p.Children, randomSubPattern(rng, c))
-		}
-	}
-	return p
 }

@@ -9,6 +9,7 @@ import (
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // names renders a sequence as dot-joined path strings for readable asserts.
@@ -425,23 +426,6 @@ func TestAllStrategiesRoundTripFixtures(t *testing.T) {
 	}
 }
 
-func randomTree(rng *rand.Rand, depth, fan int) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	n := xmltree.NewElem(labels[rng.Intn(len(labels))])
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomTree(rng, depth-1, fan))
-		}
-	}
-	return n
-}
-
 // Property: every strategy's output is a valid constraint sequence that
 // decodes back to the (value-canonicalized) input tree, even with many
 // identical siblings.
@@ -451,7 +435,7 @@ func TestQuickStrategiesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
-		tree := randomTree(r, 5, 3)
+		tree := xmltreetest.RandomSubtree(r, 5, 3)
 		want := CanonicalizeValues(tree, enc)
 		for _, g := range strategies {
 			seq := g.Sequence(tree)
@@ -482,7 +466,7 @@ func TestQuickAncestorsFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
-		tree := randomTree(r, 4, 3)
+		tree := xmltreetest.RandomSubtree(r, 4, 3)
 		for _, g := range strategies {
 			seq := g.Sequence(tree)
 			seenDepth1 := false

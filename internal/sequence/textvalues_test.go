@@ -8,6 +8,7 @@ import (
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func TestTextEncodeChains(t *testing.T) {
@@ -71,7 +72,7 @@ func TestQuickTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
-		tree := randomTree(r, 4, 3)
+		tree := xmltreetest.RandomSubtree(r, 4, 3)
 		want := CanonicalizeValues(tree, enc)
 		for _, g := range strategies {
 			seq := g.Sequence(tree)

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,7 +46,7 @@ func checkEqualAnswers(t *testing.T, want, got *Index) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if !sameIDs(a, b) {
+		if !slices.Equal(a, b) {
 			t.Fatalf("%s: reloaded %v, original %v", q, b, a)
 		}
 	}

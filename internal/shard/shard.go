@@ -248,6 +248,21 @@ func (s *Index) Documents() []*xmltree.Document {
 	return out
 }
 
+// Document is flat.Index.Document over the shards: the shard that owns id
+// looks it up.
+func (s *Index) Document(id int32) (*xmltree.Document, bool) {
+	if sh := s.shards[ShardOf(id, s.seed, len(s.shards))]; sh != nil {
+		return sh.Document(id)
+	}
+	for _, sh := range s.shards {
+		if sh != nil {
+			_, kept := sh.Document(-1)
+			return nil, kept
+		}
+	}
+	return nil, false
+}
+
 // Query answers a tree-pattern query across all shards; it is QueryContext
 // with context.Background().
 func (s *Index) Query(pat *query.Pattern) ([]int32, error) {

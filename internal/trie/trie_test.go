@@ -9,7 +9,7 @@ import (
 
 	"xseq/internal/pathenc"
 	"xseq/internal/sequence"
-	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 // figure7Paths interns p1..p10 designators for the Figure 7 example.
@@ -262,7 +262,7 @@ func TestQuickLabelInvariants(t *testing.T) {
 		tr := New()
 		prefixes := map[string]bool{}
 		for d := 0; d < 10; d++ {
-			tree := randomTree(r, 4, 3)
+			tree := xmltreetest.RandomSubtree(r, 4, 3)
 			seq := df.Sequence(tree)
 			tr.Insert(seq, int32(d))
 			key := ""
@@ -292,19 +292,6 @@ func TestQuickLabelInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func randomTree(rng *rand.Rand, depth, fan int) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	n := xmltree.NewElem(labels[rng.Intn(len(labels))])
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		n.Children = append(n.Children, randomTree(rng, depth-1, fan))
-	}
-	return n
 }
 
 // refTrie is the insertion trie the sorted build replaced: Insert descends

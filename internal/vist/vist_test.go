@@ -2,12 +2,14 @@ package vist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/xmltree"
+	"xseq/internal/xmltreetest"
 )
 
 func build(t testing.TB, docs []*xmltree.Document) *Index {
@@ -17,18 +19,6 @@ func build(t testing.TB, docs []*xmltree.Document) *Index {
 		t.Fatal(err)
 	}
 	return ix
-}
-
-func sameIDs(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestBuildRequiresEncoder(t *testing.T) {
@@ -61,7 +51,7 @@ func TestBranchingQueryJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0}) {
+	if !slices.Equal(got, []int32{0}) {
 		t.Fatalf("got %v", got)
 	}
 	if ix.LastStats().JoinedDocSets == 0 {
@@ -75,41 +65,9 @@ func TestSimplePathNoJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameIDs(got, []int32{0}) {
+	if !slices.Equal(got, []int32{0}) {
 		t.Fatalf("got %v", got)
 	}
-}
-
-func randomTree(rng *rand.Rand, depth, fan int, isRoot bool) *xmltree.Node {
-	labels := []string{"A", "B", "C"}
-	var n *xmltree.Node
-	if isRoot {
-		n = xmltree.NewElem("R")
-	} else {
-		n = xmltree.NewElem(labels[rng.Intn(len(labels))])
-	}
-	if depth <= 1 {
-		return n
-	}
-	k := rng.Intn(fan + 1)
-	for i := 0; i < k; i++ {
-		if rng.Intn(6) == 0 {
-			n.Children = append(n.Children, xmltree.NewValue(labels[rng.Intn(len(labels))]))
-		} else {
-			n.Children = append(n.Children, randomTree(rng, depth-1, fan, false))
-		}
-	}
-	return n
-}
-
-func randomSubPattern(rng *rand.Rand, t *xmltree.Node) *xmltree.Node {
-	p := &xmltree.Node{Name: t.Name, Value: t.Value, IsValue: t.IsValue}
-	for _, c := range t.Children {
-		if rng.Intn(2) == 0 {
-			p.Children = append(p.Children, randomSubPattern(rng, c))
-		}
-	}
-	return p
 }
 
 // Property: ViST answers agree exactly with the ground truth (after its
@@ -121,18 +79,18 @@ func TestQuickVistEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed ^ rng.Int63()))
 		var docs []*xmltree.Document
 		for i := 0; i < 10; i++ {
-			docs = append(docs, &xmltree.Document{ID: int32(i), Root: randomTree(r, 4, 3, true)})
+			docs = append(docs, &xmltree.Document{ID: int32(i), Root: xmltreetest.RandomTree(r, 4, 3)})
 		}
 		ix := build(t, docs)
 		for k := 0; k < 4; k++ {
 			src := docs[r.Intn(len(docs))].Root
-			pat := query.FromTree(randomSubPattern(r, src))
+			pat := query.FromTree(xmltreetest.RandomSubPattern(r, src))
 			want := query.Eval(docs, pat)
 			got, err := ix.Query(pat)
 			if err != nil {
 				return false
 			}
-			if !sameIDs(got, want) {
+			if !slices.Equal(got, want) {
 				t.Logf("mismatch for %s: got %v want %v", pat, got, want)
 				return false
 			}

@@ -306,6 +306,7 @@ type frozen interface {
 	NumNodes() int
 	NumLinks() int
 	Documents() []*xmltree.Document
+	Document(id int32) (*xmltree.Document, bool)
 	Save(w io.Writer) error
 }
 
@@ -645,19 +646,16 @@ func (ix *Index) SchemaOutline() (string, error) {
 }
 
 // FetchDocuments returns the stored documents for the given ids (in input
-// order, skipping unknown ids). Requires Config.KeepDocuments.
+// order, skipping unknown ids), each looked up in its partition's id table.
+// Requires Config.KeepDocuments.
 func (ix *Index) FetchDocuments(ids []int32) ([]*Document, error) {
-	stored := ix.base.Documents()
-	if stored == nil {
+	// Document ids are non-negative, so -1 asks only whether a corpus is kept.
+	if _, kept := ix.base.Document(-1); !kept {
 		return nil, fmt.Errorf("xseq: FetchDocuments requires Config.KeepDocuments")
-	}
-	byID := make(map[int32]*xmltree.Document, len(stored))
-	for _, d := range stored {
-		byID[d.ID] = d
 	}
 	out := make([]*Document, 0, len(ids))
 	for _, id := range ids {
-		if d, ok := byID[id]; ok {
+		if d, _ := ix.base.Document(id); d != nil {
 			out = append(out, &Document{id: d.ID, root: d.Root})
 		}
 	}
@@ -688,10 +686,10 @@ func (ix *Index) StoredDocuments() ([]*Document, error) {
 // query with byte-identical results (weights change sequencing *order*,
 // never answers); what changes is the trie shape: frequently-queried paths
 // sequence earlier, sharing longer prefixes and shortening their match
-// ranges. The rebuild preserves the index's value encoding, shard count,
-// and layout; unknown weight paths are skipped (an online-derived vector
-// may name paths this corpus lacks). Requires Config.KeepDocuments at
-// build time. The receiving index is untouched and keeps serving — swap
+// ranges. The rebuild preserves the index's value encoding, instantiation
+// limit, shard count, and layout; unknown weight paths are skipped (an
+// online-derived vector may name paths this corpus lacks). Requires
+// Config.KeepDocuments at build time. The receiving index is untouched and keeps serving — swap
 // the result in (e.g. via a Swapper) once it is ready.
 func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]float64) (_ *Index, err error) {
 	defer guard(&err)
@@ -707,15 +705,16 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 	if ix.flat {
 		cfg.Layout = LayoutFlat
 	}
-	switch e := ix.base.(type) {
-	case *flat.Index:
-		cfg.ValueSpace, cfg.TextValues = e.Encoder().ValueSpace(), e.Encoder().TextValues()
-	case *shard.Index:
-		enc := e.Shard(0).Encoder()
-		cfg.ValueSpace, cfg.TextValues = enc.ValueSpace(), enc.TextValues()
-		cfg.Shards = e.NumShards()
-	default:
+	// Every partition encodes values and caps instances alike; a shard may
+	// be empty, so read the first partition that holds documents.
+	parts := partitions(ix.base)
+	if len(parts) == 0 {
 		return nil, fmt.Errorf("xseq: resequencing rebuild on layout %q: %w", ix.Layout(), ErrUnsupported)
+	}
+	enc := parts[0].Encoder()
+	cfg.ValueSpace, cfg.TextValues, cfg.InstantiationLimit = enc.ValueSpace(), enc.TextValues(), parts[0].InstantiationLimit()
+	if sh, ok := ix.base.(*shard.Index); ok {
+		cfg.Shards = sh.NumShards()
 	}
 	out, err := BuildContext(ctx, docs, cfg)
 	if err != nil {
@@ -738,8 +737,8 @@ func (ix *Index) persistable() error {
 			name = s.Name()
 		}
 	case *shard.Index:
-		if e.NumShards() > 0 {
-			if s := e.Shard(0).Strategy(); s != nil {
+		if parts := partitions(e); len(parts) > 0 {
+			if s := parts[0].Strategy(); s != nil {
 				name = s.Name()
 			}
 		}
@@ -1482,23 +1481,6 @@ type IOStats struct {
 	DiskAccesses int64
 }
 
-// pagedEngine is the capability a layout must have for page-level I/O
-// accounting: one page image, as every single-partition index has.
-type pagedEngine interface {
-	AttachPager(*pager.Pool) (int64, error)
-	DetachPager()
-	PagerStats() pager.Stats
-	ResetPagerStats()
-	DropPagerCache()
-}
-
-// pagedEngine returns the paged-I/O capability of the underlying engine,
-// nil when the layout has none.
-func (ix *Index) pagedEngine() pagedEngine {
-	pe, _ := ix.base.(pagedEngine)
-	return pe
-}
-
 // EnablePagedIO starts counting disk accesses behind a buffer pool of
 // poolPages 4 KiB pages (<= 0: 256) and returns the image's page count.
 // Queries charge the real pages of the XSEQFLAT image: a pool at least as
@@ -1508,18 +1490,18 @@ func (ix *Index) pagedEngine() pagedEngine {
 // single-index instrument; layouts without one page image (sharded
 // indexes) return an error wrapping ErrUnsupported.
 func (ix *Index) EnablePagedIO(poolPages int) (int64, error) {
-	pe := ix.pagedEngine()
-	if pe == nil {
+	f, ok := ix.base.(*flat.Index)
+	if !ok {
 		return 0, fmt.Errorf("xseq: paged I/O accounting on a sharded index: %w", ErrUnsupported)
 	}
 	ix.pool = pager.NewPool(poolPages)
-	return pe.AttachPager(ix.pool)
+	return f.AttachPager(ix.pool)
 }
 
 // DisablePagedIO stops I/O accounting.
 func (ix *Index) DisablePagedIO() {
-	if pe := ix.pagedEngine(); pe != nil {
-		pe.DetachPager()
+	if f, ok := ix.base.(*flat.Index); ok {
+		f.DetachPager()
 	}
 	ix.pool = nil
 }
@@ -1527,24 +1509,24 @@ func (ix *Index) DisablePagedIO() {
 // IO returns the I/O counters accumulated since EnablePagedIO (or the last
 // ResetIO).
 func (ix *Index) IO() IOStats {
-	pe := ix.pagedEngine()
-	if pe == nil {
+	f, ok := ix.base.(*flat.Index)
+	if !ok {
 		return IOStats{}
 	}
-	s := pe.PagerStats()
+	s := f.PagerStats()
 	return IOStats{Reads: s.Reads, Hits: s.Hits, DiskAccesses: s.Misses}
 }
 
 // ResetIO zeroes the I/O counters, keeping the buffer pool warm.
 func (ix *Index) ResetIO() {
-	if pe := ix.pagedEngine(); pe != nil {
-		pe.ResetPagerStats()
+	if f, ok := ix.base.(*flat.Index); ok {
+		f.ResetPagerStats()
 	}
 }
 
 // DropIOCache empties the buffer pool (cold-cache measurements).
 func (ix *Index) DropIOCache() {
-	if pe := ix.pagedEngine(); pe != nil {
-		pe.DropPagerCache()
+	if f, ok := ix.base.(*flat.Index); ok {
+		f.DropPagerCache()
 	}
 }

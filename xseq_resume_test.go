@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func sameAnswers(t *testing.T, what string, got interface {
 			if err != nil {
 				t.Fatalf("%s: %s: %v", what, q, err)
 			}
-			if !equalIDSlices(g, w) {
+			if !slices.Equal(g, w) {
 				t.Fatalf("%s: %s (verified %v) = %v, rebuilt index answers %v", what, q, verified, g, w)
 			}
 		}
