@@ -74,9 +74,9 @@ func (ix *Index) QueryWithContext(ctx context.Context, pat *query.Pattern, qo en
 	if limit <= 0 {
 		limit = query.DefaultInstantiationLimit
 	}
-	insts := pat.InstantiateScratch(ix.enc, ix.ci, limit+1, &scr.inst)
-	if len(insts) > limit {
-		return nil, &query.TooBroadError{Limit: limit, Reached: len(insts)}
+	insts, whole := pat.InstantiateScratch(ix.enc, ix.ci, limit, &scr.inst)
+	if !whole {
+		return nil, &query.TooBroadError{Limit: limit, Reached: limit + 1}
 	}
 	res := resultSet{scr: scr, ids: scr.ids[:0], maxID: maxID, limit: qo.MaxResults, cnt: cnt, pager: pg, ctx: ctx}
 	if cnt != nil {

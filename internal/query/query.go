@@ -371,11 +371,13 @@ func (e *TooBroadError) Is(target error) bool { return target == ErrQueryTooBroa
 // the interned path table, returning concrete instances. A value leaf
 // resolves through the encoder's value hash. Instances whose required paths
 // are absent from the table are pruned (they can match no document). A
-// limit <= 0 uses DefaultInstantiationLimit. Steady-state callers use
-// InstantiateScratch instead, which reuses the working buffers.
+// limit <= 0 uses DefaultInstantiationLimit; at most limit instances are
+// returned. Steady-state callers use InstantiateScratch instead, which
+// reuses the working buffers and reports whether the list is whole.
 func (p *Pattern) Instantiate(enc *pathenc.Encoder, ci *pathenc.ChildIndex, limit int) []Instance {
 	var scr Scratch
-	return p.InstantiateScratch(enc, ci, limit, &scr)
+	insts, _ := p.InstantiateScratch(enc, ci, limit, &scr)
+	return insts
 }
 
 // instTree is a concrete subtree: node path plus child subtrees.
