@@ -19,7 +19,9 @@ import (
 	"xseq/internal/pathenc"
 	"xseq/internal/query"
 	"xseq/internal/schema"
+	"xseq/internal/sequence"
 	"xseq/internal/telemetry"
+	"xseq/internal/xmltree"
 )
 
 // Completeness of the identical-sibling remedy (§3, Fig 5): a query must try
@@ -148,9 +150,9 @@ func TestQueryTooBroadEveryConstructor(t *testing.T) {
 }
 
 // TestQueryTooBroadNotPartial: /r[//e][//e][//e] spells out three implied
-// a levels, which r's a children may read in five ways, two of them
-// alike. Past a limit of 3 the query fails; it does not answer from the
-// first readings, which lack a(e,e,e) and dismiss document 0.
+// a levels, which r's a children may read in three distinct ways. Past a
+// limit of 2 the query fails; it does not answer from the first readings,
+// which lack a(e,e,e) and dismiss document 0.
 func TestQueryTooBroadNotPartial(t *testing.T) {
 	const q = "/r[//e][//e][//e]"
 	var docs []*Document
@@ -161,14 +163,67 @@ func TestQueryTooBroadNotPartial(t *testing.T) {
 		}
 		docs = append(docs, d)
 	}
-	for _, c := range everyConstructor(t, docs, Config{InstantiationLimit: 3}, defaultSchedule(len(docs)), 0) {
+	for _, c := range everyConstructor(t, docs, Config{InstantiationLimit: 2}, defaultSchedule(len(docs)), 0) {
 		if ids, err := c.q.Query(q); !errors.Is(err, ErrQueryTooBroad) || ids != nil {
-			t.Fatalf("%s: %s at limit 3 = %v, %v; want ErrQueryTooBroad", c.name, q, ids, err)
+			t.Fatalf("%s: %s at limit 2 = %v, %v; want ErrQueryTooBroad", c.name, q, ids, err)
 		}
 	}
 	for _, c := range everyConstructor(t, docs, Config{}, defaultSchedule(len(docs)), 0) {
 		if ids, err := c.q.Query(q); err != nil || !slices.Equal(ids, []int32{0, 1}) {
 			t.Fatalf("%s: %s = %v, %v; want [0 1]", c.name, q, ids, err)
+		}
+	}
+}
+
+// parseDocs parses srcs as documents 0, 1, ...
+func parseDocs(t *testing.T, srcs ...string) []*Document {
+	t.Helper()
+	docs := make([]*Document, len(srcs))
+	for i, src := range srcs {
+		d, err := ParseDocumentString(int32(i), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = d
+	}
+	return docs
+}
+
+// TestSpelledReadingsDistinct: k //e steps under /r, over documents whose
+// only e path is r/a/e, spell out k implied a levels. Readings that differ
+// only by which e went to which a are one, so there is one per integer
+// partition of k: 7 for five steps, 22 for eight, where the set partitions
+// (52 and 4,140) would pass the default limit. Every constructor answers
+// as the tree-pattern match does.
+func TestSpelledReadingsDistinct(t *testing.T) {
+	docs := parseDocs(t,
+		"<r><a><e/><e/><e/><e/><e/><e/><e/><e/></a></r>",
+		"<r><a><e/><e/><e/></a><a><e/><e/><e/><e/><e/></a></r>",
+		"<r><a><e/><e/></a><a><e/></a></r>",
+		"<r><a/><a><e/><e/><e/><e/><e/></a></r>",
+		"<r><a><e/></a><a><e/><e/><e/><e/><e/><e/></a></r>")
+	var raw []*xmltree.Document
+	for _, d := range docs {
+		raw = append(raw, &xmltree.Document{ID: d.id, Root: d.root})
+	}
+	ix, err := Build(docs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := everyConstructor(t, docs, Config{}, defaultSchedule(len(docs)), 0)
+	for _, c := range []struct{ k, instances int }{{5, 7}, {8, 22}} {
+		q := "/r" + strings.Repeat("[//e]", c.k)
+		want := query.Eval(raw, query.MustParse(q))
+		if len(want) == 0 || len(want) == len(docs) {
+			t.Fatalf("%s: tree-pattern match %v separates no documents", q, want)
+		}
+		if _, ex, err := ix.QueryExplain(q); err != nil || ex.Instances != c.instances {
+			t.Fatalf("%s: %d instances, %v; want %d", q, ex.Instances, err, c.instances)
+		}
+		for _, con := range cons {
+			if ids, err := con.q.Query(q); err != nil || !slices.Equal(ids, want) {
+				t.Fatalf("%s: %s = %v, %v; want %v", con.name, q, ids, err, want)
+			}
 		}
 	}
 }
@@ -186,10 +241,11 @@ type oldFlatMeta struct {
 	KeptDocs              bool
 }
 
-// withOldMeta rewrites a flat snapshot so that its META carries the retired
-// OrderEnumerationLimit, re-laying the sections as the format prescribes
-// (header, section table, header CRC, 8-aligned payloads).
-func withOldMeta(t *testing.T, snap []byte, limit int) []byte {
+// withOldMeta rewrites a flat snapshot's META as edit leaves it — with the
+// retired OrderEnumerationLimit, or the repeat list older snapshots carried
+// — re-laying the sections as the format prescribes (header, section
+// table, header CRC, 8-aligned payloads).
+func withOldMeta(t *testing.T, snap []byte, edit func(*oldFlatMeta)) []byte {
 	t.Helper()
 	const bulkBase, tableOff, rowLen, sections, metaID = 176, 24, 24, 6, 4
 	le := binary.LittleEndian
@@ -203,7 +259,7 @@ func withOldMeta(t *testing.T, snap []byte, limit int) []byte {
 	if err := gob.NewDecoder(bytes.NewReader(payloads[metaID])).Decode(&meta); err != nil {
 		t.Fatal(err)
 	}
-	meta.OrderEnumerationLimit = limit
+	edit(&meta)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&meta); err != nil {
 		t.Fatal(err)
@@ -241,7 +297,7 @@ func TestOldMetaSnapshotOpens(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	old := withOldMeta(t, buf.Bytes(), 64)
+	old := withOldMeta(t, buf.Bytes(), func(m *oldFlatMeta) { m.OrderEnumerationLimit = 64 })
 	path := filepath.Join(t.TempDir(), "old.idx")
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
@@ -275,6 +331,90 @@ func TestOldMetaSnapshotOpens(t *testing.T) {
 		for name, x := range map[string]*Index{"Load": loaded, "LoadFile": mapped} {
 			if got, err := x.Query(q); err != nil || !slices.Equal(got, want) {
 				t.Fatalf("%s %s = %v, %v; want %v", name, q, got, err, want)
+			}
+		}
+	}
+}
+
+// withRepeatList rewrites a snapshot's META as it was written before the
+// schema decided blocking: with the corpus repeat list, and with no value
+// slot repeats in the schema, which Infer did not record then.
+func withRepeatList(t *testing.T, snap []byte, roots []*xmltree.Node) []byte {
+	t.Helper()
+	fl, err := flat.OpenBytes(snap, flat.Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var repeat []pathenc.PathID
+	for p := range sequence.RepeatPaths(roots, fl.Encoder()) {
+		repeat = append(repeat, p)
+	}
+	slices.Sort(repeat)
+	if len(repeat) == 0 {
+		t.Fatal("the corpus repeats no path")
+	}
+	var clearSlots func(n *schema.Node)
+	clearSlots = func(n *schema.Node) {
+		if n.IsValue {
+			n.MaxRepeat = 0
+		}
+		for _, c := range n.Children {
+			clearSlots(c)
+		}
+	}
+	return withOldMeta(t, snap, func(m *oldFlatMeta) {
+		m.Repeat = repeat
+		clearSlots(m.Schema)
+	})
+}
+
+// TestRepeatListSnapshots: a snapshot written before the schema decided
+// blocking lists the paths its data blocked. An element-only one opens and
+// answers as the index it was saved from. A text-mode one over mixed
+// content lists a first character two values share, which its schema does
+// not let repeat: it answers alike too, or fails to open with a
+// *CorruptError that says to rebuild — never differently.
+func TestRepeatListSnapshots(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		docs    []*Document
+		cfg     Config
+		queries []string
+		mayFail bool
+	}{
+		{"element-only", probeDocs(t), Config{}, []string{probeQuery, "/r/a/x", "//a[z]", "/r[a/x][a/y]"}, false},
+		{"text mixed content", parseDocs(t, "<r><a>ab<b/>ac</a></r>", "<r><a>ac</a><c/></r>", "<r><a>ba<b/>ab</a></r>", "<r><a>ab</a><a>ac<b/></a></r>"),
+			Config{TextValues: true}, []string{"//a", "/r/a[b]", "/r/a[text='ab']", "/r/a[text='ac'][b]", "/r/a[text='ab'][text='ac']"}, true},
+	} {
+		ix, err := Build(c.docs, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ix.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		roots := make([]*xmltree.Node, len(c.docs))
+		for i, d := range c.docs {
+			roots[i] = d.root
+		}
+		old := withRepeatList(t, buf.Bytes(), roots)
+		loaded, err := Load(bytes.NewReader(old))
+		var ce *CorruptError
+		if err != nil {
+			if !c.mayFail || !errors.As(err, &ce) || !strings.Contains(err.Error(), "rebuild") {
+				t.Fatalf("%s: Load: %v", c.name, err)
+			}
+			t.Logf("%s: %v", c.name, err)
+			continue
+		}
+		for _, q := range c.queries {
+			want, err := ix.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := loaded.Query(q); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: %s = %v, %v; want %v", c.name, q, got, err, want)
 			}
 		}
 	}

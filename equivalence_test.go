@@ -681,7 +681,6 @@ func checkDecode(t *testing.T, oc oracleCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.(sequence.RepeatAware).SetRepeatPaths(sequence.RepeatPaths(roots, enc))
 		strategies = append(strategies, st)
 	}
 	for _, d := range oc.docs {

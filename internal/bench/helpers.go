@@ -27,18 +27,12 @@ func trieNodeCount(docs []*xmltree.Document, st sequence.Strategy) int {
 }
 
 // strategySet builds the four strategies of Figure 14 over one encoder.
-func strategySet(sch *schema.Schema, enc *pathenc.Encoder, docs []*xmltree.Document, seed int64) []sequence.Strategy {
-	cs := sequence.NewProbability(sch, enc)
-	roots := make([]*xmltree.Node, len(docs))
-	for i, d := range docs {
-		roots[i] = d.Root
-	}
-	cs.SetRepeatPaths(sequence.RepeatPaths(roots, enc))
+func strategySet(sch *schema.Schema, enc *pathenc.Encoder, seed int64) []sequence.Strategy {
 	return []sequence.Strategy{
 		sequence.NewRandom(enc, seed),
 		sequence.BreadthFirst{Enc: enc},
 		sequence.DepthFirst{Enc: enc},
-		cs,
+		sequence.NewProbability(sch, enc),
 	}
 }
 

@@ -37,7 +37,7 @@ func figure14(cfg Config, id string, params datagen.SynthParams) ([]*Table, erro
 		return nil, err
 	}
 	enc := pathenc.NewEncoder(0)
-	strategies := strategySet(sch, enc, docs, cfg.Seed+1)
+	strategies := strategySet(sch, enc, cfg.Seed+1)
 
 	t := &Table{
 		ID:    id,
@@ -99,7 +99,7 @@ func Figure15(cfg Config) ([]*Table, error) {
 			return nil, err
 		}
 		enc := pathenc.NewEncoder(0)
-		strategies := strategySet(sch, enc, docs, cfg.Seed+1)
+		strategies := strategySet(sch, enc, cfg.Seed+1)
 		df := trieNodeCount(docs, strategies[2])
 		cs := trieNodeCount(docs, strategies[3])
 		t.AddRow(i, df, cs, float64(cs)/float64(df))
@@ -141,7 +141,7 @@ func xmarkSizeTable(cfg Config, id string, identical bool, paperRecords []int) (
 		Header: []string{"records", "nodes", "DF", "CS", "CS/DF"},
 	}
 	enc := pathenc.NewEncoder(0)
-	strategies := strategySet(sch, enc, docs, cfg.Seed+1)
+	strategies := strategySet(sch, enc, cfg.Seed+1)
 	dfSeqs := make([]sequence.Sequence, len(docs))
 	csSeqs := make([]sequence.Sequence, len(docs))
 	for i, d := range docs {
@@ -181,7 +181,7 @@ func CompressionRatios(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	enc := pathenc.NewEncoder(0)
-	strategies := strategySet(sch, enc, docs, cfg.Seed+1)
+	strategies := strategySet(sch, enc, cfg.Seed+1)
 	// A compressed document stores roughly one two-byte designator per
 	// node (Section 6.2 calls each sequence "a compressed XML document");
 	// the index costs 4n + 8N bytes against that.

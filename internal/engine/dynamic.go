@@ -28,8 +28,8 @@ import (
 // every segment into a fresh main engine. The Builder decides the layout of
 // every sub-engine — a sharded Builder gives updatable indexes parallel
 // compaction rebuilds — and each sub-engine carries its own sequencing
-// state (schema statistics and repeat set are per-build), so query
-// equivalence holds on every part independently.
+// state (its schema, which decides priorities and blocking, is
+// per-build), so query equivalence holds on every part independently.
 //
 // Dynamic is safe for concurrent use; Insert and Query may interleave. No
 // Builder call runs under the serving lock: a build works on a snapshot of

@@ -44,7 +44,7 @@ func corpus(t testing.TB, name string, n int) []*xmltree.Document {
 }
 
 // buildMono builds an index over docs the way index.BuildContext does:
-// g_best over the inferred schema and the corpus repeat set.
+// g_best over the inferred schema.
 func buildMono(t testing.TB, docs []*xmltree.Document, keep bool) *Index {
 	t.Helper()
 	roots := make([]*xmltree.Node, len(docs))
@@ -57,7 +57,6 @@ func buildMono(t testing.TB, docs []*xmltree.Document, keep bool) *Index {
 	}
 	enc := pathenc.NewEncoder(0)
 	st := sequence.NewProbability(sch, enc)
-	st.SetRepeatPaths(sequence.RepeatPaths(roots, enc))
 	tr := trie.New()
 	h := Head{Enc: enc, Strategy: st, NumDocs: len(docs)}
 	for _, d := range docs {

@@ -46,7 +46,7 @@
 //	             count zigzag varints (the first id, then deltas). A range
 //	             scan binary searches the directory and decodes at most
 //	             endsBlockSize-1 entries before the range starts.
-//	META (4)     gob(flatMeta): schema, repeat set, corpus bounds, options.
+//	META (4)     gob(flatMeta): schema, corpus bounds, options.
 //	DICT (5)     gob(pathenc.Snapshot): the designator/path table.
 //	DOCS (6)     gob([]*xmltree.Document), empty unless the corpus was
 //	             kept. Decoded on first use, preserving O(dictionary) open.

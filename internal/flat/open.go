@@ -81,14 +81,16 @@ type Index struct {
 }
 
 // flatMeta is the META section: everything Open needs besides the
-// dictionary to rebuild the query machinery (schema → g_best strategy,
-// repeat set, options), plus the corpus bounds. It is O(dictionary), never
-// O(corpus).
+// dictionary to rebuild the query machinery (schema → g_best strategy and
+// its blocking, options), plus the corpus bounds. It is O(dictionary),
+// never O(corpus).
 //
 // Snapshots written before the identical-sibling order cap was retired also
 // carry an OrderEnumerationLimit field; gob skips it.
 type flatMeta struct {
-	Schema             *schema.Node
+	Schema *schema.Node
+	// Repeat is only read: snapshots written before the schema decided
+	// blocking list the paths their data blocked (see Open).
 	Repeat             []pathenc.PathID
 	NumDocs            int
 	MaxDocID           int32
@@ -285,11 +287,17 @@ func (ix *Index) init(opts Options) error {
 		return &CorruptError{Reason: "flat: invalid schema", Err: err}
 	}
 	prob := sequence.NewProbability(sch, enc)
-	repeat := make(map[pathenc.PathID]bool, len(ix.meta.Repeat))
+	// The rule blocks the listed element paths of a schema Infer drew from
+	// the same corpus. Such schemas record no value slot repeats, so only
+	// a listed first character two text values shared can lack it, and a
+	// query sequenced without it could dismiss matches. Blocking a hashed
+	// value, a leaf, orders nothing.
 	for _, p := range ix.meta.Repeat {
-		repeat[p] = true
+		if enc.Parent(p) == pathenc.InvalidPath || enc.SymbolKind(enc.LastSymbol(p)) != pathenc.KindValue && !prob.Blocks(p) {
+			return corrupt("snapshot lists repeat path %d, which the schema does not block; rebuild it", p)
+		}
 	}
-	prob.SetRepeatPaths(repeat)
+	ix.meta.Repeat = nil
 	ix.enc, ix.ci, ix.strategy, ix.prio = enc, enc.BuildChildIndex(), prob, prob
 
 	if err := ix.initLinks(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 
 	"xseq/internal/engine"
 	"xseq/internal/sequence"
@@ -59,10 +58,6 @@ func (ix *Index) encodeHead() (meta, dict, docs []byte, err error) {
 	}
 	m := ix.meta
 	m.Schema, m.KeptDocs = sch.Root, len(ix.docs) > 0
-	for p := range prob.RepeatPaths() {
-		m.Repeat = append(m.Repeat, p)
-	}
-	slices.Sort(m.Repeat)
 	var bufs [3]bytes.Buffer
 	if err := gob.NewEncoder(&bufs[0]).Encode(&m); err != nil {
 		return nil, nil, nil, fmt.Errorf("flat: encode meta: %w", err)

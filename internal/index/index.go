@@ -9,10 +9,12 @@
 //     labels of all trie nodes with that path encoding, in ascending n⊢
 //     order, binary searchable (Figures 8/9).
 //
-// This package sequences the corpus into a trie, whose Freeze does the
-// first two steps; flat.Build does Path Linking, laying the labels, links
-// and doc-id lists out in the one frozen representation, XSEQFLAT, which
-// internal/flat's Algorithm 1 queries in place. An Index is therefore a
+// This package sequences the corpus into a trie in one pass over the
+// documents (the strategy's schema, not a scan, decides which paths
+// block), and the trie's Freeze does the first two steps; flat.Build does
+// Path Linking, laying the labels, links and doc-id lists out in the one
+// frozen representation, XSEQFLAT, which internal/flat's Algorithm 1
+// queries in place. An Index is therefore a
 // flat.Index, whether built here or loaded from a snapshot.
 package index
 
@@ -77,15 +79,6 @@ func BuildContext(ctx context.Context, docs []*xmltree.Document, opts Options) (
 	}
 	if opts.Strategy == nil {
 		return nil, fmt.Errorf("index: Options.Strategy is required")
-	}
-	// Pre-scan: install the corpus repeat set so data and query sequencing
-	// block the same paths (see sequence.RepeatAware).
-	if ra, ok := opts.Strategy.(sequence.RepeatAware); ok {
-		roots := make([]*xmltree.Node, len(docs))
-		for i, d := range docs {
-			roots[i] = d.Root
-		}
-		ra.SetRepeatPaths(sequence.RepeatPaths(roots, opts.Encoder))
 	}
 	h := flat.Head{
 		Enc:                opts.Encoder,

@@ -158,9 +158,9 @@ func TestInstantiateDescendantMatchesWalk(t *testing.T) {
 
 // TestInstantiateSpelledReadingsWhole: an instance list reported whole is
 // every instance there is. The three //e steps of /r[//e][//e][//e] over
-// r/a/e spell out three implied a levels, read in five ways, two of them
-// alike: a limit of 4 holds the four distinct instances, a smaller one is
-// not whole. In /r[//*//*][//*//*], different instances spell out alike
+// r/a/e spell out three implied a levels, which five set partitions read,
+// three of them alike up to which e went to which a: a limit of 3 holds
+// the three distinct instances, a smaller one is not whole. In /r[//*//*][//*//*], different instances spell out alike
 // (r/a over r/a/b/c and r/a/b over r/a/b/c both read a(b(c))), so
 // instantiation that stopped at the limit before deduplication is not
 // whole either, though fewer than limit instances remain.
@@ -174,7 +174,7 @@ func TestInstantiateSpelledReadingsWhole(t *testing.T) {
 		q       string
 		wholeAt int // the smallest whole limit, or 0 for no pin
 	}{
-		{xmltree.NewElem("r", xmltree.NewElem("a", xmltree.NewElem("e"))), "/r[//e][//e][//e]", 4},
+		{xmltree.NewElem("r", xmltree.NewElem("a", xmltree.NewElem("e"))), "/r[//e][//e][//e]", 3},
 		{chain, "/r[//*//*][//*//*]", 0},
 	} {
 		enc, ci := corpusEncoder(c.doc)

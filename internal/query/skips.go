@@ -1,7 +1,10 @@
 package query
 
 import (
+	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 
 	"xseq/internal/pathenc"
 )
@@ -81,9 +84,12 @@ func spellOut(enc *pathenc.Encoder, root pathenc.PathID, forest []instTree, limi
 
 // resolve returns the ways of reading a sibling list: partitions of it into
 // blocks of one path that hold at most one node of each origin, every block
-// one node over its members' children, which are read in turn. Different
-// partitions may read alike. It returns false when there are more than
-// limit partitions or readings, rather than some of them.
+// one node over its members' children, which are read in turn. Partitions
+// that differ only by interchanging nodes of one class (see classes) read
+// alike, so it keeps one of them: k //e steps over r/a/e give one reading
+// per integer partition of k, not one per set partition. Other partitions
+// may still read alike. It returns false when there are more than limit
+// partitions or readings, rather than some of them.
 func resolve(kids []*snode, limit int) ([][]*snode, bool) {
 	parts := [][][]*snode{{}}
 	if !sharesPath(kids) {
@@ -92,15 +98,30 @@ func resolve(kids []*snode, limit int) ([][]*snode, bool) {
 		}
 		kids = nil
 	}
+	class := classes(kids)
 	for _, v := range kids {
 		var next [][][]*snode
+		var seen map[string]bool
+		if class != nil {
+			seen = map[string]bool{}
+		}
+		keep := func(p [][]*snode) {
+			if seen != nil {
+				k := partKey(p, class)
+				if seen[k] {
+					return
+				}
+				seen[k] = true
+			}
+			next = append(next, p)
+		}
 		for _, p := range parts {
-			next = append(next, append(slices.Clone(p), []*snode{v}))
+			keep(append(slices.Clone(p), []*snode{v}))
 			for i, b := range p {
 				if b[0].path == v.path && (v.origin < 0 || !slices.ContainsFunc(b, func(n *snode) bool { return n.origin == v.origin })) {
 					q := slices.Clone(p)
 					q[i] = append(slices.Clone(b), v)
-					next = append(next, q)
+					keep(q)
 				}
 			}
 			if len(next) > limit {
@@ -135,6 +156,84 @@ func resolve(kids []*snode, limit int) ([][]*snode, bool) {
 		}
 	}
 	return out, true
+}
+
+// classes numbers kids so that two share a number exactly when one may
+// stand in for the other, its subtree mapped onto the other's, in every
+// partition: they have one shape. It returns nil, allocating nothing,
+// when no partitions can be alike: no two kids share a path and an
+// origin, or no two may share a block.
+func classes(kids []*snode) map[*snode]int {
+	anyPair := func(f func(k, o *snode) bool) bool {
+		for i, k := range kids {
+			for _, o := range kids[i+1:] {
+				if k.path == o.path && f(k, o) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !anyPair(func(k, o *snode) bool { return k.origin == o.origin }) ||
+		!anyPair(func(k, o *snode) bool { return k.origin < 0 || k.origin != o.origin }) {
+		return nil
+	}
+	class := make(map[*snode]int, len(kids))
+	first := map[string]int{}
+	for i, k := range kids {
+		s := string(shape(nil, k, -1))
+		if _, ok := first[s]; !ok {
+			first[s] = i
+		}
+		class[k] = first[s]
+	}
+	return class
+}
+
+// shape appends to b a key of n's subtree: its path, its origin, and its
+// children's shapes in sorted order. An origin is written as the node's
+// own when it is anc, the nearest pattern node above n inside the subtree
+// (a pattern node's id is private to it), and as itself otherwise.
+func shape(b []byte, n *snode, anc int) []byte {
+	b = strconv.AppendInt(b, int64(n.path), 10)
+	switch {
+	case n.origin < 0:
+		b = append(b, 'i')
+	case n.origin == anc:
+		b = append(b, 'p')
+	default:
+		b = strconv.AppendInt(append(b, 'o'), int64(n.origin), 10)
+	}
+	if n.origin >= 0 {
+		anc = n.id
+	}
+	kids := make([]string, len(n.kids))
+	for i, k := range n.kids {
+		kids[i] = string(shape(nil, k, anc))
+	}
+	slices.Sort(kids)
+	b = append(b, '(')
+	for _, k := range kids {
+		b = append(append(b, k...), ',')
+	}
+	return append(b, ')')
+}
+
+// partKey is a key two partitions share when they differ only by
+// interchanging nodes of one class: the sorted list of their blocks'
+// sorted class lists.
+func partKey(p [][]*snode, class map[*snode]int) string {
+	blocks := make([]string, len(p))
+	for i, b := range p {
+		cs := make([]int, len(b))
+		for j, n := range b {
+			cs[j] = class[n]
+		}
+		slices.Sort(cs)
+		blocks[i] = fmt.Sprint(cs)
+	}
+	slices.Sort(blocks)
+	return strings.Join(blocks, "")
 }
 
 // sharesPath reports whether two of kids have one path.

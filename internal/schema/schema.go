@@ -49,7 +49,8 @@ type Node struct {
 
 	// MinRepeat/MaxRepeat instantiate identical sibling nodes: given that
 	// the node occurs, a document contains between MinRepeat and MaxRepeat
-	// copies (uniformly). Both default to 1 when 0.
+	// copies (uniformly). Both default to 1 when 0. On a value slot
+	// MaxRepeat is the most values one element holds; Generate draws one.
 	MinRepeat, MaxRepeat int
 
 	Children []*Node
@@ -335,9 +336,11 @@ func (s *Schema) String() string {
 const UnknownDecay = 1e-4
 
 // Model maps interned PathIDs to p'(C|root) priorities for the g_best
-// strategy. It memoizes per PathID and resolves paths against the schema by
-// element names; value designators resolve to the parent element's value
-// slot, with the per-value probability PRoot·w/ValueRange.
+// strategy, and to whether they block: whether the schema node a path
+// resolves to may repeat (MaxRepeat > 1). It memoizes per PathID and
+// resolves paths against the schema by element names; value designators
+// (and a text value's first character) resolve to the parent element's
+// value slot, with the per-value probability PRoot·w/ValueRange.
 //
 // Model is safe for concurrent use: the memoization caches are guarded, so
 // concurrent queries can prioritize paths freely. Mutating the underlying
@@ -347,8 +350,14 @@ type Model struct {
 	schema *Schema
 	enc    *pathenc.Encoder
 	mu     sync.Mutex
-	cache  map[pathenc.PathID]float64
+	cache  map[pathenc.PathID]rank
 	nodes  map[pathenc.PathID]*Node // element paths -> schema node
+}
+
+// rank is a path's memoized priority and blocking.
+type rank struct {
+	prio   float64
+	blocks bool
 }
 
 // NewModel builds a priority model binding schema probabilities to enc's
@@ -358,7 +367,7 @@ func NewModel(s *Schema, enc *pathenc.Encoder) *Model {
 	return &Model{
 		schema: s,
 		enc:    enc,
-		cache:  map[pathenc.PathID]float64{pathenc.EmptyPath: 1},
+		cache:  map[pathenc.PathID]rank{pathenc.EmptyPath: {prio: 1}},
 		nodes:  map[pathenc.PathID]*Node{},
 	}
 }
@@ -369,50 +378,53 @@ func (m *Model) Schema() *Schema { return m.schema }
 // Priority returns p'(p|root) for an interned path. Unknown paths decay by
 // UnknownDecay per unknown step.
 func (m *Model) Priority(p pathenc.PathID) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.priorityLocked(p)
+	prio, _ := m.Rank(p)
+	return prio
 }
 
-func (m *Model) priorityLocked(p pathenc.PathID) float64 {
-	if pr, ok := m.cache[p]; ok {
-		return pr
+// Rank returns Priority(p) and whether p blocks, in one lookup.
+func (m *Model) Rank(p pathenc.PathID) (prio float64, blocks bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := m.rankLocked(p)
+	return r.prio, r.blocks
+}
+
+func (m *Model) rankLocked(p pathenc.PathID) rank {
+	if r, ok := m.cache[p]; ok {
+		return r
 	}
 	parent := m.enc.Parent(p)
 	if parent == pathenc.InvalidPath {
-		return 0
+		return rank{}
 	}
-	parentPr := m.priorityLocked(parent)
+	parentPr := m.rankLocked(parent).prio
 	sym := m.enc.LastSymbol(p)
-	var pr float64
+	var sn *Node
 	switch m.enc.SymbolKind(sym) {
 	case pathenc.KindElement:
-		sn := m.resolveElement(parent, p, m.enc.SymbolName(sym))
-		if sn != nil {
-			pr = sn.PRoot * sn.EffectiveWeight()
-		} else {
-			pr = parentPr * UnknownDecay
-		}
+		sn = m.resolveElement(parent, p, m.enc.SymbolName(sym))
 	case pathenc.KindValue, pathenc.KindChar:
 		// The parent path is the owning element; its value slot carries the
 		// slot probability, divided by the value range for one value.
 		if en := m.nodeFor(parent); en != nil {
-			if slot := en.ValueSlot(); slot != nil {
-				pr = slot.PRoot * slot.EffectiveWeight() / float64(slot.EffectiveValueRange())
-			} else {
-				pr = parentPr * UnknownDecay
-			}
-		} else {
-			pr = parentPr * UnknownDecay
+			sn = en.ValueSlot()
 		}
-	default: // wildcard or unknown kinds never occur in data sequences
-		pr = parentPr * UnknownDecay
 	}
-	if pr <= 0 {
-		pr = math.SmallestNonzeroFloat64
+	// Paths off the schema decay; wildcards and unknown kinds never occur
+	// in data sequences.
+	r := rank{prio: parentPr * UnknownDecay}
+	if sn != nil {
+		r = rank{prio: sn.PRoot * sn.EffectiveWeight(), blocks: sn.maxRepeat() > 1}
+		if sn.IsValue {
+			r.prio /= float64(sn.EffectiveValueRange())
+		}
 	}
-	m.cache[p] = pr
-	return pr
+	if r.prio <= 0 {
+		r.prio = math.SmallestNonzeroFloat64
+	}
+	m.cache[p] = r
+	return r
 }
 
 func (m *Model) nodeFor(p pathenc.PathID) *Node {
@@ -545,9 +557,11 @@ func (n *Node) DrawValue(rng *rand.Rand) string {
 //	p(C|parent) = (#parent instances with ≥1 C child) / (#parent instances)
 //
 // and records the observed maximum sibling multiplicity as MaxRepeat. Value
-// slots get the observed distinct-value count as ValueRange. A sample mixing
-// several record root names infers one schema per type, grouped under a
-// forest root weighted by the types' sample frequencies.
+// slots get the observed distinct-value count as ValueRange, and the most
+// values one instance holds as MaxRepeat when that is above 1 (mixed
+// content). A sample mixing several record root names infers one schema
+// per type, grouped under a forest root weighted by the types' sample
+// frequencies.
 func Infer(docs []*xmltree.Node) (*Schema, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("schema: cannot infer from empty sample")
@@ -582,6 +596,7 @@ func inferSingle(docs []*xmltree.Node) (*Schema, error) {
 		instances   int            // occurrences of this schema node
 		parentsWith map[string]int // child name -> #instances having >=1 such child
 		valueWith   int            // #instances having a value child
+		maxValues   int            // most value children under one instance
 		values      map[string]int // distinct values observed
 		maxRepeat   map[string]int // child name -> max multiplicity under one parent
 	}
@@ -600,19 +615,20 @@ func inferSingle(docs []*xmltree.Node) (*Schema, error) {
 		st := getStat(key)
 		st.instances++
 		childCount := map[string]int{}
-		hasValue := false
+		values := 0
 		for _, c := range n.Children {
 			if c.IsValue {
-				hasValue = true
+				values++
 				st.values[c.Value]++
 				continue
 			}
 			childCount[c.Name]++
 			walk(c, key+"/"+c.Name)
 		}
-		if hasValue {
+		if values > 0 {
 			st.valueWith++
 		}
+		st.maxValues = max(st.maxValues, values)
 		for name, cnt := range childCount {
 			st.parentsWith[name]++
 			if cnt > st.maxRepeat[name] {
@@ -635,12 +651,16 @@ func inferSingle(docs []*xmltree.Node) (*Schema, error) {
 			return n
 		}
 		if st.valueWith > 0 {
-			n.Children = append(n.Children, &Node{
+			slot := &Node{
 				IsValue:    true,
 				PCond:      float64(st.valueWith) / float64(st.instances),
 				ValueRange: len(st.values),
 				Values:     sortedKeys(st.values),
-			})
+			}
+			if st.maxValues > 1 { // mixed content
+				slot.MaxRepeat = st.maxValues
+			}
+			n.Children = append(n.Children, slot)
 		}
 		names := sortedKeys(st.parentsWith)
 		for _, cn := range names {

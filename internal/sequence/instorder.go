@@ -16,23 +16,13 @@ import (
 // priority are order-compatible, which is what lets Algorithm 1 match them
 // by one linear pass.
 
-// Prioritizer scores interned paths; higher scores sequence earlier. The
-// probability strategy's model implements it (p'(C|root)).
+// Prioritizer ranks interned paths: higher priorities sequence earlier,
+// and a path blocks when the data-side sequencer emits its subtrees as
+// contiguous blocks (the paths that may repeat). Query instances get the
+// same blocking, keeping query order compatible with data order. The
+// probability strategy implements it (p'(C|root) and its schema's rule).
 type Prioritizer interface {
-	Priority(p pathenc.PathID) float64
-}
-
-// Blocker reports paths whose subtrees the data-side sequencer emits as
-// contiguous blocks (repeat-capable paths). A Prioritizer that also
-// implements Blocker gets the same blocking applied to query instances,
-// keeping query order compatible with data order.
-type Blocker interface {
-	Blocks(p pathenc.PathID) bool
-}
-
-// Priority implements Prioritizer for the g_best strategy.
-func (s *Probability) Priority(p pathenc.PathID) float64 {
-	return s.Model.Priority(p)
+	Rank(p pathenc.PathID) (prio float64, blocks bool)
 }
 
 // Plan is a query instance's f2 sequence with the order of its
@@ -65,11 +55,16 @@ type Plan struct {
 	// Build's inputs and working set.
 	paths        []pathenc.PathID
 	parents      []int
-	blocker      Blocker
 	kidOff, kids []int32 // children in index order; node n is the virtual root
 	lead         []int32 // first member of the node's group, -1 outside groups
-	prio         []float64
+	rank         []pathRank
 	cand         []int32 // candidate lists of the open blocks, as a stack
+}
+
+// pathRank is a node's Prioritizer answer.
+type pathRank struct {
+	prio   float64
+	blocks bool
 }
 
 // PlanOp is one step of a plan: a plain element (Group -1), group Group's
@@ -95,8 +90,7 @@ func (pl *Plan) Build(paths []pathenc.PathID, parents []int, prio Prioritizer) {
 	pl.Ops, pl.Groups, pl.Members, pl.Classes = pl.Ops[:0], pl.Groups[:0], pl.Members[:0], pl.Classes[:0]
 	pl.Len, pl.Orders = n, 1
 	pl.paths, pl.parents = paths, parents
-	pl.blocker, _ = prio.(Blocker)
-	defer func() { pl.paths, pl.parents, pl.blocker = nil, nil, nil }()
+	defer func() { pl.paths, pl.parents = nil, nil }()
 	// Children as one index-ordered array; roots hang off virtual node n.
 	pl.kidOff = slices.Grow(pl.kidOff[:0], n+3)[:n+3]
 	clear(pl.kidOff)
@@ -116,10 +110,10 @@ func (pl *Plan) Build(paths []pathenc.PathID, parents []int, prio Prioritizer) {
 	// pairwise scan: sibling lists are query-sized, so the quadratic scan
 	// beats a counting map. Roots never form a group.
 	pl.lead = slices.Grow(pl.lead[:0], n)[:n]
-	pl.prio = slices.Grow(pl.prio[:0], n)[:n]
+	pl.rank = slices.Grow(pl.rank[:0], n)[:n]
 	for i := range paths {
 		pl.lead[i] = -1
-		pl.prio[i] = prio.Priority(paths[i])
+		pl.rank[i].prio, pl.rank[i].blocks = prio.Rank(paths[i])
 	}
 	for v := 0; v < n; v++ {
 		ch := pl.children(v)
@@ -169,7 +163,7 @@ func (pl *Plan) emit(base int) {
 		pl.Ops = append(pl.Ops, PlanOp{Path: paths[c], Group: -1})
 		inner := len(pl.cand)
 		pl.cand = append(pl.cand, pl.children(int(c))...)
-		if pl.blocker != nil && pl.blocker.Blocks(paths[c]) {
+		if pl.rank[c].blocks {
 			pl.emit(inner)
 		}
 	}
@@ -177,7 +171,7 @@ func (pl *Plan) emit(base int) {
 
 func (pl *Plan) better(a, b int32) bool {
 	paths := pl.paths
-	if pa, pb := pl.prio[a], pl.prio[b]; pa != pb {
+	if pa, pb := pl.rank[a].prio, pl.rank[b].prio; pa != pb {
 		return pa > pb
 	}
 	if paths[a] != paths[b] {

@@ -127,12 +127,13 @@ func oracleNodes(paths []pathenc.PathID, parents []int) []oracleNode {
 
 func oracleOrder(nodes []oracleNode, parents []int, prio Prioritizer) Sequence {
 	var out Sequence
-	blocker, _ := prio.(Blocker)
 	blocks := func(i int) bool {
-		return nodes[i].identical || (blocker != nil && blocker.Blocks(nodes[i].path))
+		_, b := prio.Rank(nodes[i].path)
+		return nodes[i].identical || b
 	}
 	better := func(a, b int) bool {
-		if pa, pb := prio.Priority(nodes[a].path), prio.Priority(nodes[b].path); pa != pb {
+		pa, _ := prio.Rank(nodes[a].path)
+		if pb, _ := prio.Rank(nodes[b].path); pa != pb {
 			return pa > pb
 		}
 		if nodes[a].path != nodes[b].path {
@@ -306,11 +307,13 @@ func TestEnumerateInstanceOrdersGroups(t *testing.T) {
 }
 
 func TestOrderInstanceRepeatBlocking(t *testing.T) {
-	enc, s, m := instFixture(t)
-	// Mark PRL repeat-capable: a single PRL node must still emit its
+	enc, _, m := instFixture(t)
+	// Let L repeat in the schema: a single PRL node must still emit its
 	// subtree as a contiguous block, pushing its low-priority value ahead
 	// of the higher-priority PRUM sibling branch.
-	s.SetRepeatPaths(map[pathenc.PathID]bool{m["PRL"]: true})
+	sch := schema.Figure12()
+	sch.FindByNamePath([]string{"P", "R", "L"}).MaxRepeat = 2
+	s := NewProbability(sch, enc)
 	if !s.Blocks(m["PRL"]) {
 		t.Fatal("Blocks should report the repeat path")
 	}
@@ -363,8 +366,9 @@ func TestRepeatPathsScan(t *testing.T) {
 // they repeated in the corpus.
 type fuzzPrio struct{ mul, block int }
 
-func (p fuzzPrio) Priority(q pathenc.PathID) float64 { return float64(int(q) * p.mul % 3) }
-func (p fuzzPrio) Blocks(q pathenc.PathID) bool      { return (int(q)+p.block)%3 == 0 }
+func (p fuzzPrio) Rank(q pathenc.PathID) (float64, bool) {
+	return float64(int(q) * p.mul % 3), (int(q)+p.block)%3 == 0
+}
 
 // FuzzInstanceOrders checks the plan against the oracle on random instances
 // of up to 8 nodes over a 3-letter alphabet, which gives identical groups

@@ -8,7 +8,10 @@
 // restores a unique tree for any sequence even with identical siblings
 // (Theorem 1). Within a constraint, a user strategy g orders the nodes —
 // depth-first, breadth-first, random, or the performance-oriented
-// probability strategy g_best of Section 5.
+// probability strategy g_best of Section 5. g_best also emits the subtree
+// of every path its schema lets repeat contiguously (schema.Model), in
+// data and query sequences alike, so the two stay order-compatible
+// without a pass over the corpus.
 package sequence
 
 import (

@@ -23,15 +23,19 @@ type Strategy interface {
 }
 
 // priorityFn scores an encoded node; higher scores are emitted earlier,
-// subject to the constraint. Ties break on (PathID, document order).
-type priorityFn func(n *EncodedNode, idx int) float64
+// subject to the constraint. Ties break on (PathID, document order). It
+// also says whether the node blocks beyond the f2 requirement that every
+// node with identical siblings does (Section 2.4): g_best blocks every path
+// its schema lets repeat, so data and query sequences stay order-compatible.
+type priorityFn func(n *EncodedNode, idx int) (prio float64, blocks bool)
 
 // candidate is a heap item.
 type candidate struct {
-	idx   int // index into the EncodedNode slice
-	prio  float64
-	path  pathenc.PathID
-	order int // document pre-order position, the final tie-break
+	idx    int // index into the EncodedNode slice
+	prio   float64
+	path   pathenc.PathID
+	order  int // document pre-order position, the final tie-break
+	blocks bool
 }
 
 type candidateHeap []candidate
@@ -56,29 +60,22 @@ func (h *candidateHeap) Pop() interface{} {
 	return it
 }
 
-// blockFn decides whether a node's subtree must be emitted contiguously.
-// At minimum every node with identical siblings blocks (the f2 requirement
-// of Section 2.4); strategies used for querying additionally block every
-// node whose path is repeat-capable anywhere in the corpus, so that data
-// and query sequences stay order-compatible (see RepeatAware).
-type blockFn func(n *EncodedNode) bool
-
-func instanceBlocks(n *EncodedNode) bool { return n.HasIdenticalSibling }
-
 // sequenceWithPriority implements the generic constraint sequencer
 // (Algorithm 2 generalized to an arbitrary priority). It repeatedly emits
 // the highest-priority node whose parent has been emitted; when the emitted
-// node blocks (it has identical siblings, or its path is repeat-capable),
+// node blocks (it has identical siblings, or its path may repeat),
 // its entire subtree is emitted contiguously (recursively by the same
 // priority) before the main loop resumes, which guarantees that none of its
 // identical siblings starts before the subtree is complete — the f2
 // sequencing procedure of Section 2.4.
-func sequenceWithPriority(nodes []EncodedNode, prio priorityFn, blocks blockFn) Sequence {
+func sequenceWithPriority(nodes []EncodedNode, prio priorityFn) Sequence {
 	out := make(Sequence, 0, len(nodes))
 	h := &candidateHeap{}
 
-	push := func(idx int) {
-		heap.Push(h, candidate{idx: idx, prio: prio(&nodes[idx], idx), path: nodes[idx].Path, order: idx})
+	cand := func(idx int) candidate {
+		pr, blocks := prio(&nodes[idx], idx)
+		blocks = blocks || nodes[idx].HasIdenticalSibling
+		return candidate{idx: idx, prio: pr, path: nodes[idx].Path, order: idx, blocks: blocks}
 	}
 
 	// emitSubtree emits idx and its whole subtree contiguously, ordered by
@@ -91,17 +88,17 @@ func sequenceWithPriority(nodes []EncodedNode, prio priorityFn, blocks blockFn) 
 		out = append(out, nodes[idx].Path)
 		local := &candidateHeap{}
 		for _, c := range nodes[idx].Children {
-			heap.Push(local, candidate{idx: c, prio: prio(&nodes[c], c), path: nodes[c].Path, order: c})
+			heap.Push(local, cand(c))
 		}
 		for local.Len() > 0 {
 			it := heap.Pop(local).(candidate)
-			if blocks(&nodes[it.idx]) {
+			if it.blocks {
 				emitSubtree(it.idx)
 				continue
 			}
 			out = append(out, nodes[it.idx].Path)
 			for _, c := range nodes[it.idx].Children {
-				heap.Push(local, candidate{idx: c, prio: prio(&nodes[c], c), path: nodes[c].Path, order: c})
+				heap.Push(local, cand(c))
 			}
 		}
 	}
@@ -109,17 +106,17 @@ func sequenceWithPriority(nodes []EncodedNode, prio priorityFn, blocks blockFn) 
 	// Root is index 0 (EncodeNodes is pre-order).
 	out = append(out, nodes[0].Path)
 	for _, c := range nodes[0].Children {
-		push(c)
+		heap.Push(h, cand(c))
 	}
 	for h.Len() > 0 {
 		it := heap.Pop(h).(candidate)
-		if blocks(&nodes[it.idx]) {
+		if it.blocks {
 			emitSubtree(it.idx)
 			continue
 		}
 		out = append(out, nodes[it.idx].Path)
 		for _, c := range nodes[it.idx].Children {
-			push(c)
+			heap.Push(h, cand(c))
 		}
 	}
 	return out
@@ -161,9 +158,9 @@ func (BreadthFirst) Name() string { return "breadth-first" }
 // Sequence implements Strategy.
 func (s BreadthFirst) Sequence(root *xmltree.Node) Sequence {
 	nodes := EncodeNodes(root, s.Enc)
-	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) float64 {
-		return -float64(s.Enc.Depth(n.Path))
-	}, instanceBlocks)
+	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) (float64, bool) {
+		return -float64(s.Enc.Depth(n.Path)), false
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -193,29 +190,25 @@ func (s *Random) Sequence(root *xmltree.Node) Sequence {
 	for i := range prios {
 		prios[i] = s.rng.Float64()
 	}
-	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) float64 {
-		return prios[idx]
-	}, instanceBlocks)
+	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) (float64, bool) {
+		return prios[idx], false
+	})
 }
 
 // ---------------------------------------------------------------------------
 // Probability-based constraint sequencing (g_best)
 // ---------------------------------------------------------------------------
 
-// RepeatAware is implemented by strategies that can be told which paths are
-// repeat-capable across the corpus. Blocking those paths' subtrees on both
-// the data and the query side keeps sequence orders compatible even when a
-// query references a repeatable path through a single branch; without it, a
-// low-priority node inside a data-side identical-sibling block would appear
-// earlier in the data sequence than global priority predicts, dismissing
-// valid matches. index.Build computes the set with RepeatPaths and installs
-// it before sequencing.
+// RepeatAware was implemented by strategies told which paths repeat in the
+// corpus. None is now, as g_best's schema decides (schema.Model); the
+// benchmark module's build trace still compiles against it.
 type RepeatAware interface {
 	SetRepeatPaths(repeat map[pathenc.PathID]bool)
 }
 
 // RepeatPaths scans a corpus and returns every path that occurs as
-// identical siblings in at least one document.
+// identical siblings in at least one document: the reference the schema's
+// blocking rule is tested against, and called by the benchmark module.
 func RepeatPaths(roots []*xmltree.Node, enc *pathenc.Encoder) map[pathenc.PathID]bool {
 	out := map[pathenc.PathID]bool{}
 	for _, r := range roots {
@@ -231,14 +224,17 @@ func RepeatPaths(roots []*xmltree.Node, enc *pathenc.Encoder) map[pathenc.PathID
 // Probability is g_best of Section 5: nodes are ordered by descending
 // p'(C|root) = p(C|root) · w(C) from a schema model, maximizing prefix
 // sharing across documents of the same schema and honoring tunable weights.
+// Paths the schema lets repeat block, in data and query sequences alike,
+// which keeps them order-compatible: without it, a low-priority node
+// inside a data-side identical-sibling block would appear earlier in the
+// data sequence than global priority predicts, dismissing valid matches.
 type Probability struct {
-	Enc    *pathenc.Encoder
-	Model  *schema.Model
-	repeat map[pathenc.PathID]bool
+	Enc   *pathenc.Encoder
+	Model *schema.Model
 	// PerInstanceBlocking reverts to the paper's literal Algorithm 2:
 	// only nodes with identical siblings in the CURRENT document emit
-	// contiguous blocks, ignoring the corpus repeat set. Sequences get
-	// more ordering freedom (smaller indexes — the paper's Table 5
+	// contiguous blocks, ignoring what the schema lets repeat. Sequences
+	// get more ordering freedom (smaller indexes — the paper's Table 5
 	// ratios), but on corpora where a path repeats in some documents and
 	// not others, query order compatibility breaks and valid matches can
 	// be dismissed. Kept for the ablation that quantifies the trade-off;
@@ -254,23 +250,22 @@ func NewProbability(s *schema.Schema, enc *pathenc.Encoder) *Probability {
 // Name implements Strategy.
 func (*Probability) Name() string { return "constraint" }
 
-// SetRepeatPaths implements RepeatAware.
-func (s *Probability) SetRepeatPaths(repeat map[pathenc.PathID]bool) { s.repeat = repeat }
-
-// RepeatPaths returns the installed repeat set (nil when none).
-func (s *Probability) RepeatPaths() map[pathenc.PathID]bool { return s.repeat }
-
 // Blocks reports whether a path's subtree is emitted contiguously.
 func (s *Probability) Blocks(p pathenc.PathID) bool {
-	return !s.PerInstanceBlocking && s.repeat[p]
+	_, blocks := s.Rank(p)
+	return blocks
+}
+
+// Rank implements Prioritizer.
+func (s *Probability) Rank(p pathenc.PathID) (prio float64, blocks bool) {
+	prio, blocks = s.Model.Rank(p)
+	return prio, blocks && !s.PerInstanceBlocking
 }
 
 // Sequence implements Strategy.
 func (s *Probability) Sequence(root *xmltree.Node) Sequence {
 	nodes := EncodeNodes(root, s.Enc)
-	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) float64 {
-		return s.Model.Priority(n.Path)
-	}, func(n *EncodedNode) bool {
-		return n.HasIdenticalSibling || s.Blocks(n.Path)
+	return sequenceWithPriority(nodes, func(n *EncodedNode, idx int) (float64, bool) {
+		return s.Rank(n.Path)
 	})
 }

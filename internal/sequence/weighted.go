@@ -56,7 +56,8 @@ func CanonicalName(name string) (string, error) {
 // Weighted is g_best with an explicit query-frequency weight vector applied:
 // priorities are p(C|root)·w(C) with w(C) taken from the installed weights
 // rather than the schema's defaults. It inherits all of Probability's
-// behaviour (repeat-aware blocking, Prioritizer for the query side).
+// behaviour (blocking what the schema lets repeat, Prioritizer for the
+// query side).
 type Weighted struct {
 	Probability
 	applied int // weight paths that resolved to a schema node

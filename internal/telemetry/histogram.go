@@ -71,9 +71,6 @@ func (h *Histogram) Count() int64 {
 	return total
 }
 
-// SumNS returns the sum of all observed latencies in nanoseconds.
-func (h *Histogram) SumNS() int64 { return h.sumNS.Load() }
-
 // QuantileNS estimates the p-quantile (0 < p <= 1) in nanoseconds by
 // nearest rank: the upper bound of the bucket containing the ranked
 // sample. Returns 0 on an empty histogram. The overflow bucket reports

@@ -73,9 +73,6 @@ func Build(docs []*xmltree.Document, opts Options) (*Index, error) {
 // NumNodes reports the trie size (ViST's index is the DF trie).
 func (v *Index) NumNodes() int { return v.ix.NumNodes() }
 
-// Underlying exposes the shared index structure (for paged experiments).
-func (v *Index) Underlying() *index.Index { return v.ix }
-
 // LastStats returns the work counters of the most recent Query.
 func (v *Index) LastStats() QueryStats { return v.lastStats }
 

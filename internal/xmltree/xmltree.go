@@ -154,12 +154,8 @@ func Isomorphic(a, b *Node) bool {
 	return canonKey(a) == canonKey(b)
 }
 
-// CanonicalKey exposes the sibling-order-invariant serialization, used by
-// tests and by generators to deduplicate isomorphic structures.
-func CanonicalKey(n *Node) string { return canonKey(n) }
-
 // SortCanonical reorders every sibling list of the subtree into canonical
-// (CanonicalKey) order, in place. Two isomorphic trees become Equal after
+// (canonKey) order, in place. Two isomorphic trees become Equal after
 // SortCanonical.
 func SortCanonical(n *Node) {
 	if n == nil {
