@@ -14,9 +14,7 @@
 // queried in place through mmap — serve it with `xseqd -index corpus.flat
 // -layout flat`. Rewriting a sharded snapshot requires it to have been
 // built with KeepDocuments (the corpus is re-indexed as one partition).
-// -strategy selects the sequencing order for -data builds: gbest (the
-// default) or weighted; the positional baselines (depth-first,
-// breadth-first) cannot back a queryable snapshot and are refused.
+// Every snapshot is sequenced by g_best.
 //
 // Exit codes: 0 success, 1 data error (unreadable input, unsupported
 // conversion, write failure), 2 usage, 4 corrupt snapshot.
@@ -60,24 +58,11 @@ func main() {
 		out    = flag.String("out", "", "output single-partition snapshot path (crash-safe: temp + fsync + rename)")
 		check  = flag.String("check", "", "verify this single-partition snapshot's checksums")
 		verify = flag.Bool("verify", false, "after writing, reopen -out and run the full checksum sweep")
-		strat  = flag.String("strategy", "", "sequencing strategy for -data builds: gbest (default) or weighted; positional baselines are not queryable")
 		quiet  = flag.Bool("q", false, "suppress the summary line")
 	)
 	flag.Parse()
-	strategy, err := xseq.CanonicalStrategy(*strat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xseqflat: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	if strategy == xseq.StrategyDepthFirst || strategy == xseq.StrategyBreadthFirst {
-		fmt.Fprintf(os.Stderr, "xseqflat: -strategy %s cannot back a queryable snapshot\n", strategy)
-		os.Exit(exitUsage)
-	}
-	if *strat != "" && *data == "" {
-		fmt.Fprintln(os.Stderr, "xseqflat: -strategy applies to -data builds; -in snapshots keep the strategy they were built with")
-		os.Exit(exitUsage)
-	}
 	var summary string
+	var err error
 	switch {
 	case *check != "":
 		if *in != "" || *out != "" || *data != "" {
@@ -91,7 +76,7 @@ func main() {
 	case *in != "" && *out != "":
 		summary, err = convert(*in, *out, *verify)
 	case *data != "" && *out != "":
-		summary, err = buildFlat(*data, *out, strategy, *verify)
+		summary, err = buildFlat(*data, *out, *verify)
 	default:
 		fmt.Fprintln(os.Stderr, "xseqflat: need -in/-data and -out (rewrite/build) or -check (verify); see -h")
 		os.Exit(exitUsage)
@@ -124,17 +109,13 @@ func checkFlat(path string) (string, error) {
 		path, st.Documents, st.IndexNodes, st.Flat.MappedBytes), nil
 }
 
-// buildFlat indexes a corpus file directly into a snapshot under the named
-// sequencing strategy.
-func buildFlat(data, out, strategy string, verify bool) (string, error) {
+// buildFlat indexes a corpus file directly into a snapshot.
+func buildFlat(data, out string, verify bool) (string, error) {
 	docs, err := xseq.LoadCorpusFile(data)
 	if err != nil {
 		return "", err
 	}
-	ix, err := xseq.Build(docs, xseq.Config{
-		Strategy:      strategy,
-		KeepDocuments: true,
-	})
+	ix, err := xseq.Build(docs, xseq.Config{KeepDocuments: true})
 	if err != nil {
 		return "", fmt.Errorf("build %s: %w", data, err)
 	}
@@ -153,8 +134,8 @@ func buildFlat(data, out, strategy string, verify bool) (string, error) {
 		}
 	}
 	st := flat.Stats()
-	return fmt.Sprintf("%s → %s: %d documents, %d index nodes, %d bytes (%s strategy)",
-		data, out, st.Documents, st.IndexNodes, st.Flat.MappedBytes, strategy), nil
+	return fmt.Sprintf("%s → %s: %d documents, %d index nodes, %d bytes",
+		data, out, st.Documents, st.IndexNodes, st.Flat.MappedBytes), nil
 }
 
 // convert loads any snapshot and writes it out as one partition; with

@@ -123,7 +123,7 @@ func TestExitCodeClasses(t *testing.T) {
 }
 
 // TestBuildFlatFromCorpus covers the -data path: a corpus indexed straight
-// into a flat snapshot, under both queryable strategies.
+// into a flat snapshot.
 func TestBuildFlatFromCorpus(t *testing.T) {
 	dir := t.TempDir()
 	corpus := filepath.Join(dir, "corpus.xml")
@@ -136,58 +136,27 @@ func TestBuildFlatFromCorpus(t *testing.T) {
 	if err := os.WriteFile(corpus, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range []string{xseq.StrategyGBest, xseq.StrategyWeighted} {
-		out := filepath.Join(dir, strategy+".flat")
-		summary, err := buildFlat(corpus, out, strategy, true)
-		if err != nil {
-			t.Fatalf("%s: buildFlat: %v", strategy, err)
-		}
-		if !strings.Contains(summary, "4 documents") || !strings.Contains(summary, strategy) {
-			t.Fatalf("%s: summary %q", strategy, summary)
-		}
-		ix, err := xseq.LoadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ix.Layout() != xseq.LayoutFlat {
-			t.Fatalf("%s: layout = %s", strategy, ix.Layout())
-		}
-		ids, err := ix.Query("/rec/city[text='boston']")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != 4 {
-			t.Fatalf("%s: built snapshot returned %d ids", strategy, len(ids))
-		}
-		ix.Close()
+	out := filepath.Join(dir, "corpus.flat")
+	summary, err := buildFlat(corpus, out, true)
+	if err != nil {
+		t.Fatalf("buildFlat: %v", err)
 	}
-}
-
-// TestStrategyFlagParsing pins the -strategy contract both CLIs share:
-// every canonical name and alias resolves, unknown names error (main maps
-// that to exit 2), and the positional baselines are identified for the
-// flat-incompatibility guard.
-func TestStrategyFlagParsing(t *testing.T) {
-	for in, want := range map[string]string{
-		"":              xseq.StrategyGBest,
-		"gbest":         xseq.StrategyGBest,
-		"g_best":        xseq.StrategyGBest,
-		"weighted":      xseq.StrategyWeighted,
-		"depth-first":   xseq.StrategyDepthFirst,
-		"dfs":           xseq.StrategyDepthFirst,
-		"breadth-first": xseq.StrategyBreadthFirst,
-		"BFS":           xseq.StrategyBreadthFirst,
-	} {
-		got, err := xseq.CanonicalStrategy(in)
-		if err != nil || got != want {
-			t.Errorf("CanonicalStrategy(%q) = %q, %v; want %q", in, got, err, want)
-		}
+	if !strings.Contains(summary, "4 documents") {
+		t.Fatalf("summary %q", summary)
 	}
-	if _, err := xseq.CanonicalStrategy("zigzag"); err == nil ||
-		!strings.Contains(err.Error(), "gbest") {
-		t.Errorf("unknown strategy: err = %v (should list valid names for the usage message)", err)
+	ix, err := xseq.LoadFile(out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := xseq.Strategies(); len(got) != 4 {
-		t.Errorf("Strategies() = %v", got)
+	defer ix.Close()
+	if ix.Layout() != xseq.LayoutFlat {
+		t.Fatalf("layout = %s", ix.Layout())
+	}
+	ids, err := ix.Query("/rec/city[text='boston']")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 4 {
+		t.Fatalf("built snapshot returned %d ids", len(ids))
 	}
 }

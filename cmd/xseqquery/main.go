@@ -10,6 +10,8 @@
 //	xseqquery -data corpus.xml -verify "/a[b='x']"
 //	xseqquery -data corpus.xml -shards 8 "/a/b"  # partitioned parallel build + fan-out query
 //
+// Every index is sequenced by g_best over the corpus's inferred schema.
+//
 // Exit codes distinguish failure classes so scripts can react: 0 success,
 // 1 data error (parse, limit, I/O, bad query), 2 usage, 3 timeout
 // (-timeout elapsed — retryable with a larger budget), 4 corrupt index
@@ -77,7 +79,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "partition the index into this many shards built and queried in parallel (0/1 = monolithic)")
 		workers = flag.Int("workers", 0, "concurrent shard builds for -shards (0 = GOMAXPROCS)")
 		qcache  = flag.Int("query-cache", 0, "cache up to this many query results keyed by canonical pattern (0 = no cache)")
-		strat   = flag.String("strategy", "", "sequencing strategy: gbest (default), weighted, depth-first, breadth-first; positional baselines build -stats-only indexes")
 	)
 	flag.Parse()
 
@@ -89,25 +90,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xseqquery: -io needs a single partition (a sharded index has no one page image)")
 		os.Exit(exitUsage)
 	}
-	strategy, err := xseq.CanonicalStrategy(*strat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xseqquery: %v\n", err)
-		os.Exit(exitUsage)
-	}
-	if positional := strategy == xseq.StrategyDepthFirst || strategy == xseq.StrategyBreadthFirst; positional {
-		// Positional baselines exist for sequencing comparisons (-stats,
-		// -schema): without g_best priorities they can neither answer
-		// queries nor round-trip through a snapshot.
-		if *saveIdx != "" || flag.NArg() > 0 {
-			fmt.Fprintf(os.Stderr, "xseqquery: -strategy %s builds a baseline ordering that cannot be queried or saved (use -stats)\n", strategy)
-			os.Exit(exitUsage)
-		}
-	}
-	if *strat != "" && *loadIdx != "" {
-		fmt.Fprintln(os.Stderr, "xseqquery: -strategy applies to builds; a loaded snapshot keeps the strategy it was built with")
-		os.Exit(exitUsage)
-	}
-
 	// withTimeout derives the deadline context each cancellable phase
 	// (build, every query) runs under.
 	withTimeout := func() (context.Context, context.CancelFunc) {
@@ -141,7 +123,6 @@ func main() {
 		}
 		ctx, cancel := withTimeout()
 		ix, err = xseq.BuildContext(ctx, docs, xseq.Config{
-			Strategy:          strategy,
 			KeepDocuments:     *verify || *saveIdx != "",
 			TextValues:        *text,
 			Shards:            *shards,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -80,7 +81,9 @@ type oracleCase struct {
 // builds docs[:split] and inserts the rest one at a time, running ops[i]
 // after the i-th insert. ResumeDynamic adopts a checkpoint of docs[:split],
 // replays a log of docs[walFrom:walTo] (the overlap with the checkpoint is
-// skipped) and inserts the rest.
+// skipped) and inserts the rest. A follower re-seeds from that checkpoint
+// as covering entry walFrom and applies a replicated stream of
+// docs[walFrom:], skipping the overlap.
 type schedule struct {
 	threshold, split, walFrom, walTo int
 	ops                              []int
@@ -94,7 +97,7 @@ const (
 	numOps       = 6
 )
 
-// decodeCase decodes an input. Its first byte picks {gbest, weighted} ×
+// decodeCase decodes an input. Its first byte picks {Weights unset, set} ×
 // {hashed values, TextValues} × {no cache, QueryCacheEntries}; its second
 // a value space of 3 buckets (hash collisions), a small instantiation
 // limit, and the constructors to query.
@@ -103,9 +106,6 @@ func decodeCase(data []byte) oracleCase {
 	var oc oracleCase
 	mode, knobs := c.intn(8), c.intn(32)
 	oc.layouts = knobs >> 3
-	if mode&1 != 0 {
-		oc.cfg.Strategy = StrategyWeighted
-	}
 	oc.cfg.TextValues = mode&2 != 0
 	if mode&4 != 0 {
 		oc.cfg.QueryCacheEntries = 8
@@ -137,8 +137,10 @@ func decodeCase(data []byte) oracleCase {
 		s.ops = append(s.ops, c.intn(numOps))
 	}
 	s.weights = c.weights(oc.docs)
-	if oc.cfg.Strategy == StrategyWeighted {
-		oc.cfg.Weights = s.weights
+	if mode&1 != 0 {
+		// Build fails on a path its corpus lacks; the rebuilds keep it.
+		oc.cfg.Weights = maps.Clone(s.weights)
+		delete(oc.cfg.Weights, absentPath)
 	}
 	return oc
 }
@@ -275,8 +277,11 @@ func (c *choices) free(sh *shape, ax query.Axis, depth int, text bool) *query.PN
 	return p
 }
 
+// absentPath is a weight path no generated corpus has.
+const absentPath = "r/absent"
+
 // weights generates a weight vector over the corpus's element paths, with
-// one path the corpus lacks.
+// absentPath.
 func (c *choices) weights(docs []*Document) map[string]float64 {
 	seen := map[string]bool{}
 	var walk func(n *xmltree.Node, path string)
@@ -296,7 +301,7 @@ func (c *choices) weights(docs []*Document) map[string]float64 {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	w := map[string]float64{"r/absent": 3}
+	w := map[string]float64{absentPath: 3}
 	for _, p := range paths {
 		if c.yes(2) {
 			w[p] = 0.5 * float64(1+c.intn(8))
@@ -324,7 +329,8 @@ func defaultSchedule(n int) schedule {
 // everyConstructor indexes docs under cfg, with the corpus kept, every way
 // the library offers: a build; a Save→Load round trip; a mapped
 // SaveFile→LoadFile; RebuildWithWeights of the build; 2, 3 and 8 shards
-// and RebuildWithWeights of 3; BuildDynamic and ResumeDynamic under sched.
+// and RebuildWithWeights of 3; BuildDynamic, ResumeDynamic and a re-seeded
+// follower under sched.
 // layouts keeps one family, as oracleCase.layouts selects, or all (0). A
 // query cache in cfg is installed on every one. Each holds every
 // document, in the layout and shard count it was built for.
@@ -390,9 +396,11 @@ func everyConstructor(t *testing.T, docs []*Document, cfg Config, sched schedule
 		return cons
 	}
 	dyn, _ := buildDynamicCase(t, docs, cfg, sched)
-	resumed := resumeDynamicCase(t, docs, cfg, sched)
-	if dyn.NumDocuments() != len(docs) || resumed.NumDocuments() != len(docs) {
-		t.Fatalf("BuildDynamic holds %d documents, ResumeDynamic %d; want %d", dyn.NumDocuments(), resumed.NumDocuments(), len(docs))
+	ckpt := checkpointCase(t, docs, cfg, sched)
+	resumed := resumeDynamicCase(t, docs, cfg, sched, ckpt)
+	follower := followDynamicCase(t, docs, cfg, sched, ckpt)
+	if dyn.NumDocuments() != len(docs) || resumed.NumDocuments() != len(docs) || follower.NumDocuments() != len(docs) {
+		t.Fatalf("BuildDynamic holds %d documents, ResumeDynamic %d, the follower %d; want %d", dyn.NumDocuments(), resumed.NumDocuments(), follower.NumDocuments(), len(docs))
 	}
 	// With no compaction scheduled and a threshold the inserts do not
 	// reach, every inserted document must still be in a pending segment,
@@ -402,7 +410,8 @@ func everyConstructor(t *testing.T, docs []*Document, cfg Config, sched schedule
 			t.Fatalf("BuildDynamic has %d pending documents, ResumeDynamic %d; want the %d inserted", dyn.PendingDocuments(), resumed.PendingDocuments(), inserted)
 		}
 	}
-	return append(cons, constructed{"BuildDynamic", &dyn.queryable, nil}, constructed{"ResumeDynamic", &resumed.queryable, nil})
+	return append(cons, constructed{"BuildDynamic", &dyn.queryable, nil}, constructed{"ResumeDynamic", &resumed.queryable, nil},
+		constructed{"ReseedFromSnapshot-ApplyReplicated", &follower.queryable, nil})
 }
 
 // buildDynamicCase runs sched's BuildDynamic half and reports how many
@@ -440,18 +449,26 @@ func buildDynamicCase(t *testing.T, docs []*Document, cfg Config, sched schedule
 	return dyn, merges
 }
 
-// resumeDynamicCase runs sched's ResumeDynamic half.
-func resumeDynamicCase(t *testing.T, docs []*Document, cfg Config, sched schedule) *DynamicIndex {
+// checkpointCase writes the checkpoint of a dynamic index over
+// docs[:sched.split] and returns its path.
+func checkpointCase(t *testing.T, docs []*Document, cfg Config, sched schedule) string {
 	t.Helper()
-	dir := t.TempDir()
-	ckpt, walPath := filepath.Join(dir, "ckpt.idx"), filepath.Join(dir, "tail.wal")
-	ix, err := Build(docs[:sched.split], cfg)
-	if err == nil {
-		err = ix.SaveFile(ckpt)
-	}
+	ckpt := filepath.Join(t.TempDir(), "ckpt.idx")
+	primary, err := BuildDynamic(docs[:sched.split], cfg, sched.threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer primary.Close()
+	if err := primary.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	return ckpt
+}
+
+// resumeDynamicCase runs sched's ResumeDynamic half on checkpoint ckpt.
+func resumeDynamicCase(t *testing.T, docs []*Document, cfg Config, sched schedule, ckpt string) *DynamicIndex {
+	t.Helper()
+	walPath := filepath.Join(t.TempDir(), "tail.wal")
 	w, _, err := wal.Open(walPath, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -484,6 +501,35 @@ func resumeDynamicCase(t *testing.T, docs []*Document, cfg Config, sched schedul
 		}
 	}
 	return resumed
+}
+
+// followDynamicCase runs sched's follower: an empty dynamic index re-seeds
+// from checkpoint ckpt, read into memory, and applies the replicated
+// stream.
+func followDynamicCase(t *testing.T, docs []*Document, cfg Config, sched schedule, ckpt string) *DynamicIndex {
+	t.Helper()
+	follower, err := BuildDynamic(nil, cfg, sched.threshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	snap, err := loadSnapshot(ckpt)
+	if err == nil {
+		err = follower.ReseedFromSnapshot(snap, uint64(sched.walFrom))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range docs[sched.walFrom:] {
+		payload, err := wal.EncodeDocument(&xmltree.Document{ID: d.id, Root: d.root})
+		if err == nil {
+			err = follower.ApplyReplicated(context.Background(), uint64(sched.walFrom+i+1), payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return follower
 }
 
 // valueEncoder returns an encoder that encodes values as cfg does.
@@ -672,16 +718,15 @@ func checkDecode(t *testing.T, oc oracleCase) {
 		roots[i] = d.root
 	}
 	strategies := []sequence.Strategy{sequence.DepthFirst{Enc: enc}, sequence.BreadthFirst{Enc: enc}, sequence.NewRandom(enc, 1)}
-	for _, name := range []string{StrategyGBest, StrategyWeighted} {
+	for _, weights := range []map[string]float64{nil, oc.cfg.Weights} {
 		sch, err := schema.Infer(roots)
+		if err == nil {
+			err = sequence.ApplyWeights(sch, weights, false)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sequence.NewByName(name, sch, enc, oc.cfg.Weights, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strategies = append(strategies, st)
+		strategies = append(strategies, sequence.NewProbability(sch, enc))
 	}
 	for _, d := range oc.docs {
 		want := sequence.CanonicalizeValues(d.root, enc)
@@ -711,7 +756,7 @@ func seedInput(src int64, header ...byte) []byte {
 var groupedHeaders = [][]byte{{0, 0, 38, 3, 2, 3, 3, 1}, {5, 6, 30, 2, 3, 3, 3, 3}}
 
 // equivalenceSeeds covers the constructor matrix: every combination of
-// strategy, value encoding and cache, with and without hash collisions
+// weights, value encoding and cache, with and without hash collisions
 // and a small instantiation limit, on corpora of 3 to 40 documents. The
 // last two are grouped corpora.
 func equivalenceSeeds() [][]byte {
@@ -759,16 +804,17 @@ func checkCorpus(t *testing.T, docs []*Document, queries []string, cfg Config, l
 
 // TestEquivalenceSeedsCoverMatrix: the seeds reach every cell of the
 // constructor matrix, hold false alarms for the cover test to remove, and
-// their dynamic schedules merge segments, compact, resequence and replay a
-// log tail that overlaps the checkpoint.
+// their dynamic schedules merge segments, compact, resequence, replay a
+// log tail that overlaps the checkpoint, and feed a re-seeded follower a
+// stream that overlaps its seed and goes past it.
 func TestEquivalenceSeedsCoverMatrix(t *testing.T) {
 	modes := map[int]bool{}
-	var collide, limit, tiny, alarms, overlap, tail, compact, reseq bool
+	var collide, limit, tiny, alarms, overlap, tail, compact, reseq, follow bool
 	merges, compactions := 0, 0
 	for _, s := range equivalenceSeeds() {
 		oc := decodeCase(s)
 		mode := 0
-		if oc.cfg.Strategy == StrategyWeighted {
+		if len(oc.cfg.Weights) > 0 {
 			mode |= 1
 		}
 		if oc.cfg.TextValues {
@@ -785,6 +831,7 @@ func TestEquivalenceSeedsCoverMatrix(t *testing.T) {
 		tail = tail || oc.sched.walTo > oc.sched.split
 		compact = compact || slices.Contains(oc.sched.ops, opCompact)
 		reseq = reseq || slices.Contains(oc.sched.ops, opResequence)
+		follow = follow || (oc.layouts == 0 || oc.layouts == 3) && oc.sched.walFrom < oc.sched.split && oc.sched.split < len(oc.docs)
 		ix, err := Build(oc.docs, oc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -798,9 +845,9 @@ func TestEquivalenceSeedsCoverMatrix(t *testing.T) {
 		merges += m
 		compactions += dyn.Health().Compactions
 	}
-	if len(modes) != 8 || !collide || !limit || !tiny || !alarms || !overlap || !tail || !compact || !reseq || merges == 0 || compactions == 0 {
-		t.Fatalf("seeds miss part of the matrix: modes %v, collisions %v, limit %v, shards > documents %v, false alarms %v, log overlap %v, log tail %v, Compact %v, Resequence %v, merges %d, compactions %d",
-			modes, collide, limit, tiny, alarms, overlap, tail, compact, reseq, merges, compactions)
+	if len(modes) != 8 || !collide || !limit || !tiny || !alarms || !overlap || !tail || !compact || !reseq || !follow || merges == 0 || compactions == 0 {
+		t.Fatalf("seeds miss part of the matrix: modes %v, collisions %v, limit %v, shards > documents %v, false alarms %v, log overlap %v, log tail %v, Compact %v, Resequence %v, follower %v, merges %d, compactions %d",
+			modes, collide, limit, tiny, alarms, overlap, tail, compact, reseq, follow, merges, compactions)
 	}
 }
 

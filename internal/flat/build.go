@@ -14,8 +14,8 @@ type Head struct {
 	// Enc is the designator/path table the trie's paths come from.
 	Enc *pathenc.Encoder
 	// Strategy sequenced the documents. Queries need it to be a
-	// sequence.Prioritizer; Save needs the probability strategy (g_best or
-	// weighted), whose schema it persists.
+	// sequence.Prioritizer; Save needs g_best (*sequence.Probability),
+	// whose schema it persists.
 	Strategy sequence.Strategy
 	// NumDocs and MaxDocID bound the corpus.
 	NumDocs  int

@@ -13,9 +13,9 @@ import (
 
 // Save writes the snapshot. An opened snapshot is its own serialization, so
 // that is a byte copy; a built index writes its bulk sections as they are
-// and encodes its head (META, DICT, DOCS) behind them. Only
-// probability-strategy (g_best, weighted) indexes are saveable: opening
-// rebuilds the query priorities from the persisted schema.
+// and encodes its head (META, DICT, DOCS) behind them. Only g_best indexes
+// are saveable: opening rebuilds the query priorities from the persisted
+// schema, weights included.
 func (ix *Index) Save(w io.Writer) error {
 	if ix.file {
 		if _, err := w.Write(ix.data); err != nil {
@@ -48,9 +48,9 @@ func WriteFile(path string, ix *Index) error { return ix.SaveFile(path) }
 
 // encodeHead encodes a built index's META, DICT and DOCS sections.
 func (ix *Index) encodeHead() (meta, dict, docs []byte, err error) {
-	prob, ok := sequence.AsProbability(ix.strategy)
+	prob, ok := ix.strategy.(*sequence.Probability)
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("flat: only probability-strategy indexes can be saved (have %q)", ix.strategy.Name())
+		return nil, nil, nil, fmt.Errorf("flat: only g_best indexes can be saved (have %q)", ix.strategy.Name())
 	}
 	sch := prob.Model.Schema()
 	if sch == nil || sch.Root == nil {

@@ -2,7 +2,9 @@ package sequence
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"strings"
 
 	"xseq/internal/pathenc"
 	"xseq/internal/schema"
@@ -206,6 +208,19 @@ type RepeatAware interface {
 	SetRepeatPaths(repeat map[pathenc.PathID]bool)
 }
 
+// NewByName was the registry of named strategies. Only g_best is left, by
+// the name "": it applies weights (ApplyWeights) and returns NewProbability.
+// The benchmark module's build trace still compiles against it.
+func NewByName(name string, sch *schema.Schema, enc *pathenc.Encoder, weights map[string]float64, skipUnknown bool) (Strategy, error) {
+	if name != "" {
+		return nil, fmt.Errorf("sequence: unknown strategy %q (g_best, named \"\", is the only one)", name)
+	}
+	if err := ApplyWeights(sch, weights, skipUnknown); err != nil {
+		return nil, err
+	}
+	return NewProbability(sch, enc), nil
+}
+
 // RepeatPaths scans a corpus and returns every path that occurs as
 // identical siblings in at least one document: the reference the schema's
 // blocking rule is tested against, and called by the benchmark module.
@@ -240,6 +255,22 @@ type Probability struct {
 	// be dismissed. Kept for the ablation that quantifies the trade-off;
 	// leave false for correct querying.
 	PerInstanceBlocking bool
+}
+
+// ApplyWeights writes a weight vector — slash-separated root-anchored
+// element name paths to w(C) of Eq 6 — into sch. Call it before
+// NewProbability: Models memoize priorities. The weights live in the schema,
+// so a snapshot persists them and a reloaded index computes the same
+// priorities. A path sch has no node for is skipped when skipUnknown is set
+// and an error otherwise.
+func ApplyWeights(sch *schema.Schema, weights map[string]float64, skipUnknown bool) error {
+	for path, w := range weights {
+		names := strings.Split(strings.Trim(path, "/"), "/")
+		if err := sch.SetWeightByNamePath(names, w); err != nil && !skipUnknown {
+			return fmt.Errorf("weight %q: %w", path, err)
+		}
+	}
+	return nil
 }
 
 // NewProbability binds g_best to a schema and encoder.

@@ -9,62 +9,25 @@ import (
 	"xseq/internal/xmltree"
 )
 
-func TestCanonicalNameAliases(t *testing.T) {
-	cases := map[string]string{
-		"":               NameGBest,
-		"gbest":          NameGBest,
-		"g_best":         NameGBest,
-		"constraint":     NameGBest,
-		"GBest":          NameGBest,
-		" weighted ":     NameWeighted,
-		"weighted-gbest": NameWeighted,
-		"depth-first":    NameDepthFirst,
-		"dfs":            NameDepthFirst,
-		"breadth-first":  NameBreadthFirst,
-		"bfs":            NameBreadthFirst,
-	}
-	for in, want := range cases {
-		got, err := CanonicalName(in)
-		if err != nil {
-			t.Errorf("CanonicalName(%q): %v", in, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("CanonicalName(%q) = %q, want %q", in, got, want)
-		}
-	}
-	for _, bad := range []string{"zorp", "best", "depth", "random!"} {
-		if _, err := CanonicalName(bad); err == nil {
-			t.Errorf("CanonicalName(%q): want error", bad)
-		}
-	}
-}
-
+// TestNewByName: the shim the benchmark module compiles against builds
+// g_best, with the weights applied, by the name "" and refuses any other.
 func TestNewByName(t *testing.T) {
 	enc := pathenc.NewEncoder(0)
-	s, err := NewByName("weighted", schema.Figure12(), enc, map[string]float64{"P/R": 2}, false)
+	sch := schema.Figure12()
+	s, err := NewByName("", sch, enc, map[string]float64{"P/R": 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != NameWeighted {
-		t.Fatalf("Name = %q, want %q", s.Name(), NameWeighted)
+	if _, ok := s.(*Probability); !ok {
+		t.Fatalf("NewByName(\"\") = %T, want *Probability", s)
 	}
-	if _, ok := s.(Prioritizer); !ok {
-		t.Fatal("weighted strategy must be a Prioritizer (query-side order compatibility)")
+	if w := sch.FindByNamePath([]string{"P", "R"}).Weight; w != 2 {
+		t.Fatalf("weight of P/R = %v, want 2", w)
 	}
-	if s, err = NewByName("", schema.Figure12(), enc, nil, false); err != nil || s.Name() != "constraint" {
-		t.Fatalf("default strategy = %v (%v), want constraint", s, err)
-	}
-	if _, err := NewByName("nope", schema.Figure12(), enc, nil, false); err == nil {
-		t.Fatal("unknown strategy: want error")
-	}
-	// Positional baselines reject weights: silently dropping a tuning
-	// vector would masquerade as a tuned build.
-	if _, err := NewByName("depth-first", schema.Figure12(), enc, map[string]float64{"P": 2}, false); err == nil {
-		t.Fatal("depth-first with weights: want error")
-	}
-	if s, err = NewByName("breadth-first", schema.Figure12(), enc, nil, false); err != nil || s.Name() != NameBreadthFirst {
-		t.Fatalf("breadth-first = %v (%v)", s, err)
+	for _, name := range []string{"gbest", "weighted", "depth-first", "breadth-first"} {
+		if _, err := NewByName(name, schema.Figure12(), enc, nil, false); err == nil {
+			t.Errorf("NewByName(%q): want error", name)
+		}
 	}
 }
 
@@ -91,13 +54,11 @@ func TestWeightedReordersSection52(t *testing.T) {
 	}
 
 	encB := pathenc.NewEncoder(0)
-	w, err := NewWeighted(schema.Figure12(), encB, map[string]float64{"P/R/L": 50}, false)
-	if err != nil {
+	sch := schema.Figure12()
+	if err := ApplyWeights(sch, map[string]float64{"P/R/L": 50}, false); err != nil {
 		t.Fatal(err)
 	}
-	if w.Applied() != 1 {
-		t.Fatalf("Applied = %d, want 1", w.Applied())
-	}
+	w := NewProbability(sch, encB)
 	seqB := w.Sequence(xmltree.Figure11a())
 	if !(pos(seqB, encB, "P.R.L") < pos(seqB, encB, "P.R.U")) {
 		t.Fatalf("weighted: expected L before U: %s", seqB.String(encB))
@@ -109,22 +70,21 @@ func TestWeightedReordersSection52(t *testing.T) {
 	subtreeContiguous(t, encB, xmltree.Figure11a(), seqB)
 }
 
-func TestNewWeightedUnknownPath(t *testing.T) {
-	enc := pathenc.NewEncoder(0)
-	if _, err := NewWeighted(schema.Figure12(), enc, map[string]float64{"P/nope": 2}, false); err == nil {
+func TestApplyWeightsUnknownPath(t *testing.T) {
+	if err := ApplyWeights(schema.Figure12(), map[string]float64{"P/nope": 2}, false); err == nil {
 		t.Fatal("unknown weight path with skipUnknown=false: want error")
 	}
-	w, err := NewWeighted(schema.Figure12(), enc, map[string]float64{"P/nope": 2, "P/R": 3}, true)
-	if err != nil {
+	sch := schema.Figure12()
+	if err := ApplyWeights(sch, map[string]float64{"P/nope": 2, "P/R": 3}, true); err != nil {
 		t.Fatal(err)
 	}
-	if w.Applied() != 1 {
-		t.Fatalf("Applied = %d, want 1 (unknown skipped)", w.Applied())
+	if w := sch.FindByNamePath([]string{"P", "R"}).Weight; w != 3 {
+		t.Fatalf("weight of P/R = %v, want 3 (the unknown path skipped)", w)
 	}
 }
 
 // FuzzWeights: an arbitrary weight vector — extreme magnitudes, zeros,
-// negatives, NaN-adjacent exponents — may reorder the weighted sequence but
+// negatives, NaN-adjacent exponents — may reorder the g_best sequence but
 // must never break constraint-sequence validity: the output still validates
 // under f2 and decodes back to the input tree. This is the structural half
 // of the weights-change-order-never-answers guarantee (the query-level half
@@ -151,10 +111,11 @@ func FuzzWeights(f *testing.F) {
 			}
 		}
 		enc := pathenc.NewEncoder(0)
-		w, err := NewWeighted(schema.Figure12(), enc, weights, false)
-		if err != nil {
-			t.Fatalf("NewWeighted(%v): %v", weights, err)
+		sch := schema.Figure12()
+		if err := ApplyWeights(sch, weights, false); err != nil {
+			t.Fatalf("ApplyWeights(%v): %v", weights, err)
 		}
+		w := NewProbability(sch, enc)
 		for _, fixture := range []*xmltree.Node{
 			xmltree.Figure11a(), xmltree.Figure11b(), xmltree.Figure1(),
 		} {

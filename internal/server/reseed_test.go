@@ -600,6 +600,53 @@ func TestCheckpointShardMismatchIsUnreadable(t *testing.T) {
 	}
 }
 
+// TestCheckpointWithoutDocumentsIsUnreadable: a checkpoint saved without
+// its corpus cannot seed a restart. It is ignored while the log still holds
+// history from seq 1, and refused once the log was rotated.
+func TestCheckpointWithoutDocumentsIsUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	psrv, pts := newCheckpointingPrimary(t, dir, 5, nil)
+	for i := 0; i < 7; i++ {
+		postInsert(t, pts.URL, i, docXML(i))
+	}
+	waitForCheckpoint(t, psrv, 5)
+	pts.Close()
+	psrv.Close()
+	ckpt := filepath.Join(dir, "p.wal.ckpt")
+	buildSnapshot(t, ckpt, 5, false)
+	if srv, err := New(Config{WALPath: filepath.Join(dir, "p.wal"), CheckpointPath: ckpt, Logf: silentLogf}); err == nil {
+		srv.Close()
+		t.Fatal("restart over a rotated log and a checkpoint without documents succeeded")
+	} else if !strings.Contains(err.Error(), "KeepDocuments") {
+		t.Fatalf("restart error %q does not name the missing corpus", err)
+	}
+
+	var logs bytes.Buffer
+	var logMu sync.Mutex
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		fmt.Fprintf(&logs, format+"\n", args...)
+	}
+	full := filepath.Join(dir, "full.wal")
+	fsrv, fts := newPrimary(t, full, nil)
+	for i := 0; i < 4; i++ {
+		postInsert(t, fts.URL, i, docXML(i))
+	}
+	fts.Close()
+	fsrv.Close()
+	buildSnapshot(t, full+".ckpt", 2, false)
+	_, ts := newPrimary(t, full, func(c *Config) { c.CheckpointPath, c.Logf = full+".ckpt", logf })
+	if code, qr, _ := getQuery(t, ts.URL, "q="+matchAll); code != 200 || qr.Count != 4 {
+		t.Fatalf("query after replaying the log alone = %d, %+v", code, qr)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(logs.String(), "ignoring unreadable checkpoint") {
+		t.Fatalf("startup log does not report the ignored checkpoint:\n%s", logs.String())
+	}
+}
+
 // copyFile copies src to dst.
 func copyFile(src, dst string) error {
 	b, err := os.ReadFile(src)

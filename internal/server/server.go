@@ -330,14 +330,17 @@ func New(cfg Config) (*Server, error) {
 		// becomes the main index as it is, and replay supplies everything
 		// newer. Entries the checkpoint already covers are skipped.
 		var ckpt *xseq.Index
-		var seeded []*xseq.Document
+		var seeded int
 		var seedErr error
 		if cfg.CheckpointPath != "" {
 			if _, statErr := os.Stat(cfg.CheckpointPath); statErr == nil {
 				ix, err := openSnapshot(cfg.CheckpointPath, false)
 				if err == nil {
 					if err = checkShards(cfg.ExpectShards, ix); err == nil {
-						seeded, err = ix.StoredDocuments()
+						// Asking for no documents only checks that the
+						// corpus was kept.
+						_, err = ix.FetchDocuments(nil)
+						seeded = ix.Stats().Documents
 					}
 				}
 				if err != nil {
@@ -366,7 +369,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: dynamic index: %w", err)
 		}
 		if ckpt != nil {
-			cfg.Logf("server: adopted checkpoint %s as the main index (%d documents)", cfg.CheckpointPath, len(seeded))
+			cfg.Logf("server: adopted checkpoint %s as the main index (%d documents)", cfg.CheckpointPath, seeded)
 		}
 		if seedErr != nil {
 			if st := dyn.WALStats(); st != nil && st.BaseSeq > 0 {
@@ -406,7 +409,7 @@ func New(cfg Config) (*Server, error) {
 		if cfg.Adaptive {
 			// Re-sequenced rebuilds need the corpus: fail fast at startup
 			// rather than on the first triggered rebuild.
-			if _, err := ix.StoredDocuments(); err != nil {
+			if _, err := ix.FetchDocuments(nil); err != nil {
 				_ = ix.Close()
 				return nil, fmt.Errorf("server: Config.Adaptive needs a snapshot built with KeepDocuments: %w", err)
 			}

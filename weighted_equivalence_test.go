@@ -1,24 +1,38 @@
 package xseq
 
 import (
+	"bytes"
 	"context"
+	"maps"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"xseq/internal/datagen"
 	"xseq/internal/flat"
+	"xseq/internal/sequence"
 )
 
 // xmarkWeights is a plausible hot-path vector for the XMark-like corpus —
 // the shape the adaptive loop derives when person lookups dominate.
 var xmarkWeights = map[string]float64{
-	"site":                   2,
-	"site/people":            4,
-	"site/people/person":     5,
-	"site/regions":           1.5,
-	"site/no/such/path":      3, // unknown paths are skipped, never fatal
-	"site/people/person/age": 4.2,
+	"site":                           2,
+	"site/people":                    4,
+	"site/people/person":             5,
+	"site/regions":                   1.5,
+	unknownXMarkPath:                 3, // skipped by every rebuild
+	"site/people/person/profile/age": 4.2,
+}
+
+// unknownXMarkPath is a path the XMark-like corpus lacks.
+const unknownXMarkPath = "site/no/such/path"
+
+// xmarkCorpusWeights is xmarkWeights without unknownXMarkPath, which a
+// single-partition Build refuses.
+func xmarkCorpusWeights() map[string]float64 {
+	w := maps.Clone(xmarkWeights)
+	delete(w, unknownXMarkPath)
+	return w
 }
 
 var xmarkQueries = []string{
@@ -32,11 +46,11 @@ var xmarkQueries = []string{
 }
 
 // TestWeightedEquivalenceAcrossLayouts: re-sequencing the data around a
-// weight vector reorders storage, never answers. Built under the weighted
-// strategy, every constructor answers the XMark queries as the
-// tree-pattern matcher does.
+// weight vector reorders storage, never answers. Built with Config.Weights,
+// every constructor answers the XMark queries as the tree-pattern matcher
+// does.
 func TestWeightedEquivalenceAcrossLayouts(t *testing.T) {
-	cfg := Config{Strategy: StrategyWeighted, Weights: xmarkWeights}
+	cfg := Config{Weights: xmarkCorpusWeights()}
 	checkCorpus(t, genCorpus(t, "xmark", 120), xmarkQueries, cfg, 0, xmarkWeights)
 }
 
@@ -50,7 +64,7 @@ func TestWeightedSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := Build(docs, Config{Strategy: StrategyWeighted, Weights: xmarkWeights, KeepDocuments: true})
+	weighted, err := Build(docs, Config{Weights: xmarkCorpusWeights(), KeepDocuments: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +93,36 @@ func TestWeightedSnapshotRoundtrip(t *testing.T) {
 			}
 		}
 		back.Close()
+	}
+}
+
+// TestWeightedBuildSavesRebuildBytes: a build weighted by Config.Weights
+// and RebuildWithWeights of an unweighted build are the same index; the
+// rebuild skips the path the corpus lacks.
+func TestWeightedBuildSavesRebuildBytes(t *testing.T) {
+	docs := genCorpus(t, "xmark", 120)
+	save := func(ix *Index, err error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err == nil {
+			err = ix.Save(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	base, err := Build(docs, Config{KeepDocuments: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := save(Build(docs, Config{Weights: xmarkCorpusWeights(), KeepDocuments: true}))
+	rebuilt := save(base.RebuildWithWeights(context.Background(), xmarkWeights))
+	if !bytes.Equal(built, rebuilt) {
+		t.Fatalf("weighted Build saves %d bytes, RebuildWithWeights %d bytes that differ", len(built), len(rebuilt))
+	}
+	if bytes.Equal(built, save(base, nil)) {
+		t.Fatal("the weights left the snapshot unchanged")
 	}
 }
 
@@ -125,9 +169,9 @@ func TestRebuildWithWeightsEquivalence(t *testing.T) {
 }
 
 // TestDynamicResequenceEquivalence drives the dynamic engine's in-place
-// forced rebuild: it re-sequences the main index under the weighted
-// strategy, later inserts land in the index, and the weight vector sticks
-// across the compaction they trigger. FuzzEquivalence checks the answers.
+// forced rebuild: it re-sequences the main index around the weight vector,
+// later inserts land in the index, and the vector sticks across the
+// compaction they trigger. FuzzEquivalence checks the answers.
 func TestDynamicResequenceEquivalence(t *testing.T) {
 	all := genCorpus(t, "xmark", 120)
 	di, err := BuildDynamic(all[:100], Config{}, 16)
@@ -135,12 +179,16 @@ func TestDynamicResequenceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer di.Close()
-	strategy := func() string { return di.d.Main().(*flat.Index).Strategy().Name() }
+	// The main index's schema carries the vector it was sequenced by.
+	weight := func() float64 {
+		sch := di.d.Main().(*flat.Index).Strategy().(*sequence.Probability).Model.Schema()
+		return sch.FindByNamePath([]string{"site", "people", "person"}).Weight
+	}
 	if err := di.Resequence(context.Background(), xmarkWeights); err != nil {
 		t.Fatalf("resequence: %v", err)
 	}
-	if got := strategy(); got != StrategyWeighted {
-		t.Fatalf("main index sequenced by %s after Resequence, want %s", got, StrategyWeighted)
+	if got := weight(); got != 5 {
+		t.Fatalf("site/people/person weighs %v after Resequence, want 5", got)
 	}
 	compactions := di.Health().Compactions
 	for _, d := range all[100:] {
@@ -151,7 +199,7 @@ func TestDynamicResequenceEquivalence(t *testing.T) {
 	if di.NumDocuments() != len(all) || di.Health().Compactions == compactions {
 		t.Fatalf("%d documents after %d compactions; want %d and a compaction", di.NumDocuments(), di.Health().Compactions, len(all))
 	}
-	if got := strategy(); got != StrategyWeighted {
-		t.Fatalf("main index sequenced by %s after a compaction, want %s", got, StrategyWeighted)
+	if got := weight(); got != 5 {
+		t.Fatalf("site/people/person weighs %v after a compaction, want 5", got)
 	}
 }

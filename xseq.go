@@ -190,24 +190,6 @@ func (d *Document) WriteXML(w io.Writer) error { return xmltree.WriteXML(w, d.ro
 // String renders the tree in compact single-line form.
 func (d *Document) String() string { return d.root.String() }
 
-// Sequencing strategy names for Config.Strategy and the CLIs' -strategy
-// flags. CanonicalStrategy resolves the aliases that appear in the paper
-// and docs ("g_best", "constraint", "dfs", ...).
-const (
-	StrategyGBest        = sequence.NameGBest
-	StrategyWeighted     = sequence.NameWeighted
-	StrategyDepthFirst   = sequence.NameDepthFirst
-	StrategyBreadthFirst = sequence.NameBreadthFirst
-)
-
-// Strategies lists the canonical strategy names Config.Strategy accepts.
-func Strategies() []string { return sequence.Names() }
-
-// CanonicalStrategy resolves a strategy name or alias to its canonical
-// form, erroring on unknown names — the check the CLIs run up front so a
-// typo is a usage error (exit 2), not a build failure.
-func CanonicalStrategy(name string) (string, error) { return sequence.CanonicalName(name) }
-
 // Config tunes index construction.
 type Config struct {
 	// ValueSpace is the range of the attribute-value hash function
@@ -222,18 +204,10 @@ type Config struct {
 	// Weights maps slash-separated element name paths ("site/people/
 	// person/age") to the query-frequency/selectivity weight w(C) of
 	// Eq 6. Weighted elements sequence earlier, shrinking the search
-	// space of queries that use them.
+	// space of queries that use them. A single-partition Build fails on a
+	// path its corpus lacks; every other build skips it, since a shard, a
+	// dynamic segment or a rebuild may lack a path the corpus has.
 	Weights map[string]float64
-	// Strategy names the sequencing strategy: "" or StrategyGBest (the
-	// paper's probability-based g_best, the default), StrategyWeighted
-	// (g_best with Weights applied as Eq 6 query-frequency weights;
-	// unknown weight paths are skipped — online-derived vectors
-	// legitimately mention paths the corpus lacks), or the positional
-	// baselines StrategyDepthFirst / StrategyBreadthFirst (Section 6
-	// comparison points: they build and report stats but cannot answer
-	// index queries, which need priority-ordered sequencing, and cannot
-	// be persisted — snapshots reconstruct priorities from the schema).
-	Strategy string
 	// KeepDocuments retains the corpus, enabling QueryVerified.
 	KeepDocuments bool
 	// InstantiationLimit caps wildcard expansion per query (<= 0: 4096); a
@@ -291,7 +265,6 @@ type Index struct {
 	queryable
 	base frozen // the engine under any result cache
 	sch  *schema.Schema
-	pool *pager.Pool
 	// flat marks the flat layout (Layout): a single-partition index served
 	// in place, whose Stats carry the Flat figures.
 	flat bool
@@ -332,7 +305,14 @@ func Build(docs []*Document, cfg Config) (*Index, error) {
 // BuildContext is Build honouring ctx: cancelling it aborts the build
 // between documents (and, for sharded builds, cancels every in-flight shard
 // build), returning the context's error.
-func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index, err error) {
+func BuildContext(ctx context.Context, docs []*Document, cfg Config) (*Index, error) {
+	return buildContext(ctx, docs, cfg, false)
+}
+
+// buildContext is BuildContext that, with skipUnknownWeights, skips weight
+// paths the corpus lacks instead of failing: the rule for every build but
+// a caller's single-partition one (see Config.Weights).
+func buildContext(ctx context.Context, docs []*Document, cfg Config, skipUnknownWeights bool) (_ *Index, err error) {
 	defer guard(&err)
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("xseq: empty corpus")
@@ -350,9 +330,6 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 	}
 	if cfg.Layout == LayoutFlat && cfg.Shards > 1 {
 		return nil, fmt.Errorf("xseq: Layout %q is a single-partition layout; it cannot combine with Shards %d", LayoutFlat, cfg.Shards)
-	}
-	if _, err := sequence.CanonicalName(cfg.Strategy); err != nil {
-		return nil, fmt.Errorf("xseq: %w", err)
 	}
 	inner := make([]*xmltree.Document, len(docs))
 	for i, d := range docs {
@@ -372,7 +349,7 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 		}
 		out = newIndex(sh)
 	} else {
-		ix, sch, err := buildPartition(ctx, inner, cfg, false)
+		ix, sch, err := buildPartition(ctx, inner, cfg, skipUnknownWeights)
 		if err != nil {
 			return nil, fmt.Errorf("xseq: build: %w", err)
 		}
@@ -388,9 +365,10 @@ func BuildContext(ctx context.Context, docs []*Document, cfg Config) (ix0 *Index
 
 // buildPartition infers a schema over one corpus partition (the whole
 // corpus for a monolithic build, one shard's slice otherwise), applies the
-// weights, and builds the index. Sharded builds skip weight paths the
-// partition's schema never saw — a rare path can hash its every document
-// into a few shards, and its absence elsewhere must not fail the build.
+// weights, and builds the g_best index. Sharded builds skip weight paths
+// the partition's schema never saw — a rare path can hash its every
+// document into a few shards, and its absence elsewhere must not fail the
+// build.
 func buildPartition(ctx context.Context, inner []*xmltree.Document, cfg Config, skipUnknownWeights bool) (*index.Index, *schema.Schema, error) {
 	roots := make([]*xmltree.Node, len(inner))
 	for i, d := range inner {
@@ -406,16 +384,12 @@ func buildPartition(ctx context.Context, inner []*xmltree.Document, cfg Config, 
 	} else {
 		enc = pathenc.NewEncoder(cfg.ValueSpace)
 	}
-	// The strategy constructor applies cfg.Weights to the schema before any
-	// Model is built (Models memoize priorities); the weighted strategy
-	// always skips unknown weight paths, gbest only for sharded partitions.
-	strategy, err := sequence.NewByName(cfg.Strategy, sch, enc, cfg.Weights, skipUnknownWeights)
-	if err != nil {
+	if err := sequence.ApplyWeights(sch, cfg.Weights, skipUnknownWeights); err != nil {
 		return nil, nil, err
 	}
 	ix, err := index.BuildContext(ctx, inner, index.Options{
 		Encoder:            enc,
-		Strategy:           strategy,
+		Strategy:           sequence.NewProbability(sch, enc),
 		KeepDocuments:      cfg.KeepDocuments,
 		InstantiationLimit: cfg.InstantiationLimit,
 	})
@@ -680,8 +654,8 @@ func (ix *Index) StoredDocuments() ([]*Document, error) {
 	return out, nil
 }
 
-// RebuildWithWeights re-sequences the retained corpus under the weighted
-// g_best strategy (Eq 6) with the given weight vector and returns a fresh
+// RebuildWithWeights re-sequences the retained corpus under g_best
+// weighted (Eq 6) by the given vector and returns a fresh
 // index — the adaptive-resequencing rebuild. The new index answers every
 // query with byte-identical results (weights change sequencing *order*,
 // never answers); what changes is the trie shape: frequently-queried paths
@@ -697,11 +671,7 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Strategy:      StrategyWeighted,
-		Weights:       weights,
-		KeepDocuments: true,
-	}
+	cfg := Config{Weights: weights, KeepDocuments: true}
 	if ix.flat {
 		cfg.Layout = LayoutFlat
 	}
@@ -716,38 +686,11 @@ func (ix *Index) RebuildWithWeights(ctx context.Context, weights map[string]floa
 	if sh, ok := ix.base.(*shard.Index); ok {
 		cfg.Shards = sh.NumShards()
 	}
-	out, err := BuildContext(ctx, docs, cfg)
+	out, err := buildContext(ctx, docs, cfg, true)
 	if err != nil {
 		return nil, fmt.Errorf("xseq: resequencing rebuild: %w", err)
 	}
 	return out, nil
-}
-
-// persistable rejects saving indexes whose sequencing order a snapshot
-// cannot reconstruct: Load rebuilds query priorities from the persisted
-// schema (g_best over node probabilities and weights), so only gbest- and
-// weighted-sequenced indexes round-trip. A positional baseline
-// (depth-first / breadth-first) would reload with mismatched priorities
-// and silently answer queries wrongly — refuse instead.
-func (ix *Index) persistable() error {
-	var name string
-	switch e := ix.base.(type) {
-	case *flat.Index:
-		if s := e.Strategy(); s != nil {
-			name = s.Name()
-		}
-	case *shard.Index:
-		if parts := partitions(e); len(parts) > 0 {
-			if s := parts[0].Strategy(); s != nil {
-				name = s.Name()
-			}
-		}
-	}
-	switch name {
-	case "", "constraint", StrategyWeighted:
-		return nil
-	}
-	return fmt.Errorf("xseq: a %s-sequenced index cannot be persisted (snapshots reconstruct g_best priorities from the schema): %w", name, ErrUnsupported)
 }
 
 // Save serializes the index (designator tables, links, document lists,
@@ -760,9 +703,6 @@ func (ix *Index) persistable() error {
 // non-empty shard.
 func (ix *Index) Save(w io.Writer) (err error) {
 	defer guard(&err)
-	if err := ix.persistable(); err != nil {
-		return err
-	}
 	return ix.base.Save(w)
 }
 
@@ -772,9 +712,6 @@ func (ix *Index) Save(w io.Writer) (err error) {
 // at path survives intact).
 func (ix *Index) SaveFile(path string) (err error) {
 	defer guard(&err)
-	if err := ix.persistable(); err != nil {
-		return err
-	}
 	return engine.SaveFile(path, ix.base.Save)
 }
 
@@ -916,9 +853,10 @@ type DynamicIndex struct {
 	replay    wal.ReplayStats
 	// weights is the adaptive-resequencing vector the builder closure reads
 	// at build time: once Resequence installs it, every rebuild — the
-	// forced one, segment builds, and future compactions — sequences under
-	// the weighted strategy. Every sub-engine carries its own sequencing,
-	// so engines built before and after the switch answer alike.
+	// forced one, segment builds, and future compactions — is weighted by
+	// it instead of Config.Weights. Every sub-engine carries its own
+	// sequencing, so engines built before and after the switch answer
+	// alike.
 	weights atomic.Pointer[map[string]float64]
 }
 
@@ -1092,9 +1030,10 @@ func newDynamicIndex(cfg Config, wrap func(engine.Builder) engine.Builder) (*Dyn
 		}
 		bcfg := subCfg
 		if w := di.weights.Load(); w != nil {
-			bcfg.Strategy, bcfg.Weights = StrategyWeighted, *w
+			bcfg.Weights = *w
 		}
-		ix, err := BuildContext(ctx, wrapped, bcfg)
+		// A segment, a merge or a compaction may lack a weighted path.
+		ix, err := buildContext(ctx, wrapped, bcfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -1198,8 +1137,7 @@ func (d *DynamicIndex) CompactContext(ctx context.Context) (err error) {
 // Resequence. Failure containment is compaction's exactly: a failed
 // rebuild is a counted *CompactionError (degraded Health), the serving
 // state is untouched, and queries keep answering from the old sequencing.
-// A nil or empty vector reverts to the unweighted g_best strategy at the
-// next rebuild.
+// A nil or empty vector reverts to Config.Weights at the next rebuild.
 func (d *DynamicIndex) Resequence(ctx context.Context, weights map[string]float64) (err error) {
 	defer guard(&err)
 	if len(weights) == 0 {
@@ -1494,8 +1432,7 @@ func (ix *Index) EnablePagedIO(poolPages int) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("xseq: paged I/O accounting on a sharded index: %w", ErrUnsupported)
 	}
-	ix.pool = pager.NewPool(poolPages)
-	return f.AttachPager(ix.pool)
+	return f.AttachPager(pager.NewPool(poolPages))
 }
 
 // DisablePagedIO stops I/O accounting.
@@ -1503,7 +1440,6 @@ func (ix *Index) DisablePagedIO() {
 	if f, ok := ix.base.(*flat.Index); ok {
 		f.DetachPager()
 	}
-	ix.pool = nil
 }
 
 // IO returns the I/O counters accumulated since EnablePagedIO (or the last

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,6 +121,27 @@ func TestWeights(t *testing.T) {
 	d, _ := ParseDocumentString(1, "<a><b>x</b></a>")
 	if _, err := Build([]*Document{d}, Config{Weights: map[string]float64{"a/zzz": 2}}); err == nil {
 		t.Fatal("unknown weight path should fail")
+	}
+}
+
+// TestDynamicWeightsSkipUnknownPaths: a dynamic index weighted by
+// Config.Weights indexes each insert in a segment of its own, whose corpus
+// may lack a weighted path; the insert still lands.
+func TestDynamicWeightsSkipUnknownPaths(t *testing.T) {
+	d0, _ := ParseDocumentString(0, "<r><a><b/></a></r>")
+	d1, _ := ParseDocumentString(1, "<r><c/></r>")
+	di, err := BuildDynamic([]*Document{d0}, Config{Weights: map[string]float64{"r/a/b": 5}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	if err := di.Insert(d1); err != nil {
+		t.Fatalf("insert of a document without r/a/b: %v", err)
+	}
+	for q, want := range map[string][]int32{"/r/c": {1}, "/r/a/b": {0}, "/r": {0, 1}} {
+		if got, err := di.Query(q); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s = %v (%v), want %v", q, got, err, want)
+		}
 	}
 }
 
